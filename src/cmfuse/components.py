@@ -6,8 +6,20 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import DocumentError
-from .jsonio import check_keys, dump_json, load_json
-from .ontology import normalize_term, operation_term, term_stem
+from .jsonio import (
+    NON_EMPTY,
+    STRING,
+    STRINGS,
+    check,
+    dump_json,
+    list_of,
+    load_json,
+    mapping,
+    maybe,
+    non_empty,
+    obj,
+)
+from .ontology import TERM, normalize_term, operation_term, term_stem
 
 KINDS = ("entity", "process", "utility", "data")
 
@@ -131,194 +143,68 @@ class ComponentSet:
             raise DocumentError("<component-set>", problems)
 
 
-_TOP_KEYS = frozenset({"system", "components"})
-_COMPONENT_REQ = frozenset({"name", "kind", "attributes", "operations"})
-_COMPONENT_OPT = frozenset({"doc", "provides", "requires", "anchors"})
-_ATTRIBUTE_REQ = frozenset({"name"})
-_ATTRIBUTE_OPT = frozenset({"datatype", "unit"})
-_OPERATION_REQ = frozenset({"name"})
-_OPERATION_OPT = frozenset({"params", "returns"})
+_ATTRIBUTE = obj(
+    {"name": STRING, "datatype": maybe(STRING), "unit": maybe(STRING)},
+    required="name",
+    build=Attribute,
+)
+_OPERATION = obj(
+    {"name": STRING, "params": maybe(STRINGS), "returns": maybe(STRING)},
+    required="name",
+    build=Operation,
+)
+_INTERFACES = maybe(list_of(TERM, "must be a list of strings"))
+_COMPONENT_FIELDS = {
+    "name": STRING,
+    "kind": STRING,
+    "doc": maybe(STRING),
+    "attributes": maybe(list_of(_ATTRIBUTE)),
+    "operations": maybe(list_of(_OPERATION)),
+    "provides": _INTERFACES,
+    "requires": _INTERFACES,
+    "anchors": maybe(mapping(non_empty("must be a non-empty concept id"))),
+}
+
+
+def _checked_set(system: str, components=()) -> ComponentSet:
+    problems = []
+    seen: dict[tuple[str, str], int] = {}
+    for i, c in enumerate(components):
+        key = (c.source, c.term)
+        if key in seen:
+            problems.append(
+                f"components[{i}]: duplicate component '{c.name}'"
+                f" (already declared at components[{seen[key]}])"
+            )
+        else:
+            seen[key] = i
+    if problems:
+        raise DocumentError("<component-set>", problems)
+    return ComponentSet(system=system, components=components)
 
 
 def parse_component_set(document: str, *, source: str = "<component-set>") -> ComponentSet:
     """Parse a component-set document under the strict schema.
 
     Every violation is collected before the error is raised, so one run
-    reports them all, each tagged with its JSON path.
+    reports them all, each tagged with its JSON path. Duplicate
+    components are reported only when nothing else is wrong.
     """
     data = load_json(document, source)
-    if not isinstance(data, dict):
-        raise DocumentError(source, ["top level must be an object"])
-    problems = check_keys(data, "", _TOP_KEYS, frozenset())
+    system = data.get("system") if isinstance(data, dict) else None
+    system = system if isinstance(system, str) else ""  # every component's source
 
-    system = data.get("system")
-    if "system" in data and (not isinstance(system, str) or not system):
-        problems.append("system: must be a non-empty string")
-        system = ""
-    system = system or ""
+    def component(anchors=None, **fields):
+        hints = {normalize_term(k): v for k, v in (anchors or {}).items()}
+        return BusinessComponent(source=system, anchors=hints, **fields)
 
-    components: list[BusinessComponent] = []
-    raw = data.get("components")
-    if raw is None:
-        pass
-    elif not isinstance(raw, list):
-        problems.append("components: must be a list")
-    else:
-        for i, item in enumerate(raw):
-            comp = _parse_component(item, f"components[{i}]", system, problems)
-            if comp is not None:
-                components.append(comp)
-
-    if not problems:
-        seen: dict[tuple[str, str], int] = {}
-        for i, c in enumerate(components):
-            key = (c.source, c.term)
-            if key in seen:
-                problems.append(
-                    f"components[{i}]: duplicate component '{c.name}'"
-                    f" (already declared at components[{seen[key]}])"
-                )
-            else:
-                seen[key] = i
-    if problems:
-        raise DocumentError(source, problems)
-    return ComponentSet(system=system, components=tuple(components))
-
-
-def _parse_component(item, where: str, system: str, problems: list[str]):
-    if not isinstance(item, dict):
-        problems.append(f"{where}: must be an object")
-        return None
-    local = check_keys(item, where, _COMPONENT_REQ, _COMPONENT_OPT)
-
-    name = item.get("name")
-    if "name" in item and not isinstance(name, str):
-        local.append(f"{where}.name: must be a string")
-        name = ""
-    kind = item.get("kind")
-    if "kind" in item and not isinstance(kind, str):
-        local.append(f"{where}.kind: must be a string")
-        kind = ""
-    doc = item.get("doc")
-    if doc is not None and not isinstance(doc, str):
-        local.append(f"{where}.doc: must be a string")
-        doc = None
-
-    attributes: list[Attribute] = []
-    raw_attrs = item.get("attributes")
-    if raw_attrs is not None and not isinstance(raw_attrs, list):
-        local.append(f"{where}.attributes: must be a list")
-    elif raw_attrs:
-        for j, a in enumerate(raw_attrs):
-            attr = _parse_attribute(a, f"{where}.attributes[{j}]", local)
-            if attr is not None:
-                attributes.append(attr)
-
-    operations: list[Operation] = []
-    raw_ops = item.get("operations")
-    if raw_ops is not None and not isinstance(raw_ops, list):
-        local.append(f"{where}.operations: must be a list")
-    elif raw_ops:
-        for j, o in enumerate(raw_ops):
-            op = _parse_operation(o, f"{where}.operations[{j}]", local)
-            if op is not None:
-                operations.append(op)
-
-    provides = _interface_list(item.get("provides"), f"{where}.provides", local)
-    requires = _interface_list(item.get("requires"), f"{where}.requires", local)
-
-    anchors: dict[str, str] = {}
-    raw_anchors = item.get("anchors")
-    if raw_anchors is not None and not isinstance(raw_anchors, dict):
-        local.append(f"{where}.anchors: must be an object")
-    elif raw_anchors:
-        for k, v in raw_anchors.items():
-            if not isinstance(v, str) or not v:
-                local.append(f"{where}.anchors['{k}']: must be a non-empty concept id")
-            else:
-                anchors[normalize_term(k)] = v
-
-    if local:
-        problems += local
-        return None
-    try:
-        return BusinessComponent(
-            name=name,
-            kind=kind,
-            source=system,
-            doc=doc,
-            attributes=tuple(attributes),
-            operations=tuple(operations),
-            provides=provides,
-            requires=requires,
-            anchors=anchors,
-        )
-    except DocumentError as exc:
-        problems.extend(f"{where}: {d}" for d in exc.diagnostics)
-        return None
-
-
-def _parse_attribute(item, where: str, problems: list[str]):
-    if not isinstance(item, dict):
-        problems.append(f"{where}: must be an object")
-        return None
-    local = check_keys(item, where, _ATTRIBUTE_REQ, _ATTRIBUTE_OPT)
-    name = item.get("name")
-    if "name" in item and not isinstance(name, str):
-        local.append(f"{where}.name: must be a string")
-    for key in ("datatype", "unit"):
-        if item.get(key) is not None and not isinstance(item[key], str):
-            local.append(f"{where}.{key}: must be a string")
-    if local:
-        problems += local
-        return None
-    try:
-        return Attribute(name=name, datatype=item.get("datatype"), unit=item.get("unit"))
-    except DocumentError as exc:
-        problems.extend(f"{where}: {d}" for d in exc.diagnostics)
-        return None
-
-
-def _parse_operation(item, where: str, problems: list[str]):
-    if not isinstance(item, dict):
-        problems.append(f"{where}: must be an object")
-        return None
-    local = check_keys(item, where, _OPERATION_REQ, _OPERATION_OPT)
-    name = item.get("name")
-    if "name" in item and not isinstance(name, str):
-        local.append(f"{where}.name: must be a string")
-    params = item.get("params")
-    if params is not None and (
-        not isinstance(params, list) or any(not isinstance(p, str) for p in params)
-    ):
-        local.append(f"{where}.params: must be a list of strings")
-        params = None
-    returns = item.get("returns")
-    if returns is not None and not isinstance(returns, str):
-        local.append(f"{where}.returns: must be a string")
-    if local:
-        problems += local
-        return None
-    try:
-        return Operation(name=name, params=tuple(params or ()), returns=returns)
-    except DocumentError as exc:
-        problems.extend(f"{where}: {d}" for d in exc.diagnostics)
-        return None
-
-
-def _interface_list(value, where: str, problems: list[str]) -> tuple[str, ...]:
-    if value is None:
-        return ()
-    if not isinstance(value, list):
-        problems.append(f"{where}: must be a list of strings")
-        return ()
-    out = []
-    for i, s in enumerate(value):
-        if not isinstance(s, str) or not normalize_term(s):
-            problems.append(f"{where}[{i}]: must be a non-empty string")
-        else:
-            out.append(s)
-    return tuple(out)
+    components = obj(_COMPONENT_FIELDS, required="name kind attributes operations", build=component)
+    spec = obj(
+        {"system": NON_EMPTY, "components": maybe(list_of(components))},
+        required="system components",
+        build=_checked_set,
+    )
+    return check(spec, data, source)
 
 
 def component_set_to_json(cs: ComponentSet) -> dict:

@@ -10,19 +10,34 @@ a homonym conflict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .components import BusinessComponent
 from .errors import DocumentError, MergeError
-from .jsonio import check_keys, dump_json, load_json
+from .jsonio import (
+    BOOLEAN,
+    NON_EMPTY,
+    STRINGS,
+    at,
+    check,
+    dump_json,
+    list_of,
+    load_json,
+    maybe,
+    obj,
+    one_of,
+    or_null,
+    string,
+)
 from .ontology import (
     ANCHOR_UNIQUE,
     OPERATION_MARKER,
+    ONTOLOGY_SPEC,
     DomainOntology,
     anchor,
     domain_ontology_to_json,
-    load_domain_ontology,
     normalize_term,
 )
 from .similarity import (
@@ -39,8 +54,8 @@ from .transform import (
     KIND_OPERATION,
     ComponentOntology,
     Concept,
-    component_ontology_from_json,
     component_ontology_to_json,
+    graph_spec,
     to_component,
 )
 
@@ -232,8 +247,10 @@ def merge(
     the canonical name (the domain label when a root anchors uniquely,
     otherwise the smallest root term), with synonymous members collapsed
     the same way and interfaces rewritten to canonical names. A root on
-    a homonym conflict keeps its members but is renamed
-    "<source>.<origin>". Untouched roots pass through unchanged.
+    a homonym conflict, or one named like a merged class, keeps its
+    members but is renamed "<source>.<origin>"; merged classes that
+    come out named alike take that name of their first root instead.
+    Untouched roots pass through unchanged.
     """
     index: dict[tuple[str, str], ComponentOntology] = {}
     for g in graphs:
@@ -265,19 +282,30 @@ def merge(
     for key, graph in index.items():
         classes.setdefault(uf.find(key), []).append(graph)
 
+    names = {
+        rep: _canonical_name([_naming(g.root) for g in members], od)
+        for rep, members in classes.items()
+        if len(members) > 1
+    }
+    # result names must stay unique: a pass-through named like a merged
+    # class, and merged classes named alike, are qualified
+    class_terms = Counter(normalize_term(raw) for _, raw, _ in names.values())
     roots: list[MergedRoot] = []
     equivalences: list[tuple[str, str]] = []
-    for members in classes.values():
+    for rep, members in classes.items():
         if len(members) == 1:
             graph = members[0]
             key = (graph.source, graph.origin)
-            if key in conflicted:
+            if key in conflicted or normalize_term(graph.root.raw_label) in class_terms:
                 merged = _qualify(graph, od)
             else:
                 merged = graph
             roots.append(MergedRoot(merged, (Endpoint(graph.source, graph.origin),)))
             continue
-        merged = _merge_class(members, od, mode, recursive, equivalences)
+        _, raw_name, root_anchor = names[rep]
+        if class_terms[normalize_term(raw_name)] > 1:
+            raw_name = f"{members[0].source}.{members[0].origin}"
+        merged = _merge_class(members, raw_name, root_anchor, od, mode, recursive, equivalences)
         roots.append(
             MergedRoot(merged, tuple(Endpoint(g.source, g.origin) for g in members))
         )
@@ -289,19 +317,10 @@ def merge(
 
 def _qualify(graph: ComponentOntology, od: DomainOntology) -> ComponentOntology:
     name = f"{graph.source}.{graph.origin}"
-    root = Concept(
-        term=normalize_term(name),
-        raw_label=name,
-        kind=KIND_COMPONENT,
-        definitions=graph.root.definitions,
-        members=graph.root.members,
-        anchor=graph.root.anchor,
-    )
-    return ComponentOntology(
-        source=graph.source,
+    return replace(
+        graph,
         origin=name,
-        root=root,
-        kind=graph.kind,
+        root=replace(graph.root, term=normalize_term(name), raw_label=name),
         provides=tuple(_canonical_interfaces(graph.provides, od)),
         requires=tuple(_canonical_interfaces(graph.requires, od)),
     )
@@ -309,6 +328,8 @@ def _qualify(graph: ComponentOntology, od: DomainOntology) -> ComponentOntology:
 
 def _merge_class(
     members: list[ComponentOntology],
+    raw_name: str,
+    root_anchor: str | None,
     od: DomainOntology,
     mode: str,
     recursive: bool,
@@ -318,14 +339,8 @@ def _merge_class(
         for j in range(i + 1, len(members)):
             equivalences.append((members[i].path, members[j].path))
 
-    raw_name, root_anchor = _canonical_root(members, od)
     merged_members = _merge_members(members, od, mode, recursive, equivalences)
 
-    definitions: list[str] = []
-    for g in members:
-        for d in g.root.definitions:
-            if d not in definitions:
-                definitions.append(d)
     kinds = {g.kind for g in members}
     kind = members[0].kind if len(kinds) == 1 else "entity"
     sources = list(dict.fromkeys(g.source for g in members))
@@ -334,7 +349,7 @@ def _merge_class(
         term=normalize_term(raw_name),
         raw_label=raw_name,
         kind=KIND_COMPONENT,
-        definitions=tuple(definitions),
+        definitions=_definitions(g.root for g in members),
         members=tuple(merged_members),
         anchor=root_anchor,
     )
@@ -350,23 +365,6 @@ def _merge_class(
             _canonical_interfaces((r for g in members for r in g.requires), od)
         ),
     )
-
-
-def _canonical_root(members: list[ComponentOntology], od: DomainOntology) -> tuple[str, str | None]:
-    anchors = {
-        g.root.anchor
-        for g in members
-        if g.root.anchor is not None and od.has_concept(g.root.anchor)
-    }
-    common = next(iter(anchors)) if len(anchors) == 1 else None
-    if anchors:
-        label = min(od.label(a) for a in anchors)
-        return label, common
-    best = min(g.root.term for g in members)
-    for g in members:
-        if g.root.term == best:
-            return g.root.raw_label, common
-    raise AssertionError("unreachable")
 
 
 def _merge_members(
@@ -404,19 +402,23 @@ def _merge_members(
     seen: set[tuple[str, str]] = set()
     for ids in groups.values():
         group = [entries[i][1] for i in ids]
-        concept = _collapse_members(group, od)
+        concept = group[0]
+        if len(group) > 1:
+            term, raw, common = _canonical_name(
+                [_naming(c) for c in group], od, operation=concept.kind == KIND_OPERATION
+            )
+            concept = replace(
+                concept, term=term, raw_label=raw, definitions=_definitions(group), anchor=common
+            )
         key = (concept.kind, concept.term)
         if key in seen:
             # homonymous representatives: qualify by the first origin
             gi = entries[ids[0]][0]
             qualifier = f"{members[gi].source}.{members[gi].origin}"
-            concept = Concept(
+            concept = replace(
+                concept,
                 term=normalize_term(f"{qualifier}.{concept.term}"),
                 raw_label=f"{qualifier}.{concept.raw_label}",
-                kind=concept.kind,
-                definitions=concept.definitions,
-                members=concept.members,
-                anchor=concept.anchor,
             )
             key = (concept.kind, concept.term)
         seen.add(key)
@@ -424,33 +426,34 @@ def _merge_members(
     return merged
 
 
-def _collapse_members(group: list[Concept], od: DomainOntology) -> Concept:
-    if len(group) == 1:
-        return group[0]
-    anchors = {c.anchor for c in group if c.anchor is not None and od.has_concept(c.anchor)}
-    common = next(iter(anchors)) if len(anchors) == 1 else None
-    kind = group[0].kind
-    if anchors:
-        raw = min(od.label(a) for a in anchors)
-        term = normalize_term(raw)
-        if kind == KIND_OPERATION and not term.endswith(OPERATION_MARKER):
-            term += OPERATION_MARKER
-    else:
-        term = min(c.term for c in group)
-        raw = next(c.raw_label for c in group if c.term == term)
-    definitions: list[str] = []
-    for c in group:
-        for d in c.definitions:
-            if d not in definitions:
-                definitions.append(d)
-    return Concept(
-        term=term,
-        raw_label=raw,
-        kind=kind,
-        definitions=tuple(definitions),
-        members=group[0].members,
-        anchor=common,
-    )
+def _naming(c: Concept) -> tuple[str, str, str | None]:
+    return c.term, c.raw_label, c.anchor
+
+
+def _canonical_name(
+    named: list[tuple[str, str, str | None]], od: DomainOntology, *, operation: bool = False
+) -> tuple[str, str, str | None]:
+    """The (term, raw label, anchor) that names things judged the same.
+
+    named holds their (term, raw label, anchor) triples. The smallest
+    domain label among the valid anchors wins, with the call marker kept
+    on an operation term; with no valid anchor, the smallest term wins
+    with its raw label. The anchor is kept only when exactly one is
+    present.
+    """
+    anchors = {a for _, _, a in named if a is not None and od.has_concept(a)}
+    if not anchors:
+        term, raw, _ = min(named, key=lambda n: n[0])
+        return term, raw, None
+    raw = min(od.label(a) for a in anchors)
+    term = normalize_term(raw)
+    if operation and not term.endswith(OPERATION_MARKER):
+        term += OPERATION_MARKER
+    return term, raw, next(iter(anchors)) if len(anchors) == 1 else None
+
+
+def _definitions(concepts: Iterable[Concept]) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(d for c in concepts for d in c.definitions))
 
 
 def _canonical_interfaces(names: Iterable[str], od: DomainOntology) -> list[str]:
@@ -459,22 +462,13 @@ def _canonical_interfaces(names: Iterable[str], od: DomainOntology) -> list[str]
     for name in names:
         term = normalize_term(name)
         found = anchor(term, od)
-        if found.kind == ANCHOR_UNIQUE:
-            canonical = normalize_term(od.label(found.concepts[0]))
-            if term.endswith(OPERATION_MARKER) and not canonical.endswith(OPERATION_MARKER):
-                canonical += OPERATION_MARKER
-        else:
-            canonical = term
+        unique = found.concepts[0] if found.kind == ANCHOR_UNIQUE else None
+        canonical, _, _ = _canonical_name(
+            [(term, name, unique)], od, operation=term.endswith(OPERATION_MARKER)
+        )
         if canonical not in out:
             out.append(canonical)
     return out
-
-
-_ALIGNMENT_REQ = frozenset({"correspondences", "conflicts", "diagnostics", "ontologies", "domain"})
-_ALIGNMENT_OPT = frozenset({"settings"})
-_SETTINGS_KEYS = frozenset({"mode", "recursive"})
-_CORR_KEYS = frozenset({"left", "right", "score", "class"})
-_ENDPOINT_KEYS = frozenset({"source", "origin", "member"})
 
 
 @dataclass(frozen=True)
@@ -497,8 +491,8 @@ def alignment_to_json(
     recursive: bool = True,
 ) -> dict:
     return {
-        "correspondences": [_corr_json(c) for c in alignment.correspondences],
-        "conflicts": [_corr_json(c) for c in alignment.conflicts],
+        "correspondences": [correspondence_to_json(c) for c in alignment.correspondences],
+        "conflicts": [correspondence_to_json(c) for c in alignment.conflicts],
         "diagnostics": list(alignment.diagnostics),
         "settings": {"mode": mode, "recursive": recursive},
         "ontologies": [component_ontology_to_json(g) for g in graphs],
@@ -520,7 +514,7 @@ def serialize_alignment(
     return dump_json(alignment_to_json(alignment, graphs, od, mode=mode, recursive=recursive))
 
 
-def _corr_json(c: Correspondence) -> dict:
+def correspondence_to_json(c: Correspondence) -> dict:
     return {
         "left": _endpoint_json(c.left),
         "right": _endpoint_json(c.right),
@@ -533,127 +527,73 @@ def _endpoint_json(e: Endpoint) -> dict:
     return {"source": e.source, "origin": e.origin, "member": e.member}
 
 
+def _score(value, path, problems):
+    if not isinstance(value, str):
+        problems.append(at(path, "must be a string"))
+        return None
+    try:
+        return parse_score(value)
+    except ValueError:
+        problems.append(at(path, "not a rational in [0, 1]"))
+
+
+def _domain(value, path, problems):
+    # the embedded ontology reports as a document of its own, under path
+    if not isinstance(value, dict):
+        problems.append(at(path, "must be an object"))
+        return None
+    inner: list[str] = []
+    domain = ONTOLOGY_SPEC(value, "", inner)
+    problems += [at(path, d) for d in inner]
+    return domain
+
+
+_ENDPOINT = obj(
+    {"source": NON_EMPTY, "origin": NON_EMPTY, "member": maybe(string("must be a string or null"))},
+    required="source origin member",
+    build=Endpoint,
+)
+_CORRESPONDENCE = obj(
+    {
+        "left": or_null(_ENDPOINT),
+        "right": or_null(_ENDPOINT),
+        "score": _score,
+        "class": one_of(CLASSIFICATIONS),
+    },
+    required="left right score class",
+    build=lambda left, right, score, **rest: Correspondence(left, right, score, rest["class"]),
+)
+_MODE = one_of((MODE_LITERAL, MODE_BIPARTITE), "must be literal or bipartite")
+_ALIGNMENT_FIELDS = {
+    "settings": maybe(obj({"mode": _MODE, "recursive": BOOLEAN})),
+    "correspondences": list_of(_CORRESPONDENCE),
+    "conflicts": None,  # derived from the correspondences
+    "diagnostics": STRINGS,
+    "ontologies": list_of(graph_spec),
+    "domain": _domain,
+}
+_ALIGNMENT_REQUIRED = "correspondences conflicts diagnostics ontologies domain"
+_ALIGNMENT_KEYS = obj(dict.fromkeys(_ALIGNMENT_FIELDS), required=_ALIGNMENT_REQUIRED)
+_ALIGNMENT = obj(
+    _ALIGNMENT_FIELDS,
+    required=_ALIGNMENT_REQUIRED,
+    build=lambda correspondences, diagnostics, ontologies, domain, settings=None: AlignmentDocument(
+        Alignment(correspondences, tuple(diagnostics)), ontologies, domain, **(settings or {})
+    ),
+)
+
+
 def parse_alignment(document: str, *, source: str = "<alignment>") -> AlignmentDocument:
-    """Parse an alignment document back into its parts."""
+    """Parse an alignment document back into its parts.
+
+    Problems with the top-level keys, and then correspondences that are
+    not a list, are each reported on their own.
+    """
     data = load_json(document, source)
-    if not isinstance(data, dict):
-        raise DocumentError(source, ["top level must be an object"])
-    problems = check_keys(data, "", _ALIGNMENT_REQ, _ALIGNMENT_OPT)
-    if problems:
-        raise DocumentError(source, problems)
-
-    mode = MODE_LITERAL
-    recursive = True
-    settings = data.get("settings")
-    if settings is not None:
-        if not isinstance(settings, dict):
-            problems.append("settings: must be an object")
-        else:
-            problems += check_keys(settings, "settings", frozenset(), _SETTINGS_KEYS)
-            if "mode" in settings:
-                if settings["mode"] not in (MODE_LITERAL, MODE_BIPARTITE):
-                    problems.append("settings.mode: must be literal or bipartite")
-                else:
-                    mode = settings["mode"]
-            if "recursive" in settings:
-                if not isinstance(settings["recursive"], bool):
-                    problems.append("settings.recursive: must be a boolean")
-                else:
-                    recursive = settings["recursive"]
-
-    corrs: list[Correspondence] = []
-    raw_corrs = data["correspondences"]
-    if not isinstance(raw_corrs, list):
+    check(_ALIGNMENT_KEYS, data, source)
+    if not isinstance(data["correspondences"], list):
         raise DocumentError(source, ["correspondences: must be a list"])
-    for i, item in enumerate(raw_corrs):
-        corr = _parse_corr(item, f"correspondences[{i}]", problems)
-        if corr is not None:
-            corrs.append(corr)
-
-    diagnostics: list[str] = []
-    raw_diag = data["diagnostics"]
-    if not isinstance(raw_diag, list) or any(not isinstance(d, str) for d in raw_diag):
-        problems.append("diagnostics: must be a list of strings")
-    else:
-        diagnostics = list(raw_diag)
-
-    graphs: list[ComponentOntology] = []
-    raw_graphs = data["ontologies"]
-    if not isinstance(raw_graphs, list):
-        problems.append("ontologies: must be a list")
-    else:
-        for i, item in enumerate(raw_graphs):
-            where = f"ontologies[{i}]"
-            if not isinstance(item, dict):
-                problems.append(f"{where}: must be an object")
-                continue
-            try:
-                graphs.append(component_ontology_from_json(item, where, source))
-            except DocumentError as exc:
-                problems.extend(exc.diagnostics)
-
-    domain = None
-    if not isinstance(data["domain"], dict):
-        problems.append("domain: must be an object")
-    else:
-        try:
-            domain = load_domain_ontology(dump_json(data["domain"]), source=source)
-        except DocumentError as exc:
-            problems.extend(f"domain: {d}" for d in exc.diagnostics)
-
-    if problems or domain is None:
-        raise DocumentError(source, problems or ["domain: missing"])
-    return AlignmentDocument(
-        alignment=Alignment(tuple(corrs), tuple(diagnostics)),
-        graphs=tuple(graphs),
-        domain=domain,
-        mode=mode,
-        recursive=recursive,
-    )
-
-
-def _parse_corr(item, where: str, problems: list[str]) -> Correspondence | None:
-    if not isinstance(item, dict):
-        problems.append(f"{where}: must be an object")
-        return None
-    local = check_keys(item, where, _CORR_KEYS, frozenset())
-    left = _parse_endpoint(item.get("left"), f"{where}.left", local)
-    right = _parse_endpoint(item.get("right"), f"{where}.right", local)
-    score = None
-    raw_score = item.get("score")
-    if "score" in item:
-        if not isinstance(raw_score, str):
-            local.append(f"{where}.score: must be a string")
-        else:
-            try:
-                score = parse_score(raw_score)
-            except ValueError:
-                local.append(f"{where}.score: not a rational in [0, 1]")
-    classification = item.get("class")
-    if "class" in item and classification not in CLASSIFICATIONS:
-        local.append(f"{where}.class: must be one of {', '.join(CLASSIFICATIONS)}")
-    if local or left is None or right is None or score is None:
-        problems += local
-        return None
-    return Correspondence(left, right, score, classification)
-
-
-def _parse_endpoint(item, where: str, problems: list[str]) -> Endpoint | None:
-    if not isinstance(item, dict):
-        problems.append(f"{where}: must be an object")
-        return None
-    local = check_keys(item, where, _ENDPOINT_KEYS, frozenset())
-    for key in ("source", "origin"):
-        value = item.get(key)
-        if key in item and (not isinstance(value, str) or not value):
-            local.append(f"{where}.{key}: must be a non-empty string")
-    member = item.get("member")
-    if member is not None and not isinstance(member, str):
-        local.append(f"{where}.member: must be a string or null")
-    if local:
-        problems += local
-        return None
-    return Endpoint(item["source"], item["origin"], member)
+    return check(_ALIGNMENT, data, source)
 
 
 def representation_to_json(rep: RepresentationOntology) -> dict:

@@ -1,21 +1,43 @@
-"""Strict JSON helpers shared by the file-format parsers and writers."""
+"""Strict JSON helpers shared by the file-format parsers and writers.
+
+The readers declare their document shapes with the spec constructors
+below. A spec is a callable ``spec(value, path, problems)`` that checks
+one parsed JSON value found at ``path`` (a JSON path such as
+``components[0].name``, or "" for the top level), appends one
+``"<path>: <message>"`` diagnostic to ``problems`` per violation and
+returns the checked value, or what its object's build made of it. A
+caller that sees new problems never uses what came back.
+"""
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Callable
 
 from .errors import DocumentError
+
+_ABSENT = object()
+
+
+@contextmanager
+def _depth_guard(source: str):
+    # the JSON decoder and the spec walkers both recurse once per nesting level
+    try:
+        yield
+    except RecursionError:
+        raise DocumentError(source, ["nesting too deep to read"]) from None
 
 
 def load_json(document: str, source: str) -> Any:
     """Parse a JSON document, reporting syntax errors with line and column."""
-    try:
-        return json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(
-            source, [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
-        ) from None
+    with _depth_guard(source):
+        try:
+            return json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise DocumentError(
+                source, [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
+            ) from None
 
 
 def dump_json(obj: Any) -> str:
@@ -23,11 +45,128 @@ def dump_json(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
 
 
-def check_keys(obj: dict, where: str, required: frozenset, optional: frozenset) -> list[str]:
-    """Diagnostics for missing required keys and for keys outside the schema."""
-    prefix = f"{where}: " if where else ""
-    problems = [f"{prefix}missing required key '{k}'" for k in sorted(required - obj.keys())]
-    problems += [
-        f"{prefix}unknown key '{k}'" for k in sorted(obj.keys() - required - optional)
+def check(spec: Callable, value: Any, source: str, path: str = "") -> Any:
+    """Walk value with spec; return the result or raise every diagnostic at once."""
+    problems: list[str] = []
+    with _depth_guard(source):
+        result = spec(value, path, problems)
+    if problems:
+        raise DocumentError(source, problems)
+    return result
+
+
+def at(path: str, message: str) -> str:
+    return f"{path}: {message}" if path else message
+
+
+def maybe(spec: Callable) -> tuple:
+    """An object field whose null value counts as absent."""
+    return (spec, _ABSENT, True)
+
+
+def or_null(spec: Callable) -> tuple:
+    """An object field that is checked as null when it is absent."""
+    return (spec, None, False)
+
+
+def obj(fields: dict, required: str = "", build: Callable = dict) -> Callable:
+    """An object with the given fields, checked in declaration order.
+
+    fields maps each key to its spec, plain or wrapped in maybe or
+    or_null; a None spec accepts the key without checking or keeping its
+    value. required lists the keys that must be present; keys outside
+    fields are unknown. When nothing below the object broke its spec,
+    build is called with the checked fields as keyword arguments, and
+    the diagnostics of a DocumentError it raises are reported at the
+    object's path.
+    """
+    required_keys = frozenset(required.split())
+    allowed = frozenset(fields)
+    plan = [
+        (key, "." + key, *(spec if isinstance(spec, tuple) else (spec, _ABSENT, False)))
+        for key, spec in fields.items()
+        if spec is not None
     ]
-    return problems
+
+    def walk(value, path, problems):
+        if not isinstance(value, dict):
+            problems.append(f"{path}: must be an object" if path else "top level must be an object")
+            return None
+        start = len(problems)
+        keys = value.keys()
+        if not (required_keys <= keys <= allowed):
+            absent = sorted(required_keys - keys)
+            problems += [at(path, f"missing required key '{k}'") for k in absent]
+            problems += [at(path, f"unknown key '{k}'") for k in sorted(keys - allowed)]
+        checked = {}
+        for key, dotted, spec, missing, nullable in plan:
+            item = value.get(key, missing)
+            if item is _ABSENT or (nullable and item is None):
+                continue
+            checked[key] = spec(item, path + dotted if path else key, problems)
+        if len(problems) > start:
+            return None
+        try:
+            return build(**checked)
+        except DocumentError as exc:
+            problems += [at(path, d) for d in exc.diagnostics]
+            return None
+
+    return walk
+
+
+def list_of(item: Callable, message: str = "must be a list") -> Callable:
+    """A list whose every element is checked by item; returns a tuple."""
+
+    def walk(value, path, problems):
+        if not isinstance(value, list):
+            problems.append(at(path, message))
+            return ()
+        return tuple([item(element, f"{path}[{i}]", problems) for i, element in enumerate(value)])
+
+    return walk
+
+
+def mapping(item: Callable) -> Callable:
+    """An object with free keys whose every value is checked by item."""
+
+    def walk(value, path, problems):
+        if not isinstance(value, dict):
+            problems.append(at(path, "must be an object"))
+            return {}
+        return {k: item(v, f"{path}['{k}']", problems) for k, v in value.items()}
+
+    return walk
+
+
+def leaf(test: Callable, message: str) -> Callable:
+    """A value that test accepts."""
+
+    def walk(value, path, problems):
+        if not test(value):
+            problems.append(at(path, message))
+        return value
+
+    return walk
+
+
+def string(message: str = "must be a string") -> Callable:
+    return leaf(lambda v: isinstance(v, str), message)
+
+
+def non_empty(message: str = "must be a non-empty string") -> Callable:
+    return leaf(lambda v: isinstance(v, str) and v != "", message)
+
+
+def one_of(choices: tuple, message: str | None = None) -> Callable:
+    return leaf(choices.__contains__, message or f"must be one of {', '.join(choices)}")
+
+
+STRING = string()
+NON_EMPTY = non_empty()
+BOOLEAN = leaf(lambda v: isinstance(v, bool), "must be a boolean")
+# judged as a whole, with one diagnostic however many elements are bad
+STRINGS = leaf(
+    lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    "must be a list of strings",
+)

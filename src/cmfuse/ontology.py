@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DocumentError, IntegrationError
-from .jsonio import check_keys, dump_json, load_json
+from .jsonio import NON_EMPTY, STRING, check, dump_json, leaf, list_of, load_json, maybe, obj
 
 OPERATION_MARKER = "()"
 
@@ -238,86 +238,31 @@ def relation(a: str, b: str, od: DomainOntology) -> str:
     return RELATION_UNRELATED
 
 
-_TOP_KEYS = frozenset({"concepts", "thesaurus"})
-_CONCEPT_KEYS_REQ = frozenset({"id", "label"})
-_CONCEPT_KEYS_OPT = frozenset({"parent", "definitions"})
-_ENTRY_KEYS = frozenset({"concept", "terms"})
+# a non-empty matchable term
+TERM = leaf(lambda v: isinstance(v, str) and normalize_term(v) != "", "must be a non-empty string")
+
+_STRING_LIST = maybe(list_of(STRING, "must be a list of strings"))
+_CONCEPT = obj(
+    {"id": NON_EMPTY, "label": STRING, "parent": maybe(STRING), "definitions": _STRING_LIST},
+    required="id label",
+    build=DomainConcept,
+)
+_ENTRY = obj(
+    {"concept": NON_EMPTY, "terms": _STRING_LIST},
+    required="concept terms",
+    build=lambda concept, terms=(): ThesaurusEntry(concept, terms),
+)
+# the dict-level schema of an ontology, also read embedded in alignments
+ONTOLOGY_SPEC = obj(
+    {"concepts": maybe(list_of(_CONCEPT)), "thesaurus": maybe(list_of(_ENTRY))},
+    required="concepts thesaurus",
+    build=lambda concepts=(), thesaurus=(): DomainOntology(concepts, thesaurus),
+)
 
 
 def load_domain_ontology(document: str, *, source: str = "<ontology>") -> DomainOntology:
     """Parse an ontology document (strict schema) and build the indexes."""
-    data = load_json(document, source)
-    problems: list[str] = []
-    if not isinstance(data, dict):
-        raise DocumentError(source, ["top level must be an object"])
-    problems += check_keys(data, "", _TOP_KEYS, frozenset())
-
-    concepts: list[DomainConcept] = []
-    raw_concepts = data.get("concepts")
-    if raw_concepts is None:
-        pass
-    elif not isinstance(raw_concepts, list):
-        problems.append("concepts: must be a list")
-    else:
-        for i, item in enumerate(raw_concepts):
-            where = f"concepts[{i}]"
-            if not isinstance(item, dict):
-                problems.append(f"{where}: must be an object")
-                continue
-            local = check_keys(item, where, _CONCEPT_KEYS_REQ, _CONCEPT_KEYS_OPT)
-            cid = item.get("id")
-            label = item.get("label")
-            parent = item.get("parent")
-            if "id" in item and (not isinstance(cid, str) or not cid):
-                local.append(f"{where}.id: must be a non-empty string")
-            if "label" in item and not isinstance(label, str):
-                local.append(f"{where}.label: must be a string")
-            if parent is not None and not isinstance(parent, str):
-                local.append(f"{where}.parent: must be a string")
-            definitions = _string_list(item.get("definitions"), f"{where}.definitions", local)
-            problems += local
-            if not local:
-                concepts.append(DomainConcept(cid, label, parent, definitions))
-
-    entries: list[ThesaurusEntry] = []
-    raw_entries = data.get("thesaurus")
-    if raw_entries is None:
-        pass
-    elif not isinstance(raw_entries, list):
-        problems.append("thesaurus: must be a list")
-    else:
-        for i, item in enumerate(raw_entries):
-            where = f"thesaurus[{i}]"
-            if not isinstance(item, dict):
-                problems.append(f"{where}: must be an object")
-                continue
-            local = check_keys(item, where, _ENTRY_KEYS, frozenset())
-            concept_id = item.get("concept")
-            if "concept" in item and (not isinstance(concept_id, str) or not concept_id):
-                local.append(f"{where}.concept: must be a non-empty string")
-            terms = _string_list(item.get("terms"), f"{where}.terms", local)
-            problems += local
-            if not local:
-                entries.append(ThesaurusEntry(concept_id, terms))
-
-    if problems:
-        raise DocumentError(source, problems)
-    return DomainOntology(concepts, entries, source=source)
-
-
-def _string_list(value, where: str, problems: list[str]) -> tuple[str, ...]:
-    if value is None:
-        return ()
-    if not isinstance(value, list):
-        problems.append(f"{where}: must be a list of strings")
-        return ()
-    out = []
-    for i, s in enumerate(value):
-        if not isinstance(s, str):
-            problems.append(f"{where}[{i}]: must be a string")
-        else:
-            out.append(s)
-    return tuple(out)
+    return check(ONTOLOGY_SPEC, load_json(document, source), source)
 
 
 def domain_ontology_to_json(od: DomainOntology) -> dict:

@@ -11,6 +11,7 @@ from .integrate import (
     Correspondence,
     MergedComponent,
     classify,
+    correspondence_to_json,
     detect_naming_conflicts,
 )
 from .ontology import DomainOntology
@@ -125,12 +126,10 @@ def render_alignment_text(alignment: Alignment, *, color: bool = False) -> str:
 
 
 def alignment_report_json(alignment: Alignment) -> dict:
-    from .integrate import _corr_json
-
     return {
-        "correspondences": [_corr_json(c) for c in alignment.correspondences],
-        "conflicts": [_corr_json(c) for c in alignment.conflicts],
-        "flagged": [_corr_json(c) for c in detect_naming_conflicts(alignment)],
+        "correspondences": [correspondence_to_json(c) for c in alignment.correspondences],
+        "conflicts": [correspondence_to_json(c) for c in alignment.conflicts],
+        "flagged": [correspondence_to_json(c) for c in detect_naming_conflicts(alignment)],
         "diagnostics": list(alignment.diagnostics),
     }
 

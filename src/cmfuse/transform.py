@@ -6,11 +6,24 @@ from dataclasses import dataclass
 
 from .components import Attribute, BusinessComponent, Operation
 from .errors import DocumentError
-from .jsonio import check_keys, dump_json, load_json
+from .jsonio import (
+    NON_EMPTY,
+    STRING,
+    STRINGS,
+    at,
+    check,
+    dump_json,
+    list_of,
+    load_json,
+    maybe,
+    obj,
+    one_of,
+)
 from .ontology import (
     ANCHOR_AMBIGUOUS,
     ANCHOR_UNIQUE,
     OPERATION_MARKER,
+    TERM,
     DomainOntology,
     anchor,
     normalize_term,
@@ -216,13 +229,6 @@ def _operation_name(raw_label: str) -> str:
     return name or raw_label
 
 
-_TOP_REQ = frozenset({"source", "origin", "root"})
-_TOP_OPT = frozenset({"metadata"})
-_CONCEPT_REQ = frozenset({"term", "raw_label", "kind", "members"})
-_CONCEPT_OPT = frozenset({"anchor", "definitions"})
-_META_OPT = frozenset({"kind", "provides", "requires"})
-
-
 def component_ontology_to_json(graph: ComponentOntology) -> dict:
     obj: dict = {
         "source": graph.source,
@@ -255,110 +261,63 @@ def serialize_component_ontology(graph: ComponentOntology) -> str:
     return dump_json(component_ontology_to_json(graph))
 
 
+def _member_concept(value, path, problems):
+    return _CONCEPT(value, path, problems)
+
+
+_CONCEPT = obj(
+    {
+        "term": TERM,
+        "raw_label": STRING,
+        "kind": one_of(CONCEPT_KINDS),
+        "anchor": maybe(NON_EMPTY),
+        "definitions": maybe(STRINGS),
+        "members": maybe(list_of(_member_concept)),
+    },
+    required="term raw_label kind members",
+    build=lambda term, **fields: Concept(normalize_term(term), **fields),
+)
+_METADATA = obj({"kind": STRING, "provides": maybe(STRINGS), "requires": maybe(STRINGS)})
+_GRAPH = obj(
+    {
+        "source": NON_EMPTY,
+        "origin": NON_EMPTY,
+        "metadata": maybe(_METADATA),
+        "root": maybe(_CONCEPT),
+    },
+    required="source origin root",
+)
+
+
+def graph_spec(value, path: str, problems: list[str]) -> ComponentOntology | None:
+    """The schema of one concept-graph object, at the top level or nested.
+
+    A null root is reported as missing when nothing else is wrong; the
+    graph's own invariants are reported without a path.
+    """
+    start = len(problems)
+    fields = _GRAPH(value, path, problems)
+    if len(problems) > start:
+        return None
+    if "root" not in fields:
+        problems.append(at(f"{path}.root" if path else "root", "missing"))
+        return None
+    try:
+        return ComponentOntology(
+            fields["source"], fields["origin"], fields["root"], **fields.get("metadata", {})
+        )
+    except DocumentError as exc:
+        problems += exc.diagnostics
+        return None
+
+
 def parse_component_ontology(
     document: str, *, source: str = "<concept-graph>"
 ) -> ComponentOntology:
     """Parse a concept-graph document under the strict schema."""
-    data = load_json(document, source)
-    if not isinstance(data, dict):
-        raise DocumentError(source, ["top level must be an object"])
-    graph = component_ontology_from_json(data, "", source)
-    return graph
+    return check(graph_spec, load_json(document, source), source)
 
 
 def component_ontology_from_json(data: dict, where: str, source: str) -> ComponentOntology:
-    problems = check_keys(data, where, _TOP_REQ, _TOP_OPT)
-    dot = f"{where}." if where else ""
-    for key in ("source", "origin"):
-        value = data.get(key)
-        if key in data and (not isinstance(value, str) or not value):
-            problems.append(f"{dot}{key}: must be a non-empty string")
-
-    kind = "entity"
-    provides: tuple[str, ...] = ()
-    requires: tuple[str, ...] = ()
-    meta = data.get("metadata")
-    if meta is not None and not isinstance(meta, dict):
-        problems.append(f"{dot}metadata: must be an object")
-    elif meta:
-        problems += check_keys(meta, f"{dot}metadata", frozenset(), _META_OPT)
-        if "kind" in meta:
-            if not isinstance(meta["kind"], str):
-                problems.append(f"{dot}metadata.kind: must be a string")
-            else:
-                kind = meta["kind"]
-        provides = _strings(meta.get("provides"), f"{dot}metadata.provides", problems)
-        requires = _strings(meta.get("requires"), f"{dot}metadata.requires", problems)
-
-    root = None
-    raw_root = data.get("root")
-    if raw_root is not None:
-        root = _parse_concept(raw_root, f"{dot}root", problems)
-    if problems or root is None:
-        raise DocumentError(source, problems or [f"{dot}root: missing"])
-    try:
-        return ComponentOntology(
-            source=data["source"],
-            origin=data["origin"],
-            root=root,
-            kind=kind,
-            provides=provides,
-            requires=requires,
-        )
-    except DocumentError as exc:
-        raise DocumentError(source, exc.diagnostics) from None
-
-
-def _parse_concept(item, where: str, problems: list[str]) -> Concept | None:
-    if not isinstance(item, dict):
-        problems.append(f"{where}: must be an object")
-        return None
-    local = check_keys(item, where, _CONCEPT_REQ, _CONCEPT_OPT)
-    term = item.get("term")
-    raw_label = item.get("raw_label")
-    kind = item.get("kind")
-    if "term" in item and (not isinstance(term, str) or not normalize_term(term)):
-        local.append(f"{where}.term: must be a non-empty string")
-    if "raw_label" in item and not isinstance(raw_label, str):
-        local.append(f"{where}.raw_label: must be a string")
-    if "kind" in item and kind not in CONCEPT_KINDS:
-        local.append(f"{where}.kind: must be one of {', '.join(CONCEPT_KINDS)}")
-    anchor_id = item.get("anchor")
-    if anchor_id is not None and (not isinstance(anchor_id, str) or not anchor_id):
-        local.append(f"{where}.anchor: must be a non-empty string")
-        anchor_id = None
-    definitions = _strings(item.get("definitions"), f"{where}.definitions", local)
-
-    members = []
-    raw_members = item.get("members")
-    if raw_members is not None and not isinstance(raw_members, list):
-        local.append(f"{where}.members: must be a list")
-    elif raw_members:
-        for i, m in enumerate(raw_members):
-            child = _parse_concept(m, f"{where}.members[{i}]", local)
-            if child is not None:
-                members.append(child)
-    if local:
-        problems += local
-        return None
-    try:
-        return Concept(
-            term=normalize_term(term),
-            raw_label=raw_label,
-            kind=kind,
-            definitions=definitions,
-            members=tuple(members),
-            anchor=anchor_id,
-        )
-    except DocumentError as exc:
-        problems.extend(f"{where}: {d}" for d in exc.diagnostics)
-        return None
-
-
-def _strings(value, where: str, problems: list[str]) -> tuple[str, ...]:
-    if value is None:
-        return ()
-    if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
-        problems.append(f"{where}: must be a list of strings")
-        return ()
-    return tuple(value)
+    """Check a parsed concept-graph object found at the JSON path where."""
+    return check(graph_spec, data, source, where)

@@ -143,3 +143,26 @@ def random_component_set(rng: random.Random, case: int) -> ComponentSet:
             )
         )
     return ComponentSet(system="Sys", components=tuple(components))
+
+
+def random_source_pair(
+    rng: random.Random, pool: list[str]
+) -> tuple[ComponentSet, ComponentSet]:
+    """Two sources whose component and member names come from the term pool.
+
+    Names drawn from the domain's own terms make synonym pairs, homonym
+    conflicts and merged classes named like other components all occur.
+    """
+    sets = []
+    for system in ("A", "B"):
+        components = []
+        for name in rng.sample(pool, rng.randrange(1, 5)):
+            stems = rng.sample(pool, rng.randrange(4))
+            split = rng.randrange(len(stems) + 1)
+            components.append(
+                component(
+                    name.capitalize(), attrs=stems[:split], ops=stems[split:], source=system
+                )
+            )
+        sets.append(ComponentSet(system=system, components=tuple(components)))
+    return sets[0], sets[1]

@@ -29,6 +29,7 @@ from cmfuse import (
     parse_component_ontology,
     parse_component_set,
     semantic_similarity,
+    serialize_alignment,
     serialize_component_ontology,
     serialize_component_set,
     serialize_domain_ontology,
@@ -48,6 +49,7 @@ from helpers import (
     random_component_set,
     random_concept,
     random_domain,
+    random_source_pair,
 )
 
 BIBLIO1 = str(FIXTURES / "biblio1.json")
@@ -317,6 +319,37 @@ class TestPropertySuite:
                 )
                 assert back_terms == original_terms
         _passed("documents and graphs round-trip (500 cases)")
+
+    def test_pipeline_artifacts_validate_and_parse_back(self, tmp_path):
+        rng = random.Random(3008)
+        for case in range(300):
+            od, pool = random_domain(rng)
+            set_a, set_b = random_source_pair(rng, pool)
+            inputs = []
+            for name, text in (
+                ("a.json", serialize_component_set(set_a)),
+                ("b.json", serialize_component_set(set_b)),
+                ("domain.json", serialize_domain_ontology(od)),
+            ):
+                (tmp_path / name).write_text(text, encoding="utf-8")
+                inputs.append(str(tmp_path / name))
+            out = tmp_path / f"out{case}"
+            mode = rng.choice((MODE_LITERAL, MODE_BIPARTITE))
+            argv = ["pipeline", inputs[0], inputs[1], "--domain", inputs[2], "-o", str(out)]
+            assert main([*argv, "--mode", mode]) == 0
+
+            alignment_text = (out / "alignment.json").read_text(encoding="utf-8")
+            result_text = (out / "cm_r.json").read_text(encoding="utf-8")
+            assert main(["validate", str(out / "alignment.json"), str(out / "cm_r.json")]) == 0
+            doc = parse_alignment(alignment_text)
+            assert doc.mode == mode
+            again = serialize_alignment(doc.alignment, doc.graphs, doc.domain, mode=mode)
+            assert again == alignment_text
+            result = parse_component_set(result_text)
+            assert serialize_component_set(result) == result_text
+            terms = [c.term for c in result.components]
+            assert len(set(terms)) == len(terms)
+        _passed("pipeline artifacts validate and parse back (300 cases)")
 
 
 def _merge_universe(rng: random.Random):

@@ -66,6 +66,30 @@ class TestValidate:
         assert main(["validate", str(odd)]) == 2
         assert "unrecognized document shape" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "depth,code,line",
+        [
+            (100, 0, "ok: {}: concept graph, 1 members"),
+            (600, 2, "error: {}: nesting too deep to read"),
+        ],
+    )
+    def test_deep_nesting_never_ends_in_a_traceback(self, tmp_path, capsys, depth, code, line):
+        # written as text, since the json encoder itself cannot nest 600 levels
+        member = '{"term": "m%d", "raw_label": "m%d", "kind": "attribute", "members": ['
+        text = (
+            '{"source": "S", "origin": "C", "root": {"term": "c", "raw_label": "C",'
+            ' "kind": "component", "members": ['
+            + "".join(member % (d, d) for d in range(depth))
+            + "]}" * depth
+            + "]}}"
+        )
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == line.format(path) + "\n"
+        assert "Traceback" not in captured.err
+
     def test_keeps_going_after_a_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
@@ -378,6 +402,33 @@ class TestPipeline:
             ]
         )
         assert code == 3
+
+    def test_result_set_passes_validate_when_a_class_name_is_taken(self, tmp_path, capsys):
+        # the synonym class Lecteur~Usager is named by its label, personne,
+        # which B's unrelated Personne already uses
+        documents = {
+            "od.json": {
+                "concepts": [{"id": "PERSON", "label": "personne"}],
+                "thesaurus": [{"concept": "PERSON", "terms": ["lecteur", "usager"]}],
+            },
+            "a.json": {"system": "A", "components": [
+                {"name": "Lecteur", "kind": "entity", "attributes": [{"name": "nom"}], "operations": []},
+            ]},
+            "b.json": {"system": "B", "components": [
+                {"name": "Usager", "kind": "entity", "attributes": [{"name": "nom"}], "operations": []},
+                {"name": "Personne", "kind": "entity", "attributes": [{"name": "titre"}], "operations": []},
+            ]},
+        }
+        for name, doc in documents.items():
+            (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["pipeline", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        assert main([*argv, "--domain", str(tmp_path / "od.json"), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["validate", str(out / "cm_r.json")]) == 0
+        assert "component set, 2 components" in capsys.readouterr().out
+        result = parse_component_set((out / "cm_r.json").read_text(encoding="utf-8"))
+        assert [c.name for c in result.components] == ["personne", "B.Personne"]
 
 
 class TestExitCodes:

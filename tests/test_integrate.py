@@ -233,6 +233,29 @@ class TestMerge:
         assert merged.result[0].name == "x"
         assert merged.result[0].source == "A+B+C"
 
+    def test_pass_through_named_like_a_merged_class_is_qualified(self):
+        od = quick_ontology({"PERSON": ["personne", "lecteur", "usager"]})
+        graphs = [
+            to_ontology(component("Lecteur", attrs=["nom"], source="A"), od),
+            to_ontology(component("Usager", attrs=["nom"], source="B"), od),
+            to_ontology(component("Personne", attrs=["titre"], source="B"), od),
+        ]
+        merged = merge(align(graphs, od), graphs, od)
+        assert [c.name for c in merged.result] == ["personne", "B.Personne"]
+
+    def test_merged_classes_named_alike_are_qualified(self):
+        # x~y and z~x are synonym pairs, and both classes would be named x
+        od = quick_ontology({"N": ["nom"], "T": ["titre"]})
+        graphs = [
+            to_ontology(component(name, attrs=[attr], source=source), od)
+            for name, attr, source in (
+                ("x", "nom", "A"), ("z", "titre", "A"), ("y", "nom", "B"), ("x", "titre", "B")
+            )
+        ]
+        merged = merge(align(graphs, od), graphs, od)
+        assert [c.name for c in merged.result] == ["A.x", "A.z"]
+        assert [r.ontology.origin for r in merged.representation.roots] == ["A.x", "A.z"]
+
 
 class TestAlignmentDocument:
     def test_round_trip(self, library_graphs, library_ontology):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from cmfuse import (
@@ -198,3 +200,17 @@ class TestGraphSerialization:
                 ' "members": [{"term": "x", "raw_label": "x", "kind": "thing",'
                 ' "members": []}]}}'
             )
+
+    def test_nesting_deeper_than_the_checker_walks_is_a_document_error(self):
+        # a parsed object nested past the interpreter's recursion limit
+        node = {"term": "leaf", "raw_label": "leaf", "kind": "attribute", "members": []}
+        for depth in range(sys.getrecursionlimit()):
+            node = {"term": f"m{depth}", "raw_label": "m", "kind": "attribute", "members": [node]}
+        data = {
+            "source": "S",
+            "origin": "C",
+            "root": {"term": "c", "raw_label": "C", "kind": "component", "members": [node]},
+        }
+        with pytest.raises(DocumentError) as err:
+            component_ontology_from_json(data, "", source="deep")
+        assert err.value.diagnostics == ["nesting too deep to read"]
