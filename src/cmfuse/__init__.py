@@ -39,6 +39,7 @@ from .integrate import (
     detect_naming_conflicts,
     merge,
     parse_alignment,
+    parse_representation,
     serialize_alignment,
     serialize_representation,
 )

@@ -79,3 +79,42 @@ def max_assignment(
             pairs.append((j - 1, i - 1) if flipped else (i - 1, j - 1))
     pairs.sort()
     return value, pairs
+
+
+def max_matching(rows: Sequence[Sequence[int]]) -> int:
+    """Size of a maximum matching in a bipartite graph of rows and columns.
+
+    rows[i] lists the columns row i may take. This is the maximum-weight
+    assignment of a 0/1 matrix, found with integer augmenting paths
+    (each searched depth-first on an explicit stack) instead of rational
+    potentials.
+    """
+    owner: dict[int, int] = {}  # column -> matched row
+    return sum(_augment(start, rows, owner) for start in range(len(rows)))
+
+
+def _augment(start: int, rows: Sequence[Sequence[int]], owner: dict[int, int]) -> bool:
+    seen: set[int] = set()
+    path = [start]  # rows of the alternating path
+    taken: list[int] = []  # taken[k] is the column path[k] takes from path[k + 1]
+    todo = [iter(rows[start])]
+    while todo:
+        for col in todo[-1]:
+            if col not in seen:
+                seen.add(col)
+                break
+        else:
+            todo.pop()
+            path.pop()
+            if taken:
+                taken.pop()
+            continue
+        taken.append(col)
+        row = owner.get(col)
+        if row is None:
+            for r, c in zip(path, taken):
+                owner[c] = r
+            return True
+        path.append(row)
+        todo.append(iter(rows[row]))
+    return False

@@ -18,6 +18,7 @@ from pathlib import Path
 from .components import (
     ComponentSet,
     check_layering,
+    component_set_from_json,
     parse_component_set,
     serialize_component_set,
     union,
@@ -27,14 +28,16 @@ from .integrate import (
     Alignment,
     CLASS_HOMONYM_CONFLICT,
     align,
+    alignment_from_json,
     classify,
     merge,
     parse_alignment,
+    representation_from_json,
     serialize_alignment,
     serialize_representation,
 )
 from .jsonio import dump_json, load_json
-from .ontology import DomainOntology, load_domain_ontology
+from .ontology import DomainOntology, domain_ontology_from_json, load_domain_ontology
 from .report import (
     alignment_report_json,
     matrix_to_json,
@@ -44,7 +47,13 @@ from .report import (
     render_pipeline_report,
 )
 from .similarity import MODE_BIPARTITE, MODE_LITERAL, VERDICT_SYNONYM, similarity_matrix
-from .transform import ComponentOntology, parse_component_ontology, serialize_component_ontology, to_ontology
+from .transform import (
+    ComponentOntology,
+    component_ontology_from_json,
+    parse_component_ontology,
+    serialize_component_ontology,
+    to_ontology,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,30 +207,32 @@ def _slug(text: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    """Parse every input; diagnostics carry the file and position."""
+    """Parse every input once; diagnostics carry the file and position."""
     failed = False
     for path in args.files:
         try:
-            document = _read(path)
-            data = load_json(document, path)
+            data = load_json(_read(path), path)
             kind = _sniff(data)
             if kind == "component set":
-                cs = parse_component_set(document, source=path)
+                cs = component_set_from_json(data, source=path)
                 detail = f"{len(cs.components)} components"
                 for warning in check_layering(cs):
                     print(f"warning: {path}: {warning}")
             elif kind == "ontology":
-                od = load_domain_ontology(document, source=path)
+                od = domain_ontology_from_json(data, source=path)
                 detail = f"{len(od.concepts)} concepts"
             elif kind == "concept graph":
-                graph = parse_component_ontology(document, source=path)
+                graph = component_ontology_from_json(data, "", path)
                 detail = f"{len(graph.root.members)} members"
             elif kind == "alignment":
-                doc = parse_alignment(document, source=path)
+                doc = alignment_from_json(data, source=path)
                 detail = (
                     f"{len(doc.alignment.correspondences)} correspondences,"
                     f" {len(doc.graphs)} graphs"
                 )
+            elif kind == "representation":
+                rep = representation_from_json(data, source=path)
+                detail = f"{len(rep.roots)} roots, {len(rep.equivalences)} equivalences"
             else:
                 print(f"error: {path}: unrecognized document shape")
                 failed = True
@@ -245,6 +256,8 @@ def _sniff(data) -> str | None:
         return "concept graph"
     if "correspondences" in data:
         return "alignment"
+    if "roots" in data:
+        return "representation"
     return None
 
 
@@ -357,9 +370,7 @@ def cmd_pipeline(args) -> int:
     print(_write(out, "alignment.json", document))
     print(_write(out, "ocm_r.json", serialize_representation(merged.representation)))
     print(_write(out, "cm_r.json", serialize_component_set(result)))
-    report = render_pipeline_report(
-        graphs, domain, alignment, merged, result, mode=config.mode, recursive=config.recursive
-    )
+    report = render_pipeline_report(graphs, domain, alignment, merged, result)
     print(_write(out, "report.txt", report))
     flagged = alignment.conflicts
     if flagged:

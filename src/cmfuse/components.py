@@ -190,7 +190,11 @@ def parse_component_set(document: str, *, source: str = "<component-set>") -> Co
     reports them all, each tagged with its JSON path. Duplicate
     components are reported only when nothing else is wrong.
     """
-    data = load_json(document, source)
+    return component_set_from_json(load_json(document, source), source=source)
+
+
+def component_set_from_json(data, *, source: str = "<component-set>") -> ComponentSet:
+    """Check a decoded component-set document; see parse_component_set."""
     system = data.get("system") if isinstance(data, dict) else None
     system = system if isinstance(system, str) else ""  # every component's source
 

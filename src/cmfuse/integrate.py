@@ -11,8 +11,8 @@ a homonym conflict.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Sequence
 
 from .components import BusinessComponent
 from .errors import DocumentError, MergeError
@@ -40,21 +40,14 @@ from .ontology import (
     domain_ontology_to_json,
     normalize_term,
 )
-from .similarity import (
-    MODE_BIPARTITE,
-    MODE_LITERAL,
-    Score,
-    VERDICT_SYNONYM,
-    parse_score,
-    semantic_similarity,
-    similarity_matrix,
-)
+from .similarity import MODE_BIPARTITE, MODE_LITERAL, PairScore, Score, Scorer, parse_score
 from .transform import (
     KIND_COMPONENT,
     KIND_OPERATION,
     ComponentOntology,
     Concept,
     component_ontology_to_json,
+    graph_object,
     graph_spec,
     to_component,
 )
@@ -109,10 +102,16 @@ class Correspondence:
 
 @dataclass(frozen=True)
 class Alignment:
-    """All pairwise correspondences plus the diagnostics that led there."""
+    """All pairwise correspondences plus the diagnostics that led there.
+
+    An alignment that align made also keeps its pair table in scores:
+    one PairScore per scored pair, in cross_pairs order. An alignment
+    read back from a document has none.
+    """
 
     correspondences: tuple[Correspondence, ...]
     diagnostics: tuple[str, ...] = ()
+    scores: tuple[PairScore, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def roots(self) -> tuple[Correspondence, ...]:
@@ -123,6 +122,14 @@ class Alignment:
         return tuple(
             c for c in self.roots if c.classification == CLASS_HOMONYM_CONFLICT
         )
+
+
+def cross_pairs(graphs: Sequence[ComponentOntology]) -> Iterator[tuple[int, int]]:
+    """Indexes (i, j), i < j, of every pair of graphs from different sources."""
+    for i in range(len(graphs)):
+        for j in range(i + 1, len(graphs)):
+            if graphs[i].source != graphs[j].source:
+                yield i, j
 
 
 def align(
@@ -137,37 +144,38 @@ def align(
 
     Emits one root correspondence per unordered pair from different
     sources, in input order, plus one member correspondence for every
-    matrix cell that scores exactly one.
+    matrix cell that scores exactly one. Each pair is scored once; the
+    scores stay on the alignment for the report.
     """
+    scorer = Scorer(od, mode=mode, recursive=recursive)
+    roots = [scorer.node(g.root) for g in graphs]
     corrs: list[Correspondence] = []
-    for i in range(len(graphs)):
-        for j in range(i + 1, len(graphs)):
-            a, b = graphs[i], graphs[j]
-            if a.source == b.source:
-                continue
-            matrix = similarity_matrix(a, b, od, mode=mode, recursive=recursive)
-            synonym = matrix.verdict == VERDICT_SYNONYM
-            corrs.append(
-                Correspondence(
-                    Endpoint(a.source, a.origin),
-                    Endpoint(b.source, b.origin),
-                    matrix.aggregate,
-                    classify(a.root.term == b.root.term, synonym),
-                )
+    scores: list[PairScore] = []
+    for i, j in cross_pairs(graphs):
+        a, b = graphs[i], graphs[j]
+        pair = scorer.score(roots[i], roots[j])
+        scores.append(pair)
+        corrs.append(
+            Correspondence(
+                Endpoint(a.source, a.origin),
+                Endpoint(b.source, b.origin),
+                pair.aggregate,
+                classify(a.root.term == b.root.term, pair.aggregate.is_one),
             )
-            for mi, left_member in enumerate(a.root.members):
-                for mj, right_member in enumerate(b.root.members):
-                    cell = matrix.cells[mi][mj]
-                    if cell.is_one:
-                        corrs.append(
-                            Correspondence(
-                                Endpoint(a.source, a.origin, left_member.term),
-                                Endpoint(b.source, b.origin, right_member.term),
-                                cell,
-                                classify(left_member.term == right_member.term, True),
-                            )
-                        )
-    return Alignment(tuple(corrs), tuple(diagnostics))
+        )
+        for mi, mj, cell in pair.cells:
+            if cell.is_one:
+                left_member = a.root.members[mi]
+                right_member = b.root.members[mj]
+                corrs.append(
+                    Correspondence(
+                        Endpoint(a.source, a.origin, left_member.term),
+                        Endpoint(b.source, b.origin, right_member.term),
+                        cell,
+                        classify(left_member.term == right_member.term, True),
+                    )
+                )
+    return Alignment(tuple(corrs), tuple(diagnostics), tuple(scores))
 
 
 def detect_naming_conflicts(alignment: Alignment) -> list[Correspondence]:
@@ -380,14 +388,9 @@ def _merge_members(
             entries.append((gi, concept, f"{g.path}/{concept.term}"))
 
     uf = _UnionFind(range(len(entries)))
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            gi, ci, _ = entries[i]
-            gj, cj, _ = entries[j]
-            if gi == gj:
-                continue
-            if semantic_similarity(ci, cj, od, mode=mode, recursive=recursive).is_one:
-                uf.union(i, j)
+    scorer = Scorer(od, mode=mode, recursive=recursive)
+    for i, j in scorer.links([c for _, c, _ in entries], [gi for gi, _, _ in entries]):
+        uf.union(i, j)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(entries)):
@@ -589,7 +592,11 @@ def parse_alignment(document: str, *, source: str = "<alignment>") -> AlignmentD
     Problems with the top-level keys, and then correspondences that are
     not a list, are each reported on their own.
     """
-    data = load_json(document, source)
+    return alignment_from_json(load_json(document, source), source=source)
+
+
+def alignment_from_json(data, *, source: str = "<alignment>") -> AlignmentDocument:
+    """Check a decoded alignment document; see parse_alignment."""
     check(_ALIGNMENT_KEYS, data, source)
     if not isinstance(data["correspondences"], list):
         raise DocumentError(source, ["correspondences: must be a list"])
@@ -610,3 +617,47 @@ def representation_to_json(rep: RepresentationOntology) -> dict:
 
 def serialize_representation(rep: RepresentationOntology) -> str:
     return dump_json(representation_to_json(rep))
+
+
+def _root_endpoint(value, path, problems):
+    # a root path "<source>/<origin>"; the source ends at the first slash
+    source, _, origin = value.partition("/") if isinstance(value, str) else ("", "", "")
+    if not (source and origin):
+        problems.append(at(path, "must be a path 'source/origin'"))
+        return None
+    return Endpoint(source, origin)
+
+
+def _pair(value, path, problems):
+    if not (isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)):
+        problems.append(at(path, "must be a pair of strings"))
+        return None
+    return tuple(value)
+
+
+_MERGED_ROOT = graph_object(
+    {"merged_from": list_of(_root_endpoint)},
+    required="merged_from",
+    build=MergedRoot,
+)
+_REPRESENTATION = obj(
+    {"roots": list_of(_MERGED_ROOT), "equivalences": list_of(_pair)},
+    required="roots equivalences",
+    build=RepresentationOntology,
+)
+
+
+def parse_representation(
+    document: str, *, source: str = "<representation>"
+) -> RepresentationOntology:
+    """Parse a representation document (the ocm_r.json a merge writes).
+
+    Its roots are concept graphs, each with the root paths it was merged
+    from; its equivalences are pairs of paths.
+    """
+    return representation_from_json(load_json(document, source), source=source)
+
+
+def representation_from_json(data, *, source: str = "<representation>") -> RepresentationOntology:
+    """Check a decoded representation document; see parse_representation."""
+    return check(_REPRESENTATION, data, source)

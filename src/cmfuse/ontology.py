@@ -262,7 +262,12 @@ ONTOLOGY_SPEC = obj(
 
 def load_domain_ontology(document: str, *, source: str = "<ontology>") -> DomainOntology:
     """Parse an ontology document (strict schema) and build the indexes."""
-    return check(ONTOLOGY_SPEC, load_json(document, source), source)
+    return domain_ontology_from_json(load_json(document, source), source=source)
+
+
+def domain_ontology_from_json(data, *, source: str = "<ontology>") -> DomainOntology:
+    """Check a decoded ontology document and build the indexes."""
+    return check(ONTOLOGY_SPEC, data, source)
 
 
 def domain_ontology_to_json(od: DomainOntology) -> dict:

@@ -12,10 +12,11 @@ from .integrate import (
     MergedComponent,
     classify,
     correspondence_to_json,
+    cross_pairs,
     detect_naming_conflicts,
 )
 from .ontology import DomainOntology
-from .similarity import SimilarityMatrix, VERDICT_SYNONYM, similarity_matrix
+from .similarity import SimilarityMatrix, VERDICT_NOT_SYNONYM, VERDICT_SYNONYM
 from .transform import ComponentOntology
 
 _RED = "\x1b[31m"
@@ -41,28 +42,42 @@ def render_matrix_text(
     color: bool = False,
 ) -> str:
     """A member-by-member score table with the aggregate underneath."""
+    cells = [
+        (i, j, cell)
+        for i, row in enumerate(matrix.cells)
+        for j, cell in enumerate(row)
+        if cell.num
+    ]
+    terms = (matrix.left_members, matrix.right_members)
+    return _matrix_text(left, right, terms, cells, matrix.aggregate, matrix.verdict, color)
+
+
+def _matrix_text(left, right, terms, cells, aggregate, verdict: str, color: bool) -> str:
+    # terms holds the left and right member terms and cells the non-zero
+    # (row, column, score) triples; every other cell reads 0, so rows
+    # without a hit share one rendering
+    left_terms, right_terms = terms
     corner = f"{left.path} \\ {right.path}"
-    headers = [corner, *matrix.right_members]
-    rows = [
-        [term, *(str(cell) for cell in matrix.cells[i])]
-        for i, term in enumerate(matrix.left_members)
-    ]
-    widths = [
-        max(len(str(line[col])) for line in [headers, *rows])
-        for col in range(len(headers))
-    ]
-    out = [" | ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    out.append("-+-".join("-" * w for w in widths))
-    for row in rows:
-        out.append(" | ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    if not rows:
+    first = max([len(corner), *map(len, left_terms)])
+    widths = [max(len(term), 1 if left_terms else 0) for term in right_terms]
+    texts = [(i, j, str(score)) for i, j, score in cells]
+    for _, j, text in texts:
+        widths[j] = max(widths[j], len(text))
+    blank = ["0".ljust(w) for w in widths]
+    rows: dict[int, list[str]] = {}
+    for i, j, text in texts:
+        rows.setdefault(i, blank.copy())[j] = text.ljust(widths[j])
+    headers = [corner.ljust(first), *(h.ljust(w) for h, w in zip(right_terms, widths))]
+    out = [" | ".join(headers).rstrip()]
+    out.append("-+-".join("-" * w for w in [first, *widths]))
+    for i, term in enumerate(left_terms):
+        out.append(" | ".join([term.ljust(first), *rows.get(i, blank)]).rstrip())
+    if not left_terms:
         out.append("(no members)")
     out.append("")
-    out.append(f"aggregate: {matrix.aggregate}")
-    out.append(f"verdict:   {_verdict_text(matrix.verdict, color)}")
-    classification = classify(
-        left.root.term == right.root.term, matrix.verdict == VERDICT_SYNONYM
-    )
+    out.append(f"aggregate: {aggregate}")
+    out.append(f"verdict:   {_verdict_text(verdict, color)}")
+    classification = classify(left.root.term == right.root.term, verdict == VERDICT_SYNONYM)
     out.append(f"class:     {_class_text(classification, color)}")
     return "\n".join(out) + "\n"
 
@@ -164,11 +179,14 @@ def render_pipeline_report(
     alignment: Alignment,
     merged: MergedComponent,
     result: ComponentSet,
-    *,
-    mode: str = "literal",
-    recursive: bool = True,
 ) -> str:
-    """The full plain-text report written next to the pipeline artifacts."""
+    """The full plain-text report written next to the pipeline artifacts.
+
+    The member matrices come from the pair table that align kept on the
+    alignment of these graphs; nothing is scored again.
+    """
+    if alignment.scores is None:
+        raise ValueError("the alignment carries no pair scores; pass what align returned")
     sources: dict[str, int] = {}
     for g in graphs:
         sources[g.source] = sources.get(g.source, 0) + 1
@@ -181,14 +199,14 @@ def render_pipeline_report(
     out.append("")
     out.append("pair similarity")
     out.append("---------------")
-    for i in range(len(graphs)):
-        for j in range(i + 1, len(graphs)):
-            a, b = graphs[i], graphs[j]
-            if a.source == b.source:
-                continue
-            matrix = similarity_matrix(a, b, od, mode=mode, recursive=recursive)
-            out.append("")
-            out.append(render_matrix_text(a, b, matrix).rstrip("\n"))
+    terms = [tuple(m.term for m in g.root.members) for g in graphs]
+    for (i, j), pair in zip(cross_pairs(graphs), alignment.scores, strict=True):
+        verdict = VERDICT_SYNONYM if pair.aggregate.is_one else VERDICT_NOT_SYNONYM
+        text = _matrix_text(
+            graphs[i], graphs[j], (terms[i], terms[j]), pair.cells, pair.aggregate, verdict, False
+        )
+        out.append("")
+        out.append(text.rstrip("\n"))
     out.append("")
     out.append("alignment")
     out.append("---------")

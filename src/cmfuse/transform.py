@@ -278,37 +278,49 @@ _CONCEPT = obj(
     build=lambda term, **fields: Concept(normalize_term(term), **fields),
 )
 _METADATA = obj({"kind": STRING, "provides": maybe(STRINGS), "requires": maybe(STRINGS)})
-_GRAPH = obj(
-    {
-        "source": NON_EMPTY,
-        "origin": NON_EMPTY,
-        "metadata": maybe(_METADATA),
-        "root": maybe(_CONCEPT),
-    },
-    required="source origin root",
-)
+_GRAPH_FIELDS = {
+    "source": NON_EMPTY,
+    "origin": NON_EMPTY,
+    "metadata": maybe(_METADATA),
+    "root": maybe(_CONCEPT),
+}
 
 
-def graph_spec(value, path: str, problems: list[str]) -> ComponentOntology | None:
-    """The schema of one concept-graph object, at the top level or nested.
+def graph_object(extra: dict | None = None, required: str = "", build=None):
+    """The schema of a concept-graph object, optionally with extra fields.
 
-    A null root is reported as missing when nothing else is wrong; the
-    graph's own invariants are reported without a path.
+    extra and required add fields to the graph's own; build, when given,
+    is called with the graph and the checked extra fields. A null root
+    is reported as missing when nothing else is wrong; the graph's own
+    invariants are reported without a path.
     """
-    start = len(problems)
-    fields = _GRAPH(value, path, problems)
-    if len(problems) > start:
-        return None
-    if "root" not in fields:
-        problems.append(at(f"{path}.root" if path else "root", "missing"))
-        return None
-    try:
-        return ComponentOntology(
-            fields["source"], fields["origin"], fields["root"], **fields.get("metadata", {})
-        )
-    except DocumentError as exc:
-        problems += exc.diagnostics
-        return None
+    fields_spec = obj({**_GRAPH_FIELDS, **(extra or {})}, required=f"source origin root {required}")
+
+    def walk(value, path: str, problems: list[str]):
+        start = len(problems)
+        fields = fields_spec(value, path, problems)
+        if len(problems) > start:
+            return None
+        if "root" not in fields:
+            problems.append(at(f"{path}.root" if path else "root", "missing"))
+            return None
+        try:
+            graph = ComponentOntology(
+                fields.pop("source"),
+                fields.pop("origin"),
+                fields.pop("root"),
+                **fields.pop("metadata", {}),
+            )
+        except DocumentError as exc:
+            problems += exc.diagnostics
+            return None
+        return build(graph, **fields) if build else graph
+
+    return walk
+
+
+# the schema of one concept-graph object, at the top level or nested
+graph_spec = graph_object()
 
 
 def parse_component_ontology(

@@ -166,3 +166,44 @@ def random_source_pair(
             )
         sets.append(ComponentSet(system=system, components=tuple(components)))
     return sets[0], sets[1]
+
+
+def random_anchor(rng: random.Random, concept_ids: list[str]) -> str | None:
+    """Mostly none; otherwise a known concept id, or now and then a stale one."""
+    roll = rng.random()
+    if roll < 0.6:
+        return None
+    if roll < 0.9 and concept_ids:
+        return rng.choice(concept_ids)
+    return "GONE"
+
+
+def random_members(
+    rng: random.Random, pool: list[str], concept_ids: list[str], depth: int
+) -> tuple[Concept, ...]:
+    """Up to four members; while depth > 0 a member may have members of its own.
+
+    Members differ in their stems, so a merge can rebuild a component
+    from them.
+    """
+    members = []
+    for stem in rng.sample(pool, rng.randrange(0, 5)):
+        kind = rng.choice((KIND_ATTRIBUTE, KIND_OPERATION))
+        label = stem + ("()" if kind == KIND_OPERATION else "")
+        term = normalize_term(label)
+        nested = (
+            random_members(rng, pool, concept_ids, depth - 1)
+            if depth > 0 and rng.random() < 0.4
+            else ()
+        )
+        anchor = random_anchor(rng, concept_ids)
+        members.append(Concept(term, label, kind, members=nested, anchor=anchor))
+    return tuple(members)
+
+
+def random_nested_concept(
+    rng: random.Random, pool: list[str], concept_ids: list[str]
+) -> Concept:
+    """A root two member levels deep, with explicit and stale anchors."""
+    members = random_members(rng, pool, concept_ids, depth=1)
+    return root(rng.choice(pool), members=members, anchor=random_anchor(rng, concept_ids))

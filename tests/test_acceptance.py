@@ -28,11 +28,13 @@ from cmfuse import (
     parse_alignment,
     parse_component_ontology,
     parse_component_set,
+    parse_representation,
     semantic_similarity,
     serialize_alignment,
     serialize_component_ontology,
     serialize_component_set,
     serialize_domain_ontology,
+    serialize_representation,
     similarity_matrix,
     syntactic_similarity,
     to_component,
@@ -340,7 +342,11 @@ class TestPropertySuite:
 
             alignment_text = (out / "alignment.json").read_text(encoding="utf-8")
             result_text = (out / "cm_r.json").read_text(encoding="utf-8")
-            assert main(["validate", str(out / "alignment.json"), str(out / "cm_r.json")]) == 0
+            representation_text = (out / "ocm_r.json").read_text(encoding="utf-8")
+            written = [str(out / name) for name in ("alignment.json", "cm_r.json", "ocm_r.json")]
+            assert main(["validate", *written]) == 0
+            representation = parse_representation(representation_text)
+            assert serialize_representation(representation) == representation_text
             doc = parse_alignment(alignment_text)
             assert doc.mode == mode
             again = serialize_alignment(doc.alignment, doc.graphs, doc.domain, mode=mode)

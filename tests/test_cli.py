@@ -126,6 +126,52 @@ class TestValidate:
     def test_missing_file_fails(self, capsys):
         assert main(["validate", "/nonexistent/x.json"]) == 2
 
+    def test_decodes_each_file_once(self, transformed, aligned, tmp_path, monkeypatch, capsys):
+        assert main(["merge", str(aligned), "-o", str(tmp_path)]) == 0
+        files = [
+            BIBLIO1,
+            DOMAIN,
+            str(transformed / "Biblio1.Personne.ocm.json"),
+            str(aligned),
+            str(tmp_path / "ocm_r.json"),
+            str(tmp_path / "cm_r.json"),
+        ]
+        calls = []
+        loads = json.loads
+
+        def counted(text, *args, **kwargs):
+            calls.append(len(text))
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        capsys.readouterr()
+        assert main(["validate", *files]) == 0
+        assert len(calls) == len(files)
+        assert capsys.readouterr().out.count("ok: ") == len(files)
+
+    def test_accepts_the_representation_a_merge_writes(self, aligned, tmp_path, capsys):
+        assert main(["merge", str(aligned), "-o", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["validate", str(tmp_path / "ocm_r.json")]) == 0
+        out = capsys.readouterr().out
+        assert out == f"ok: {tmp_path / 'ocm_r.json'}: representation, 3 roots, 5 equivalences\n"
+
+    def test_reports_a_malformed_representation(self, aligned, tmp_path, capsys):
+        assert main(["merge", str(aligned), "-o", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "ocm_r.json").read_text(encoding="utf-8"))
+        rep["roots"][0]["merged_from"] = ["no-slash"]
+        del rep["roots"][1]["merged_from"]
+        rep["equivalences"][0] = ["only one"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(rep), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"error: {bad}: roots[0].merged_from[0]: must be a path 'source/origin'",
+            f"error: {bad}: roots[1]: missing required key 'merged_from'",
+            f"error: {bad}: equivalences[0]: must be a pair of strings",
+        ]
+
 
 class TestTransform:
     def test_writes_one_graph_per_component(self, tmp_path, capsys):

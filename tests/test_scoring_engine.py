@@ -1,0 +1,326 @@
+"""The scoring engine against the plain reference kept in the tests.
+
+Every aggregate and every cell the engine produces must equal what the
+cell-by-cell Fraction recursion of reference_similarity gives, and
+align, merge and the pipeline report built on the engine must equal the
+ones driven by that reference.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from cmfuse import (
+    CLASS_DISTINCT,
+    CLASS_SYNONYM_PAIR,
+    MODE_BIPARTITE,
+    MODE_LITERAL,
+    ONE,
+    Alignment,
+    ComponentOntology,
+    ComponentSet,
+    Correspondence,
+    DocumentError,
+    Endpoint,
+    MergedComponent,
+    RepresentationOntology,
+    Score,
+    VERDICT_SYNONYM,
+    align,
+    bipartite_score,
+    classify,
+    load_domain_ontology,
+    merge,
+    parse_component_set,
+    semantic_similarity,
+    similarity_matrix,
+    to_ontology,
+    union,
+)
+from cmfuse.assignment import max_assignment, max_matching
+from cmfuse.integrate import cross_pairs
+from cmfuse.report import render_pipeline_report
+from cmfuse.similarity import Scorer
+
+import reference_similarity as reference
+from conftest import FIXTURES
+from helpers import (
+    EMPTY_ONTOLOGY,
+    random_concept,
+    random_domain,
+    random_nested_concept,
+    random_source_pair,
+    root,
+)
+
+# the report's matrices do not depend on the merge
+NOTHING_MERGED = MergedComponent(RepresentationOntology((), ()), ())
+
+SETTINGS = [
+    (mode, recursive)
+    for mode in (MODE_LITERAL, MODE_BIPARTITE)
+    for recursive in (True, False)
+]
+
+
+def _graph(source: str, concept) -> ComponentOntology:
+    return ComponentOntology(source=source, origin=concept.raw_label, root=concept)
+
+
+def _random_graph(rng: random.Random, pool, concept_ids, source: str) -> ComponentOntology:
+    roll = rng.random()
+    if roll < 0.4:
+        concept = random_nested_concept(rng, pool, concept_ids)
+    elif roll < 0.9:
+        concept = random_concept(rng, pool)
+    else:
+        concept = root(rng.choice(pool))  # an empty member set
+    return _graph(source, concept)
+
+
+def _has_homonym(od) -> bool:
+    seen: set[str] = set()
+    for entry in od.thesaurus.entries:
+        if seen & set(entry.terms):
+            return True
+        seen.update(entry.terms)
+    return False
+
+
+def test_every_cell_and_aggregate_equals_the_reference():
+    rng = random.Random(5001)
+    seen = {"homonym": 0, "nested": 0, "stale": 0, "pinned": 0, "one empty": 0, "both empty": 0}
+    for _ in range(600):
+        od, pool = random_domain(rng)
+        concept_ids = [c.id for c in od.concepts]
+        a = _random_graph(rng, pool, concept_ids, "A")
+        b = _random_graph(rng, pool, concept_ids, "B")
+        concepts = [a.root, b.root, *a.root.members, *b.root.members]
+        seen["homonym"] += _has_homonym(od)
+        seen["nested"] += any(not m.is_atomic for m in concepts[2:])
+        seen["stale"] += any(c.anchor == "GONE" for c in concepts)
+        seen["pinned"] += any(c.anchor in concept_ids for c in concepts)
+        empty = (not a.root.members) + (not b.root.members)
+        seen["one empty"] += empty == 1
+        seen["both empty"] += empty == 2
+        for mode, recursive in SETTINGS:
+            expected = reference.similarity_matrix(a, b, od, mode=mode, recursive=recursive)
+            assert similarity_matrix(a, b, od, mode=mode, recursive=recursive) == expected
+            for x, y in ((a.root, b.root), (rng.choice(concepts), rng.choice(concepts))):
+                want = reference._semantic(x, y, od, mode, recursive)
+                got = semantic_similarity(x, y, od, mode=mode, recursive=recursive)
+                assert got == Score.from_fraction(want)
+    # every kind of input the engine must agree on was generated
+    assert min(seen.values()) >= 20, seen
+
+
+def test_bipartite_score_equals_the_reference_matching():
+    rng = random.Random(5002)
+    for _ in range(400):
+        od, pool = random_domain(rng)
+        concept_ids = [c.id for c in od.concepts]
+        a = random_nested_concept(rng, pool, concept_ids)
+        b = random_nested_concept(rng, pool, concept_ids)
+        for recursive in (True, False):
+            m1, m2 = a.members or (a,), b.members or (b,)
+            cells = [
+                [reference._semantic(x, y, od, MODE_BIPARTITE, recursive) for y in m2]
+                for x in m1
+            ]
+            value, _ = max_assignment(cells)
+            expected = Score.from_fraction(value / max(len(m1), len(m2)))
+            assert bipartite_score(a, b, od, recursive=recursive) == expected
+
+
+def test_integer_matching_equals_the_rational_assignment():
+    rng = random.Random(5003)
+    shapes = [(0, 0), (0, 3), (3, 0)] + [
+        (rng.randrange(1, 8), rng.randrange(1, 8)) for _ in range(1000)
+    ]
+    for n, m in shapes:
+        density = rng.random()
+        matrix = [[int(rng.random() < density) for _ in range(m)] for _ in range(n)]
+        rows = [[j for j, hit in enumerate(row) if hit] for row in matrix]
+        value, pairs = max_assignment([[Fraction(v) for v in row] for row in matrix])
+        assert max_matching(rows) == value == len(pairs)
+
+
+def _reference_align(graphs, od, mode, recursive) -> tuple[Correspondence, ...]:
+    # align as it was before the engine: one dense reference matrix per pair
+    corrs = []
+    for i in range(len(graphs)):
+        for j in range(i + 1, len(graphs)):
+            a, b = graphs[i], graphs[j]
+            if a.source == b.source:
+                continue
+            matrix = reference.similarity_matrix(a, b, od, mode=mode, recursive=recursive)
+            synonym = matrix.verdict == VERDICT_SYNONYM
+            corrs.append(
+                Correspondence(
+                    Endpoint(a.source, a.origin),
+                    Endpoint(b.source, b.origin),
+                    matrix.aggregate,
+                    classify(a.root.term == b.root.term, synonym),
+                )
+            )
+            for mi, left in enumerate(a.root.members):
+                for mj, right in enumerate(b.root.members):
+                    if matrix.cells[mi][mj].is_one:
+                        corrs.append(
+                            Correspondence(
+                                Endpoint(a.source, a.origin, left.term),
+                                Endpoint(b.source, b.origin, right.term),
+                                matrix.cells[mi][mj],
+                                classify(left.term == right.term, True),
+                            )
+                        )
+    return tuple(corrs)
+
+
+def _reference_links(self, concepts, owners):
+    # every pair from two owners that the reference scores exactly one
+    for i in range(len(concepts)):
+        for j in range(i + 1, len(concepts)):
+            if owners[i] != owners[j]:
+                value = reference._semantic(concepts[i], concepts[j], self.od, self.mode, self.recursive)
+                if value == 1:
+                    yield i, j
+
+
+def _merged(alignment, graphs, od, mode, recursive):
+    # a class whose members rebuild no valid component fails alike both ways
+    try:
+        return merge(alignment, graphs, od, mode=mode, recursive=recursive)
+    except DocumentError as exc:
+        return str(exc)
+
+
+def _check_align_and_merge(graphs, od, monkeypatch):
+    for mode, recursive in SETTINGS:
+        alignment = align(graphs, od, mode=mode, recursive=recursive)
+        assert alignment.correspondences == _reference_align(graphs, od, mode, recursive)
+        merged = _merged(alignment, graphs, od, mode, recursive)
+        with monkeypatch.context() as patch:
+            patch.setattr(Scorer, "links", _reference_links)
+            assert merged == _merged(alignment, graphs, od, mode, recursive)
+
+
+def test_align_and_merge_equal_the_reference_on_random_sources(monkeypatch):
+    rng = random.Random(5004)
+    for _ in range(150):
+        od, pool = random_domain(rng)
+        set_a, set_b = random_source_pair(rng, pool)
+        graphs = [to_ontology(c, od) for c in union(set_a, set_b).components]
+        _check_align_and_merge(graphs, od, monkeypatch)
+
+
+def test_align_and_merge_equal_the_reference_on_nested_graphs(monkeypatch):
+    rng = random.Random(5005)
+    for _ in range(150):
+        od, pool = random_domain(rng)
+        concept_ids = [c.id for c in od.concepts]
+        graphs = []
+        for source in ("A", "B", "C"):
+            for name in rng.sample(pool, rng.randrange(1, 4)):
+                # a concept seen in another source often makes a synonym class
+                reuse = graphs and rng.random() < 0.5
+                concept = rng.choice(graphs).root if reuse else random_nested_concept(rng, pool, concept_ids)
+                graphs.append(ComponentOntology(source, name, concept))
+        _check_align_and_merge(graphs, od, monkeypatch)
+        _check_align_and_merge(graphs, EMPTY_ONTOLOGY, monkeypatch)
+
+
+def test_merge_folds_members_like_the_reference_in_any_class(monkeypatch):
+    # classes drawn at random, not from scores, bring together members
+    # that share a term or an anchor in every combination
+    rng = random.Random(5006)
+    for _ in range(300):
+        od, pool = random_domain(rng)
+        concept_ids = [c.id for c in od.concepts]
+        graphs = [
+            ComponentOntology(source, name, random_nested_concept(rng, pool, concept_ids))
+            for source in ("A", "B", "C")
+            for name in rng.sample(pool, rng.randrange(1, 4))
+        ]
+        corrs = []
+        for a, b in itertools.combinations(graphs, 2):
+            if a.source != b.source and rng.random() < 0.5:
+                kind = rng.choice((CLASS_SYNONYM_PAIR, CLASS_DISTINCT))
+                corrs.append(Correspondence(Endpoint(a.source, a.origin), Endpoint(b.source, b.origin), ONE, kind))
+        alignment = Alignment(tuple(corrs))
+        for mode, recursive in SETTINGS:
+            merged = _merged(alignment, graphs, od, mode, recursive)
+            with monkeypatch.context() as patch:
+                patch.setattr(Scorer, "links", _reference_links)
+                assert merged == _merged(alignment, graphs, od, mode, recursive)
+
+
+def test_the_report_renders_every_matrix_like_the_reference():
+    rng = random.Random(5007)
+    for _ in range(100):
+        od, pool = random_domain(rng)
+        concept_ids = [c.id for c in od.concepts]
+        graphs = [
+            _random_graph(rng, pool, concept_ids, source)
+            for source in ("A", "B")
+            for _ in range(rng.randrange(1, 4))
+        ]
+        graphs = [replace(g, origin=f"{g.origin}{k}") for k, g in enumerate(graphs)]
+        for mode, recursive in SETTINGS:
+            alignment = align(graphs, od, mode=mode, recursive=recursive)
+            report = render_pipeline_report(graphs, od, alignment, NOTHING_MERGED, ComponentSet("S", ()))
+            tables = [
+                reference.render_matrix_text(
+                    graphs[i],
+                    graphs[j],
+                    reference.similarity_matrix(graphs[i], graphs[j], od, mode=mode, recursive=recursive),
+                )
+                for i, j in cross_pairs(graphs)
+            ]
+            expected = "\n---------------\n" + "".join(f"\n{t}" for t in tables) + "\nalignment\n"
+            assert expected in report
+
+
+def _library():
+    def read(name):
+        return (FIXTURES / name).read_text(encoding="utf-8")
+
+    od = load_domain_ontology(read("library_ontology.json"))
+    sets = union(parse_component_set(read("biblio1.json")), parse_component_set(read("biblio2.json")))
+    return od, [to_ontology(c, od) for c in sets.components]
+
+
+@pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_BIPARTITE])
+def test_the_pipeline_report_never_scores_again(mode, monkeypatch):
+    od, graphs = _library()
+    calls = []
+    score = Scorer.score
+
+    def counted(self, left, right):
+        calls.append((left.term, right.term))
+        return score(self, left, right)
+
+    monkeypatch.setattr(Scorer, "score", counted)
+    alignment = align(graphs, od, mode=mode)
+    assert len(calls) == len(alignment.roots) > 0
+    merged = merge(alignment, graphs, od, mode=mode)
+    calls.clear()
+    report = render_pipeline_report(
+        graphs, od, alignment, merged, ComponentSet("S", merged.result)
+    )
+    assert calls == []
+    assert "aggregate: 1" in report
+
+
+def test_the_pipeline_report_needs_the_pair_table():
+    od, graphs = _library()
+    alignment = align(graphs, od)
+    merged = merge(alignment, graphs, od)
+    bare = Alignment(alignment.correspondences, alignment.diagnostics)
+    with pytest.raises(ValueError, match="no pair scores"):
+        render_pipeline_report(graphs, od, bare, merged, ComponentSet("S", merged.result))

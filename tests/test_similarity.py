@@ -293,7 +293,7 @@ class TestProperties:
             assert semantic_similarity(a, a, od, mode=MODE_BIPARTITE) == ONE
 
     def test_bipartite_aggregate_matches_assignment(self):
-        from cmfuse.similarity import _semantic
+        from reference_similarity import _semantic
 
         rng = random.Random(11)
         for _ in range(500):
