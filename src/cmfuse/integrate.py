@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import count
+from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Sequence
 
 from .components import BusinessComponent
@@ -39,6 +41,7 @@ from .ontology import (
     anchor,
     domain_ontology_to_json,
     normalize_term,
+    term_stem,
 )
 from .similarity import MODE_BIPARTITE, MODE_LITERAL, PairScore, Score, Scorer, parse_score
 from .transform import (
@@ -49,6 +52,7 @@ from .transform import (
     component_ontology_to_json,
     graph_object,
     graph_spec,
+    rebuilt_term,
     to_component,
 )
 
@@ -149,6 +153,7 @@ def align(
     """
     scorer = Scorer(od, mode=mode, recursive=recursive)
     roots = [scorer.node(g.root) for g in graphs]
+    ends = [Endpoint(g.source, g.origin) for g in graphs]
     corrs: list[Correspondence] = []
     scores: list[PairScore] = []
     for i, j in cross_pairs(graphs):
@@ -157,8 +162,8 @@ def align(
         scores.append(pair)
         corrs.append(
             Correspondence(
-                Endpoint(a.source, a.origin),
-                Endpoint(b.source, b.origin),
+                ends[i],
+                ends[j],
                 pair.aggregate,
                 classify(a.root.term == b.root.term, pair.aggregate.is_one),
             )
@@ -319,8 +324,17 @@ def merge(
         )
     return MergedComponent(
         representation=RepresentationOntology(tuple(roots), tuple(equivalences)),
-        result=tuple(to_component(r.ontology) for r in roots),
+        result=tuple(_rebuild(r) for r in roots),
     )
+
+
+def _rebuild(root: MergedRoot) -> BusinessComponent:
+    try:
+        return to_component(root.ontology)
+    except DocumentError as exc:
+        origins = ", ".join(e.path for e in root.merged_from)
+        source = f"{root.ontology.path} (merged from {origins})"
+        raise DocumentError(source, exc.diagnostics) from None
 
 
 def _qualify(graph: ComponentOntology, od: DomainOntology) -> ComponentOntology:
@@ -403,6 +417,16 @@ def _merge_members(
 
     merged: list[Concept] = []
     seen: set[tuple[str, str]] = set()
+    # (is attribute, term) and (is attribute, stem) of each member as
+    # to_component rebuilds it: no two members may share a term there,
+    # nor an attribute and an operation a stem
+    rebuilt: set[tuple[bool, str]] = set()
+    stems: set[tuple[bool, str]] = set()
+
+    def clashes(c: Concept) -> bool:
+        is_attribute, term = rebuilt_term(c)
+        return (is_attribute, term) in rebuilt or (not is_attribute, term_stem(term)) in stems
+
     for ids in groups.values():
         group = [entries[i][1] for i in ids]
         concept = group[0]
@@ -413,18 +437,25 @@ def _merge_members(
             concept = replace(
                 concept, term=term, raw_label=raw, definitions=_definitions(group), anchor=common
             )
-        key = (concept.kind, concept.term)
-        if key in seen:
-            # homonymous representatives: qualify by the first origin
+        if (concept.kind, concept.term) in seen or clashes(concept):
+            # homonymous representatives, or a member the rebuilt component
+            # cannot hold: qualify by the first origin, numbered until it fits
             gi = entries[ids[0]][0]
             qualifier = f"{members[gi].source}.{members[gi].origin}"
-            concept = replace(
-                concept,
-                term=normalize_term(f"{qualifier}.{concept.term}"),
-                raw_label=f"{qualifier}.{concept.raw_label}",
-            )
-            key = (concept.kind, concept.term)
-        seen.add(key)
+            base = concept
+            for n in count(1):
+                prefix = qualifier if n == 1 else f"{qualifier}.{n}"
+                concept = replace(
+                    base,
+                    term=normalize_term(f"{prefix}.{base.term}"),
+                    raw_label=f"{prefix}.{base.raw_label}",
+                )
+                if not clashes(concept):
+                    break
+        seen.add((concept.kind, concept.term))
+        is_attribute, term = rebuilt_term(concept)
+        rebuilt.add((is_attribute, term))
+        stems.add((is_attribute, term_stem(term)))
         merged.append(concept)
     return merged
 
@@ -496,6 +527,13 @@ def alignment_to_json(
     return {
         "correspondences": [correspondence_to_json(c) for c in alignment.correspondences],
         "conflicts": [correspondence_to_json(c) for c in alignment.conflicts],
+        **_alignment_rest(alignment, graphs, od, mode, recursive),
+    }
+
+
+def _alignment_rest(alignment, graphs, od, mode, recursive) -> dict:
+    # the fields of an alignment document after its correspondence lists
+    return {
         "diagnostics": list(alignment.diagnostics),
         "settings": {"mode": mode, "recursive": recursive},
         "ontologies": [component_ontology_to_json(g) for g in graphs],
@@ -513,8 +551,21 @@ def serialize_alignment(
 ) -> str:
     """Self-contained alignment document: correspondences, the graphs
     they speak about, the domain ontology needed to merge them, and the
-    similarity settings the scores were computed under."""
-    return dump_json(alignment_to_json(alignment, graphs, od, mode=mode, recursive=recursive))
+    similarity settings the scores were computed under.
+
+    The text is dump_json of alignment_to_json; the two correspondence
+    lists, which grow with the square of the graph count, are written
+    from templates.
+    """
+    endpoints: dict[int, str] = {}
+    head = (
+        '{\n  "correspondences": '
+        + _correspondence_list(alignment.correspondences, endpoints)
+        + ',\n  "conflicts": '
+        + _correspondence_list(alignment.conflicts, endpoints)
+    )
+    rest = dump_json(_alignment_rest(alignment, graphs, od, mode, recursive))
+    return head + ",\n" + rest[len("{\n") :]
 
 
 def correspondence_to_json(c: Correspondence) -> dict:
@@ -528,6 +579,37 @@ def correspondence_to_json(c: Correspondence) -> dict:
 
 def _endpoint_json(e: Endpoint) -> dict:
     return {"source": e.source, "origin": e.origin, "member": e.member}
+
+
+def _json_list(items: list[str]) -> str:
+    # a list of pre-indented item texts, as dump_json writes it under a top-level key
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _correspondence_list(corrs: Sequence[Correspondence], endpoints: dict[int, str]) -> str:
+    # endpoints caches each endpoint's text by identity; align shares one
+    # root Endpoint per graph and the reader one per distinct triple
+    items = []
+    for c in corrs:
+        for e in (c.left, c.right):
+            if id(e) not in endpoints:
+                endpoints[id(e)] = _endpoint_text(e)
+        items.append(
+            f'    {{\n      "left": {endpoints[id(c.left)]},\n'
+            f'      "right": {endpoints[id(c.right)]},\n'
+            f'      "score": {encode_basestring(str(c.score))},\n'
+            f'      "class": {encode_basestring(c.classification)}\n    }}'
+        )
+    return _json_list(items)
+
+
+def _endpoint_text(e: Endpoint) -> str:
+    member = "null" if e.member is None else encode_basestring(e.member)
+    return (
+        f'{{\n        "source": {encode_basestring(e.source)},\n'
+        f'        "origin": {encode_basestring(e.origin)},\n'
+        f'        "member": {member}\n      }}'
+    )
 
 
 def _score(value, path, problems):
@@ -576,13 +658,20 @@ _ALIGNMENT_FIELDS = {
     "domain": _domain,
 }
 _ALIGNMENT_REQUIRED = "correspondences conflicts diagnostics ontologies domain"
+
+
+def _document(correspondences, diagnostics, ontologies, domain, settings=None) -> AlignmentDocument:
+    alignment = Alignment(correspondences, tuple(diagnostics))
+    return AlignmentDocument(alignment, ontologies, domain, **(settings or {}))
+
+
 _ALIGNMENT_KEYS = obj(dict.fromkeys(_ALIGNMENT_FIELDS), required=_ALIGNMENT_REQUIRED)
-_ALIGNMENT = obj(
-    _ALIGNMENT_FIELDS,
+_ALIGNMENT = obj(_ALIGNMENT_FIELDS, required=_ALIGNMENT_REQUIRED, build=_document)
+# the document without its correspondences, for when those passed _fast_correspondences
+_ALIGNMENT_REST = obj(
+    {**_ALIGNMENT_FIELDS, "correspondences": None},
     required=_ALIGNMENT_REQUIRED,
-    build=lambda correspondences, diagnostics, ontologies, domain, settings=None: AlignmentDocument(
-        Alignment(correspondences, tuple(diagnostics)), ontologies, domain, **(settings or {})
-    ),
+    build=lambda **rest: rest,
 )
 
 
@@ -596,27 +685,96 @@ def parse_alignment(document: str, *, source: str = "<alignment>") -> AlignmentD
 
 
 def alignment_from_json(data, *, source: str = "<alignment>") -> AlignmentDocument:
-    """Check a decoded alignment document; see parse_alignment."""
+    """Check a decoded alignment document; see parse_alignment.
+
+    Well-formed correspondences take a fast path; at its first problem
+    the whole document goes through the spec walker, which writes the
+    diagnostics.
+    """
     check(_ALIGNMENT_KEYS, data, source)
     if not isinstance(data["correspondences"], list):
         raise DocumentError(source, ["correspondences: must be a list"])
-    return check(_ALIGNMENT, data, source)
+    correspondences = _fast_correspondences(data["correspondences"])
+    if correspondences is None:
+        return check(_ALIGNMENT, data, source)
+    return _document(correspondences, **check(_ALIGNMENT_REST, data, source))
+
+
+_CORRESPONDENCE_KEYS = frozenset(("left", "right", "score", "class"))
+_ENDPOINT_KEYS = frozenset(("source", "origin", "member"))
+
+
+def _fast_correspondences(items: list) -> tuple[Correspondence, ...] | None:
+    """What _CORRESPONDENCE makes of every item, or None when one is not
+    well-formed. Each distinct endpoint becomes one Endpoint and each
+    distinct score text is parsed once."""
+    endpoints: dict[tuple, Endpoint] = {}
+    scores: dict[str, Score] = {}
+
+    def endpoint(value) -> Endpoint | None:
+        if not (isinstance(value, dict) and value.keys() == _ENDPOINT_KEYS):
+            return None
+        key = (value["source"], value["origin"], value["member"])
+        found = endpoints.get(key)  # only checked triples are stored
+        if found is None:
+            source, origin, member = key
+            if not (
+                isinstance(source, str)
+                and isinstance(origin, str)
+                and source
+                and origin
+                and (member is None or isinstance(member, str))
+            ):
+                return None
+            found = endpoints[key] = Endpoint(source, origin, member)
+        return found
+
+    out = []
+    try:
+        for item in items:
+            if not (isinstance(item, dict) and item.keys() == _CORRESPONDENCE_KEYS):
+                return None
+            left, right = endpoint(item["left"]), endpoint(item["right"])
+            text, classification = item["score"], item["class"]
+            score = scores.get(text)
+            if score is None:
+                if not isinstance(text, str):
+                    return None
+                score = scores[text] = parse_score(text)
+            if left is None or right is None or classification not in CLASSIFICATIONS:
+                return None
+            out.append(Correspondence(left, right, score, classification))
+    except (TypeError, ValueError):
+        # an unhashable endpoint field or score (TypeError), or a bad score text
+        return None
+    return tuple(out)
 
 
 def representation_to_json(rep: RepresentationOntology) -> dict:
+    return {
+        **_representation_roots(rep),
+        "equivalences": [list(pair) for pair in rep.equivalences],
+    }
+
+
+def _representation_roots(rep: RepresentationOntology) -> dict:
     roots = []
     for r in rep.roots:
         obj = component_ontology_to_json(r.ontology)
         obj["merged_from"] = [e.path for e in r.merged_from]
         roots.append(obj)
-    return {
-        "roots": roots,
-        "equivalences": [list(pair) for pair in rep.equivalences],
-    }
+    return {"roots": roots}
 
 
 def serialize_representation(rep: RepresentationOntology) -> str:
-    return dump_json(representation_to_json(rep))
+    """dump_json of representation_to_json, with the equivalence list,
+    which grows with the square of the class sizes, written from a template."""
+    roots = dump_json(_representation_roots(rep))
+    pairs = [
+        f"    [\n      {encode_basestring(a)},\n      {encode_basestring(b)}\n    ]"
+        for a, b in rep.equivalences
+    ]
+    return roots[: -len("\n}\n")] + ',\n  "equivalences": ' + _json_list(pairs) + "\n}\n"
 
 
 def _root_endpoint(value, path, problems):

@@ -52,26 +52,31 @@ def render_matrix_text(
     return _matrix_text(left, right, terms, cells, matrix.aggregate, matrix.verdict, color)
 
 
-def _matrix_text(left, right, terms, cells, aggregate, verdict: str, color: bool) -> str:
+def _matrix_text(
+    left, right, terms, cells, aggregate, verdict: str, color: bool, columns=None
+) -> str:
     # terms holds the left and right member terms and cells the non-zero
     # (row, column, score) triples; every other cell reads 0, so rows
-    # without a hit share one rendering
+    # without a hit share one rendering. columns may hold _columns of the
+    # right terms at their own widths, which is what a matrix with left
+    # members and no cells uses
     left_terms, right_terms = terms
     corner = f"{left.path} \\ {right.path}"
     first = max([len(corner), *map(len, left_terms)])
-    widths = [max(len(term), 1 if left_terms else 0) for term in right_terms]
-    texts = [(i, j, str(score)) for i, j, score in cells]
-    for _, j, text in texts:
-        widths[j] = max(widths[j], len(text))
-    blank = ["0".ljust(w) for w in widths]
-    rows: dict[int, list[str]] = {}
-    for i, j, text in texts:
-        rows.setdefault(i, blank.copy())[j] = text.ljust(widths[j])
-    headers = [corner.ljust(first), *(h.ljust(w) for h, w in zip(right_terms, widths))]
-    out = [" | ".join(headers).rstrip()]
-    out.append("-+-".join("-" * w for w in [first, *widths]))
-    for i, term in enumerate(left_terms):
-        out.append(" | ".join([term.ljust(first), *rows.get(i, blank)]).rstrip())
+    rows: dict[int, str] = {}
+    if columns is None or cells or not left_terms:
+        widths = [max(len(term), 1 if left_terms else 0) for term in right_terms]
+        texts = [(i, j, str(score)) for i, j, score in cells]
+        for _, j, text in texts:
+            widths[j] = max(widths[j], len(text))
+        columns = _columns(right_terms, widths)
+        hits: dict[int, list[str]] = {}
+        for i, j, text in texts:
+            hits.setdefault(i, ["0".ljust(w) for w in widths])[j] = text.ljust(widths[j])
+        rows = {i: "".join(" | " + cell for cell in row) for i, row in hits.items()}
+    header, rule, blank = columns
+    out = [(corner.ljust(first) + header).rstrip(), "-" * first + rule]
+    out += [(term.ljust(first) + rows.get(i, blank)).rstrip() for i, term in enumerate(left_terms)]
     if not left_terms:
         out.append("(no members)")
     out.append("")
@@ -80,6 +85,15 @@ def _matrix_text(left, right, terms, cells, aggregate, verdict: str, color: bool
     classification = classify(left.root.term == right.root.term, verdict == VERDICT_SYNONYM)
     out.append(f"class:     {_class_text(classification, color)}")
     return "\n".join(out) + "\n"
+
+
+def _columns(terms, widths) -> tuple[str, str, str]:
+    # what follows the first column in the header, the rule and an all-zero row
+    return (
+        "".join(f" | {term.ljust(w)}" for term, w in zip(terms, widths)),
+        "".join("-+-" + "-" * w for w in widths),
+        "".join(" | " + "0".ljust(w) for w in widths),
+    )
 
 
 def _class_text(classification: str, color: bool) -> str:
@@ -200,10 +214,19 @@ def render_pipeline_report(
     out.append("pair similarity")
     out.append("---------------")
     terms = [tuple(m.term for m in g.root.members) for g in graphs]
+    # most pairs have no cell, and each graph is the right side of many
+    columns = [_columns(t, [max(len(term), 1) for term in t]) for t in terms]
     for (i, j), pair in zip(cross_pairs(graphs), alignment.scores, strict=True):
         verdict = VERDICT_SYNONYM if pair.aggregate.is_one else VERDICT_NOT_SYNONYM
         text = _matrix_text(
-            graphs[i], graphs[j], (terms[i], terms[j]), pair.cells, pair.aggregate, verdict, False
+            graphs[i],
+            graphs[j],
+            (terms[i], terms[j]),
+            pair.cells,
+            pair.aggregate,
+            verdict,
+            False,
+            columns[j],
         )
         out.append("")
         out.append(text.rstrip("\n"))

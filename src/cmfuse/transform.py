@@ -27,6 +27,7 @@ from .ontology import (
     DomainOntology,
     anchor,
     normalize_term,
+    operation_term,
     term_stem,
 )
 
@@ -220,6 +221,14 @@ def to_component(graph: ComponentOntology) -> BusinessComponent:
         provides=graph.provides,
         requires=graph.requires,
     )
+
+
+def rebuilt_term(member: Concept) -> tuple[bool, str]:
+    """Whether to_component rebuilds a member as an attribute, and the
+    term the rebuilt attribute or operation gets."""
+    if member.kind == KIND_ATTRIBUTE:
+        return True, normalize_term(member.raw_label)
+    return False, operation_term(_operation_name(member.raw_label))
 
 
 def _operation_name(raw_label: str) -> str:

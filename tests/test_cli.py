@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -434,6 +435,31 @@ class TestPipeline:
         for name in self.ARTIFACTS:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    # sha256 of each artifact; the merge, and so ocm_r.json, cm_r.json and
+    # report.txt, come out the same under every setting for the fixtures
+    MERGED = {
+        "ocm_r.json": "bf0fd3f9d0d542fb7163d3d2f99ab299d857968ff191b05daa50d2ba9bc91756",
+        "cm_r.json": "fba6bc6adb6538ec7fea4b6c9746fb2cabc600ceb2a40d0a6932299aa6e8bcb7",
+        "report.txt": "8fe883bfffb2f2b9583024391d08fcad4efcacc333a9c6eb0820ac4c17abe7be",
+    }
+    GOLDEN_ALIGNMENT = {
+        ("--mode", "literal"): "9bb292c4c9353a325efcd847f1df24f67fc90b95a0cd1b216d270300cba8ad62",
+        ("--mode", "bipartite"): "4e59ad9d7a796315295ad3535a069a2e2d43198619fe9debe90c3b947f802432",
+        ("--no-recursive-semantics",): "8b55595f716d33f1e8cf2e8c47b631ff9e3efe96c8fadc22fff421efdb63303e",
+        ("--mode", "bipartite", "--no-recursive-semantics"): (
+            "88209a89f964c4a67901005d771c638b0e83131fde1d926df8f9ef0c01d22914"
+        ),
+    }
+
+    @pytest.mark.parametrize("settings", list(GOLDEN_ALIGNMENT), ids=" ".join)
+    def test_golden_bytes(self, tmp_path, settings):
+        # pinned digests: a fast path that changes one byte of any artifact fails here
+        argv = ["pipeline", BIBLIO1, BIBLIO2, "--domain", DOMAIN, "-o", str(tmp_path)]
+        assert main([*argv, *settings]) == 0
+        expected = {"alignment.json": self.GOLDEN_ALIGNMENT[settings], **self.MERGED}
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()) for name in expected}
+        assert {name: d.hexdigest() for name, d in digests.items()} == expected
+
     def test_fail_on_conflict(self, tmp_path):
         code = main(
             [
@@ -475,6 +501,42 @@ class TestPipeline:
         assert "component set, 2 components" in capsys.readouterr().out
         result = parse_component_set((out / "cm_r.json").read_text(encoding="utf-8"))
         assert [c.name for c in result.components] == ["personne", "B.Personne"]
+
+    @pytest.mark.parametrize("mode", ["literal", "bipartite"])
+    def test_merge_qualifies_an_operation_named_like_an_attribute(self, tmp_path, capsys, mode):
+        # nom≡prénom hits two cells on each side, so literal mode scores
+        # min(1, 4/3) = 1 and the class keeps attribute age and operation age()
+        documents = {
+            "od.json": {
+                "concepts": [{"id": "PERSON", "label": "personne"}, {"id": "NAME", "label": "nom"}],
+                "thesaurus": [
+                    {"concept": "PERSON", "terms": ["personne", "lecteur"]},
+                    {"concept": "NAME", "terms": ["nom", "prénom"]},
+                ],
+            },
+            "a.json": {"system": "A", "components": [
+                {"name": "Personne", "kind": "entity", "operations": [],
+                 "attributes": [{"name": "nom"}, {"name": "prénom"}, {"name": "age"}]},
+            ]},
+            "b.json": {"system": "B", "components": [
+                {"name": "Lecteur", "kind": "entity", "attributes": [{"name": "nom"}, {"name": "prénom"}],
+                 "operations": [{"name": "age"}]},
+            ]},
+        }
+        for name, doc in documents.items():
+            (tmp_path / name).write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["pipeline", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--mode", mode]
+        assert main([*argv, "--domain", str(tmp_path / "od.json"), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["validate", str(out / "cm_r.json"), str(out / "ocm_r.json")]) == 0
+        result = parse_component_set((out / "cm_r.json").read_text(encoding="utf-8"))
+        if mode == "literal":
+            (merged,) = result.components
+            assert [a.name for a in merged.attributes] == ["nom", "age"]
+            assert [o.name for o in merged.operations] == ["B.Lecteur.age"]
+        else:
+            assert len(result.components) == 2
 
 
 class TestExitCodes:

@@ -1,0 +1,211 @@
+"""The fast alignment I/O paths against their plain references.
+
+The writers emit the correspondence and equivalence lists from templates;
+the reference is dump_json of the document's JSON tree. The reader takes
+a happy path through well-formed correspondences; the reference is the
+spec walker alone, which is what the reader falls back to.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import replace
+
+import pytest
+
+from cmfuse import (
+    Alignment,
+    Correspondence,
+    DocumentError,
+    Endpoint,
+    MergedRoot,
+    RepresentationOntology,
+    Score,
+    align,
+    serialize_alignment,
+    serialize_representation,
+)
+from cmfuse import integrate
+from cmfuse.integrate import (
+    CLASSIFICATIONS,
+    alignment_from_json,
+    alignment_to_json,
+    representation_to_json,
+)
+from cmfuse.jsonio import dump_json
+
+from helpers import EMPTY_ONTOLOGY
+
+# pieces of text the JSON encoder treats differently: non-ASCII, quote and
+# backslash, control characters, the JavaScript line separators
+PIECES = [
+    "A", "b c", "é", "中文", "😀", '"', "\\", "/", "\x00", "\x1f", "\n\t", "\x7f", "\u2028", "\u2029",
+]
+
+
+def _text(rng: random.Random) -> str:
+    return "".join(rng.choice(PIECES) for _ in range(rng.randrange(1, 4)))
+
+
+def _random_alignment(rng: random.Random) -> Alignment:
+    pool = [
+        Endpoint(_text(rng), _text(rng), rng.choice([None, None, _text(rng)]))
+        for _ in range(rng.randrange(1, 6))
+    ]
+    corrs = []
+    for _ in range(rng.choice([0, 1, rng.randrange(2, 30)])):
+        # shared endpoint objects, and equal ones that are not the same object
+        left, right = (rng.choice(pool) for _ in range(2))
+        if rng.random() < 0.3:
+            left = replace(left)
+        den = rng.randrange(1, 13)
+        score = Score(rng.randrange(den + 1), den)
+        corrs.append(Correspondence(left, right, score, rng.choice(CLASSIFICATIONS)))
+    return Alignment(tuple(corrs), tuple(_text(rng) for _ in range(rng.randrange(3))))
+
+
+def test_alignment_writer_equals_dump_json(library_graphs, library_ontology):
+    rng = random.Random(6001)
+    empty_lists = conflict_lists = 0
+    for _ in range(300):
+        alignment = _random_alignment(rng)
+        graphs, od = rng.choice([(library_graphs, library_ontology), ([], EMPTY_ONTOLOGY)])
+        settings = {"mode": rng.choice(["literal", "bipartite"]), "recursive": rng.random() < 0.5}
+        expected = dump_json(alignment_to_json(alignment, graphs, od, **settings))
+        assert serialize_alignment(alignment, graphs, od, **settings) == expected
+        empty_lists += not alignment.correspondences
+        conflict_lists += bool(alignment.conflicts)
+    assert empty_lists >= 20 and conflict_lists >= 20
+
+
+def test_representation_writer_equals_dump_json(library_graphs):
+    rng = random.Random(6002)
+    empty = 0
+    for _ in range(300):
+        roots = tuple(
+            MergedRoot(g, tuple(Endpoint(_text(rng), _text(rng)) for _ in range(rng.randrange(3))))
+            for g in rng.sample(library_graphs, rng.randrange(len(library_graphs) + 1))
+        )
+        count = rng.choice([0, rng.randrange(1, 20)])
+        pairs = tuple((_text(rng), _text(rng)) for _ in range(count))
+        rep = RepresentationOntology(roots, pairs)
+        assert serialize_representation(rep) == dump_json(representation_to_json(rep))
+        empty += not roots and not pairs
+    assert empty >= 5
+
+
+def test_pipeline_alignment_equals_dump_json(library_graphs, library_ontology):
+    alignment = align(library_graphs, library_ontology)
+    assert alignment.conflicts
+    expected = dump_json(alignment_to_json(alignment, library_graphs, library_ontology))
+    assert serialize_alignment(alignment, library_graphs, library_ontology) == expected
+
+
+# ---- reader
+
+SOURCE = "alignment.json"
+# values a correspondence field may be replaced with: wrong types, empty
+# and unhashable values, and score texts the walker accepts or rejects
+VALUES = [
+    None, "", "x", 0, 1, 1.5, True, [], ["A"], {}, {"a": 1},
+    "0", "1", "1/2", "2/4", "0/1", "01", "2", "1/0", "-1", "0.5", "1/", "/2", " 1", "1\n", "١",
+    "distinct", "equivalent", "synonym", "Distinct",
+]
+
+
+def _library_alignment(graphs, od) -> str:
+    return serialize_alignment(align(graphs, od), graphs, od)
+
+
+def _outcome(data):
+    try:
+        doc = alignment_from_json(data, source=SOURCE)
+    except DocumentError as exc:
+        return exc.source, exc.diagnostics
+    settings = {"mode": doc.mode, "recursive": doc.recursive}
+    return doc.alignment, serialize_alignment(doc.alignment, doc.graphs, doc.domain, **settings)
+
+
+def _mutate(rng: random.Random, data: dict) -> None:
+    corrs = data["correspondences"]
+    i = rng.randrange(len(corrs))
+    where = rng.choice(["item", "left", "right", "document"])
+    if where == "document":
+        # a broken field next to well-formed correspondences
+        key = rng.choice(["settings", "diagnostics", "ontologies", "domain", "conflicts"])
+        data[key] = rng.choice(
+            [None, [], ["x"], [1], {}, {"mode": "fast"}, {"mode": "literal", "recursive": 1}]
+        )
+        return
+    whole = [None, [], "A/B", 0, {}]
+    if not isinstance(corrs[i], dict) or rng.random() < 0.05:
+        corrs[i] = rng.choice(whole)
+        return
+    if where == "item":
+        target, keys = corrs[i], ["left", "right", "score", "class"]
+    elif not isinstance(corrs[i].get(where), dict) or rng.random() < 0.1:
+        corrs[i][where] = rng.choice(whole)
+        return
+    else:
+        target, keys = corrs[i][where], ["source", "origin", "member"]
+    action = rng.random()
+    if action < 0.15:
+        target.pop(rng.choice(keys), None)
+    elif action < 0.25:
+        target[rng.choice(["extra", "Score", "path"])] = "x"
+    else:
+        target[rng.choice(keys)] = rng.choice(VALUES)
+
+
+def test_reader_equals_the_spec_walker(library_graphs, library_ontology, monkeypatch):
+    base = json.loads(_library_alignment(library_graphs, library_ontology))
+    assert integrate._fast_correspondences(base["correspondences"]) is not None
+    rng = random.Random(6003)
+    documents = []
+    for _ in range(400):
+        data = json.loads(json.dumps(base))
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            _mutate(rng, data)
+        documents.append(data)
+    fast = [_outcome(d) for d in documents]
+    fast_path = integrate._fast_correspondences
+    taken = sum(fast_path(d["correspondences"]) is not None for d in documents)
+    monkeypatch.setattr(integrate, "_fast_correspondences", lambda items: None)
+    walked = [_outcome(d) for d in documents]
+    for data, got, expected in zip(documents, fast, walked):
+        assert got == expected, json.dumps(data["correspondences"], ensure_ascii=False)[:2000]
+    # both outcomes, and both paths, occur often enough to mean something
+    errors = sum(isinstance(o[0], str) for o in fast)
+    assert 100 <= errors <= 380
+    assert 50 <= taken <= 350
+
+
+@pytest.mark.parametrize("text", ["1/2", "2/4", "01", "0/1", "1\n"])
+def test_reader_parses_each_score_text_like_the_walker(text, monkeypatch):
+    # every accepted spelling reads as the walker reads it, and is written back canonical
+    data = {
+        "correspondences": [
+            {
+                "left": {"source": "A", "origin": "X", "member": None},
+                "right": {"source": "B", "origin": "Y", "member": "é"},
+                "score": text,
+                "class": "distinct",
+            }
+        ],
+        "conflicts": [],
+        "diagnostics": [],
+        "ontologies": [],
+        "domain": {"concepts": [], "thesaurus": []},
+    }
+    got = _outcome(data)
+    monkeypatch.setattr(integrate, "_fast_correspondences", lambda items: None)
+    assert got == _outcome(data)
+    assert isinstance(got[0], Alignment)
+
+
+def test_reader_shares_one_endpoint_per_distinct_triple(library_graphs, library_ontology):
+    text = _library_alignment(library_graphs, library_ontology)
+    corrs = alignment_from_json(json.loads(text)).alignment.correspondences
+    ends = [e for c in corrs for e in (c.left, c.right)]
+    assert len({id(e) for e in ends}) == len(set(ends)) < len(ends)

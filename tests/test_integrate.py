@@ -5,10 +5,14 @@ from __future__ import annotations
 import pytest
 
 from cmfuse import (
+    KIND_ATTRIBUTE,
+    Alignment,
     CLASS_DISTINCT,
     CLASS_EQUIVALENT,
     CLASS_HOMONYM_CONFLICT,
     CLASS_SYNONYM_PAIR,
+    ComponentOntology,
+    Concept,
     DocumentError,
     Endpoint,
     MergeError,
@@ -23,7 +27,7 @@ from cmfuse import (
     to_ontology,
 )
 
-from helpers import component, quick_ontology
+from helpers import component, quick_ontology, root
 
 
 class TestClassify:
@@ -140,6 +144,15 @@ class TestMerge:
         assert personne.source == "Biblio1+Biblio2"
         # both docs survive as definitions; the first becomes the doc
         assert personne.doc == "Personne qui consulte les publications en ligne."
+
+    def test_an_error_rebuilding_a_component_names_its_class(self):
+        # a member whose label folds to nothing cannot come back as an attribute
+        blank = Concept(term="x", raw_label=" ", kind=KIND_ATTRIBUTE)
+        graph = ComponentOntology("A", "X", root("X", [blank]))
+        with pytest.raises(DocumentError) as caught:
+            merge(Alignment(()), [graph], quick_ontology({}))
+        assert caught.value.source == "A/X (merged from A/X)"
+        assert caught.value.diagnostics == ["name must be non-empty"]
 
     def test_conflicted_roots_are_qualified(self, library_graphs, library_ontology):
         merged = merge_fixture(library_graphs, library_ontology)

@@ -193,11 +193,7 @@ def _reference_links(self, concepts, owners):
 
 
 def _merged(alignment, graphs, od, mode, recursive):
-    # a class whose members rebuild no valid component fails alike both ways
-    try:
-        return merge(alignment, graphs, od, mode=mode, recursive=recursive)
-    except DocumentError as exc:
-        return str(exc)
+    return merge(alignment, graphs, od, mode=mode, recursive=recursive)
 
 
 def _check_align_and_merge(graphs, od, monkeypatch):
