@@ -12,7 +12,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .components import (
@@ -29,8 +28,8 @@ from .integrate import (
     CLASS_HOMONYM_CONFLICT,
     align,
     alignment_from_json,
-    classify,
     merge,
+    pair_class,
     parse_alignment,
     representation_from_json,
     serialize_alignment,
@@ -43,10 +42,9 @@ from .report import (
     matrix_to_json,
     render_alignment_text,
     render_matrix_text,
-    render_merge_text,
     render_pipeline_report,
 )
-from .similarity import MODE_BIPARTITE, MODE_LITERAL, VERDICT_SYNONYM, similarity_matrix
+from .similarity import MODE_BIPARTITE, MODE_LITERAL, Scorer
 from .transform import (
     ComponentOntology,
     component_ontology_from_json,
@@ -59,20 +57,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_CONFLICT = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by the similarity-driven commands.
-
-    The defaults (literal aggregation, recursive semantics) are the
-    reference behavior; every documented score assumes them.
-    """
-
-    mode: str = MODE_LITERAL
-    recursive: bool = True
-    fail_on_conflict: bool = False
-    fmt: str = "text"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,7 +76,8 @@ def _add_similarity_flags(parser: argparse.ArgumentParser):
     )
     parser.add_argument(
         "--no-recursive-semantics",
-        action="store_true",
+        dest="recursive",
+        action="store_false",
         help="stop semantic recursion into members; undecided pairs fall back to syntactic scores",
     )
     parser.add_argument(
@@ -169,15 +154,6 @@ def main(argv=None) -> int:
 
 def _color_enabled() -> bool:
     return os.environ.get("CMFUSE_COLOR") == "1"
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        mode=args.mode,
-        recursive=not args.no_recursive_semantics,
-        fail_on_conflict=args.fail_on_conflict,
-        fmt=getattr(args, "format", "text"),
-    )
 
 
 def _read(path: str) -> str:
@@ -277,55 +253,50 @@ def cmd_transform(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    config = _config(args)
     domain = _load_domain(args.domain)
     left = parse_component_ontology(_read(args.left), source=args.left)
     right = parse_component_ontology(_read(args.right), source=args.right)
-    matrix = similarity_matrix(
-        left, right, domain, mode=config.mode, recursive=config.recursive
-    )
-    if config.fmt == "json":
-        print(dump_json(matrix_to_json(left, right, matrix)), end="")
+    scorer = Scorer(domain, mode=args.mode, recursive=args.recursive)
+    pair = scorer.score(scorer.node(left.root), scorer.node(right.root))
+    if args.format == "json":
+        print(dump_json(matrix_to_json(left, right, pair)), end="")
     else:
-        print(render_matrix_text(left, right, matrix, color=_color_enabled()), end="")
-    classification = classify(
-        left.root.term == right.root.term, matrix.verdict == VERDICT_SYNONYM
-    )
-    if config.fail_on_conflict and classification == CLASS_HOMONYM_CONFLICT:
+        print(render_matrix_text(left, right, pair, color=_color_enabled()), end="")
+    if args.fail_on_conflict and pair_class(left, right, pair.aggregate) == CLASS_HOMONYM_CONFLICT:
         return EXIT_CONFLICT
     return EXIT_OK
 
 
-def _aligned_graphs(
-    seta: str, setb: str, domain_path: str, config: RunConfig
-) -> tuple[list[ComponentOntology], DomainOntology, Alignment]:
-    domain = _load_domain(domain_path)
-    merged_set = union(_load_set(seta), _load_set(setb))
+def _aligned_graphs(args) -> tuple[list[ComponentOntology], DomainOntology, Alignment]:
+    domain = _load_domain(args.domain)
+    merged_set = union(_load_set(args.seta), _load_set(args.setb))
     diagnostics = list(check_layering(merged_set))
     graphs = [
         to_ontology(component, domain, diagnostics=diagnostics)
         for component in merged_set.components
     ]
     alignment = align(
-        graphs, domain, mode=config.mode, recursive=config.recursive, diagnostics=diagnostics
+        graphs, domain, mode=args.mode, recursive=args.recursive, diagnostics=diagnostics
     )
     return graphs, domain, alignment
 
 
-def cmd_align(args) -> int:
-    config = _config(args)
-    graphs, domain, alignment = _aligned_graphs(args.seta, args.setb, args.domain, config)
-    document = serialize_alignment(
-        alignment, graphs, domain, mode=config.mode, recursive=config.recursive
-    )
-    target = _write(Path(args.out), "alignment.json", document)
-    print(target)
+def _conflict_exit(alignment: Alignment, args) -> int:
     flagged = alignment.conflicts
     if flagged:
         print(f"{len(flagged)} homonym conflict(s) detected", file=sys.stderr)
-        if config.fail_on_conflict:
+        if args.fail_on_conflict:
             return EXIT_CONFLICT
     return EXIT_OK
+
+
+def cmd_align(args) -> int:
+    graphs, domain, alignment = _aligned_graphs(args)
+    document = serialize_alignment(
+        alignment, graphs, domain, mode=args.mode, recursive=args.recursive
+    )
+    print(_write(Path(args.out), "alignment.json", document))
+    return _conflict_exit(alignment, args)
 
 
 def cmd_merge(args) -> int:
@@ -350,7 +321,7 @@ def _result_system(graphs) -> str:
 
 def cmd_report(args) -> int:
     doc = parse_alignment(_read(args.alignment), source=args.alignment)
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(dump_json(alignment_report_json(doc.alignment)), end="")
     else:
         print(render_alignment_text(doc.alignment, color=_color_enabled()), end="")
@@ -359,25 +330,19 @@ def cmd_report(args) -> int:
 
 def cmd_pipeline(args) -> int:
     """Transform, align, merge and report in one deterministic run."""
-    config = _config(args)
-    graphs, domain, alignment = _aligned_graphs(args.seta, args.setb, args.domain, config)
-    merged = merge(alignment, graphs, domain, mode=config.mode, recursive=config.recursive)
+    graphs, domain, alignment = _aligned_graphs(args)
+    merged = merge(alignment, graphs, domain, mode=args.mode, recursive=args.recursive)
     result = ComponentSet(system=_result_system(graphs), components=merged.result)
     out = Path(args.out)
     document = serialize_alignment(
-        alignment, graphs, domain, mode=config.mode, recursive=config.recursive
+        alignment, graphs, domain, mode=args.mode, recursive=args.recursive
     )
     print(_write(out, "alignment.json", document))
     print(_write(out, "ocm_r.json", serialize_representation(merged.representation)))
     print(_write(out, "cm_r.json", serialize_component_set(result)))
     report = render_pipeline_report(graphs, domain, alignment, merged, result)
     print(_write(out, "report.txt", report))
-    flagged = alignment.conflicts
-    if flagged:
-        print(f"{len(flagged)} homonym conflict(s) detected", file=sys.stderr)
-        if config.fail_on_conflict:
-            return EXIT_CONFLICT
-    return EXIT_OK
+    return _conflict_exit(alignment, args)
 
 
 if __name__ == "__main__":

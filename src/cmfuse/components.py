@@ -133,12 +133,14 @@ class ComponentSet:
         problems = []
         if not self.system:
             problems.append("system must be non-empty")
-        seen: set[tuple[str, str]] = set()
-        for c in self.components:
-            key = (c.source, c.term)
-            if key in seen:
-                problems.append(f"duplicate component '{c.name}' for source '{c.source}'")
-            seen.add(key)
+        seen: dict[tuple[str, str], int] = {}
+        for i, c in enumerate(self.components):
+            k = seen.setdefault((c.source, c.term), i)
+            if k != i:
+                problems.append(
+                    f"components[{i}]: duplicate component '{c.name}'"
+                    f" (already declared at components[{k}])"
+                )
         if problems:
             raise DocumentError("<component-set>", problems)
 
@@ -166,23 +168,6 @@ _COMPONENT_FIELDS = {
 }
 
 
-def _checked_set(system: str, components=()) -> ComponentSet:
-    problems = []
-    seen: dict[tuple[str, str], int] = {}
-    for i, c in enumerate(components):
-        key = (c.source, c.term)
-        if key in seen:
-            problems.append(
-                f"components[{i}]: duplicate component '{c.name}'"
-                f" (already declared at components[{seen[key]}])"
-            )
-        else:
-            seen[key] = i
-    if problems:
-        raise DocumentError("<component-set>", problems)
-    return ComponentSet(system=system, components=components)
-
-
 def parse_component_set(document: str, *, source: str = "<component-set>") -> ComponentSet:
     """Parse a component-set document under the strict schema.
 
@@ -206,7 +191,7 @@ def component_set_from_json(data, *, source: str = "<component-set>") -> Compone
     spec = obj(
         {"system": NON_EMPTY, "components": maybe(list_of(components))},
         required="system components",
-        build=_checked_set,
+        build=ComponentSet,
     )
     return check(spec, data, source)
 

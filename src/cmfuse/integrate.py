@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import count
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .components import BusinessComponent
 from .errors import DocumentError, MergeError
@@ -80,6 +80,11 @@ def classify(names_equal: bool, synonym: bool) -> str:
     if synonym:
         return CLASS_EQUIVALENT if names_equal else CLASS_SYNONYM_PAIR
     return CLASS_HOMONYM_CONFLICT if names_equal else CLASS_DISTINCT
+
+
+def pair_class(a: ComponentOntology, b: ComponentOntology, score: Score) -> str:
+    """The class of a pair of graphs whose aggregate is score."""
+    return classify(a.root.term == b.root.term, score.is_one)
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,7 @@ def align(
                 ends[i],
                 ends[j],
                 pair.aggregate,
-                classify(a.root.term == b.root.term, pair.aggregate.is_one),
+                pair_class(a, b, pair.aggregate),
             )
         )
         for mi, mj, cell in pair.cells:
@@ -263,7 +268,9 @@ def merge(
     a homonym conflict, or one named like a merged class, keeps its
     members but is renamed "<source>.<origin>"; merged classes that
     come out named alike take that name of their first root instead.
-    Untouched roots pass through unchanged.
+    A qualified name that another result root already has is numbered
+    "<source>.<origin>.2", ".3", ... until it is free. Untouched roots
+    pass through unchanged.
     """
     index: dict[tuple[str, str], ComponentOntology] = {}
     for g in graphs:
@@ -300,28 +307,32 @@ def merge(
         for rep, members in classes.items()
         if len(members) > 1
     }
+    own = {
+        rep: names[rep][1] if rep in names else members[0].root.raw_label
+        for rep, members in classes.items()
+    }
     # result names must stay unique: a pass-through named like a merged
-    # class, and merged classes named alike, are qualified
-    class_terms = Counter(normalize_term(raw) for _, raw, _ in names.values())
+    # class, and merged classes named alike, are qualified; a qualified
+    # name is numbered while another result root has its term
+    class_terms = Counter(normalize_term(own[rep]) for rep in names)
+
+    def qualified(rep) -> bool:
+        term = normalize_term(own[rep])
+        return class_terms[term] > 1 if rep in names else rep in conflicted or term in class_terms
+
+    taken = {normalize_term(own[rep]) for rep in classes if not qualified(rep)}
     roots: list[MergedRoot] = []
     equivalences: list[tuple[str, str]] = []
     for rep, members in classes.items():
-        if len(members) == 1:
-            graph = members[0]
-            key = (graph.source, graph.origin)
-            if key in conflicted or normalize_term(graph.root.raw_label) in class_terms:
-                merged = _qualify(graph, od)
-            else:
-                merged = graph
-            roots.append(MergedRoot(merged, (Endpoint(graph.source, graph.origin),)))
-            continue
-        _, raw_name, root_anchor = names[rep]
-        if class_terms[normalize_term(raw_name)] > 1:
-            raw_name = f"{members[0].source}.{members[0].origin}"
-        merged = _merge_class(members, raw_name, root_anchor, od, mode, recursive, equivalences)
-        roots.append(
-            MergedRoot(merged, tuple(Endpoint(g.source, g.origin) for g in members))
-        )
+        first, name, renamed = members[0], own[rep], qualified(rep)
+        if renamed:
+            name = _free(f"{first.source}.{first.origin}", lambda n: normalize_term(n) in taken)
+            taken.add(normalize_term(name))
+        if rep in names:
+            merged = _merge_class(members, name, names[rep][2], od, mode, recursive, equivalences)
+        else:
+            merged = _qualify(first, name, od) if renamed else first
+        roots.append(MergedRoot(merged, tuple(Endpoint(g.source, g.origin) for g in members)))
     return MergedComponent(
         representation=RepresentationOntology(tuple(roots), tuple(equivalences)),
         result=tuple(_rebuild(r) for r in roots),
@@ -337,8 +348,15 @@ def _rebuild(root: MergedRoot) -> BusinessComponent:
         raise DocumentError(source, exc.diagnostics) from None
 
 
-def _qualify(graph: ComponentOntology, od: DomainOntology) -> ComponentOntology:
-    name = f"{graph.source}.{graph.origin}"
+def _free(name: str, taken: Callable[[str], bool]) -> str:
+    """name, or the first of name.2, name.3, ... that is not taken."""
+    for n in count(1):
+        candidate = name if n == 1 else f"{name}.{n}"
+        if not taken(candidate):
+            return candidate
+
+
+def _qualify(graph: ComponentOntology, name: str, od: DomainOntology) -> ComponentOntology:
     return replace(
         graph,
         origin=name,
@@ -441,23 +459,23 @@ def _merge_members(
             # homonymous representatives, or a member the rebuilt component
             # cannot hold: qualify by the first origin, numbered until it fits
             gi = entries[ids[0]][0]
-            qualifier = f"{members[gi].source}.{members[gi].origin}"
             base = concept
-            for n in count(1):
-                prefix = qualifier if n == 1 else f"{qualifier}.{n}"
-                concept = replace(
-                    base,
-                    term=normalize_term(f"{prefix}.{base.term}"),
-                    raw_label=f"{prefix}.{base.raw_label}",
-                )
-                if not clashes(concept):
-                    break
+            prefix = _free(
+                f"{members[gi].source}.{members[gi].origin}",
+                lambda p: clashes(_prefixed(base, p)),
+            )
+            concept = _prefixed(base, prefix)
         seen.add((concept.kind, concept.term))
         is_attribute, term = rebuilt_term(concept)
         rebuilt.add((is_attribute, term))
         stems.add((is_attribute, term_stem(term)))
         merged.append(concept)
     return merged
+
+
+def _prefixed(c: Concept, prefix: str) -> Concept:
+    raw = f"{prefix}.{c.raw_label}"
+    return replace(c, term=normalize_term(f"{prefix}.{c.term}"), raw_label=raw)
 
 
 def _naming(c: Concept) -> tuple[str, str, str | None]:
@@ -648,10 +666,20 @@ _CORRESPONDENCE = obj(
     required="left right score class",
     build=lambda left, right, score, **rest: Correspondence(left, right, score, rest["class"]),
 )
+_CORRESPONDENCES = list_of(_CORRESPONDENCE)
+
+
+def _correspondences(value: list, path, problems):
+    # a well-formed list takes the fast path; at its first problem the
+    # walker checks the list again and writes the diagnostics
+    found = _fast_correspondences(value)
+    return _CORRESPONDENCES(value, path, problems) if found is None else found
+
+
 _MODE = one_of((MODE_LITERAL, MODE_BIPARTITE), "must be literal or bipartite")
 _ALIGNMENT_FIELDS = {
     "settings": maybe(obj({"mode": _MODE, "recursive": BOOLEAN})),
-    "correspondences": list_of(_CORRESPONDENCE),
+    "correspondences": _correspondences,
     "conflicts": None,  # derived from the correspondences
     "diagnostics": STRINGS,
     "ontologies": list_of(graph_spec),
@@ -667,12 +695,6 @@ def _document(correspondences, diagnostics, ontologies, domain, settings=None) -
 
 _ALIGNMENT_KEYS = obj(dict.fromkeys(_ALIGNMENT_FIELDS), required=_ALIGNMENT_REQUIRED)
 _ALIGNMENT = obj(_ALIGNMENT_FIELDS, required=_ALIGNMENT_REQUIRED, build=_document)
-# the document without its correspondences, for when those passed _fast_correspondences
-_ALIGNMENT_REST = obj(
-    {**_ALIGNMENT_FIELDS, "correspondences": None},
-    required=_ALIGNMENT_REQUIRED,
-    build=lambda **rest: rest,
-)
 
 
 def parse_alignment(document: str, *, source: str = "<alignment>") -> AlignmentDocument:
@@ -688,16 +710,12 @@ def alignment_from_json(data, *, source: str = "<alignment>") -> AlignmentDocume
     """Check a decoded alignment document; see parse_alignment.
 
     Well-formed correspondences take a fast path; at its first problem
-    the whole document goes through the spec walker, which writes the
-    diagnostics.
+    the spec walker checks them and writes the diagnostics.
     """
     check(_ALIGNMENT_KEYS, data, source)
     if not isinstance(data["correspondences"], list):
         raise DocumentError(source, ["correspondences: must be a list"])
-    correspondences = _fast_correspondences(data["correspondences"])
-    if correspondences is None:
-        return check(_ALIGNMENT, data, source)
-    return _document(correspondences, **check(_ALIGNMENT_REST, data, source))
+    return check(_ALIGNMENT, data, source)
 
 
 _CORRESPONDENCE_KEYS = frozenset(("left", "right", "score", "class"))

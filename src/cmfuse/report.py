@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 from .components import ComponentSet
@@ -10,18 +11,17 @@ from .integrate import (
     CLASS_HOMONYM_CONFLICT,
     Correspondence,
     MergedComponent,
-    classify,
     correspondence_to_json,
     cross_pairs,
     detect_naming_conflicts,
+    pair_class,
 )
 from .ontology import DomainOntology
-from .similarity import SimilarityMatrix, VERDICT_NOT_SYNONYM, VERDICT_SYNONYM
+from .similarity import PairScore, VERDICT_SYNONYM
 from .transform import ComponentOntology
 
 _RED = "\x1b[31m"
 _GREEN = "\x1b[32m"
-_YELLOW = "\x1b[33m"
 _RESET = "\x1b[0m"
 
 
@@ -37,36 +37,27 @@ def _verdict_text(verdict: str, color: bool) -> str:
 def render_matrix_text(
     left: ComponentOntology,
     right: ComponentOntology,
-    matrix: SimilarityMatrix,
+    pair: PairScore,
     *,
     color: bool = False,
 ) -> str:
     """A member-by-member score table with the aggregate underneath."""
-    cells = [
-        (i, j, cell)
-        for i, row in enumerate(matrix.cells)
-        for j, cell in enumerate(row)
-        if cell.num
-    ]
-    terms = (matrix.left_members, matrix.right_members)
-    return _matrix_text(left, right, terms, cells, matrix.aggregate, matrix.verdict, color)
+    terms = ([m.term for m in left.root.members], [m.term for m in right.root.members])
+    return _matrix_text(left, right, terms, pair, color)
 
 
-def _matrix_text(
-    left, right, terms, cells, aggregate, verdict: str, color: bool, columns=None
-) -> str:
-    # terms holds the left and right member terms and cells the non-zero
-    # (row, column, score) triples; every other cell reads 0, so rows
-    # without a hit share one rendering. columns may hold _columns of the
-    # right terms at their own widths, which is what a matrix with left
-    # members and no cells uses
+def _matrix_text(left, right, terms, pair: PairScore, color: bool, columns=None) -> str:
+    # terms holds the left and right member terms; every cell outside
+    # pair.cells reads 0, so rows without a hit share one rendering.
+    # columns may hold _columns of the right terms at their own widths,
+    # which a pair without cells uses
     left_terms, right_terms = terms
     corner = f"{left.path} \\ {right.path}"
     first = max([len(corner), *map(len, left_terms)])
     rows: dict[int, str] = {}
-    if columns is None or cells or not left_terms:
-        widths = [max(len(term), 1 if left_terms else 0) for term in right_terms]
-        texts = [(i, j, str(score)) for i, j, score in cells]
+    if columns is None or pair.cells:
+        widths = [len(term) for term in right_terms]
+        texts = [(i, j, str(score)) for i, j, score in pair.cells]
         for _, j, text in texts:
             widths[j] = max(widths[j], len(text))
         columns = _columns(right_terms, widths)
@@ -80,10 +71,9 @@ def _matrix_text(
     if not left_terms:
         out.append("(no members)")
     out.append("")
-    out.append(f"aggregate: {aggregate}")
-    out.append(f"verdict:   {_verdict_text(verdict, color)}")
-    classification = classify(left.root.term == right.root.term, verdict == VERDICT_SYNONYM)
-    out.append(f"class:     {_class_text(classification, color)}")
+    out.append(f"aggregate: {pair.aggregate}")
+    out.append(f"verdict:   {_verdict_text(pair.verdict, color)}")
+    out.append(f"class:     {_class_text(pair_class(left, right, pair.aggregate), color)}")
     return "\n".join(out) + "\n"
 
 
@@ -102,22 +92,19 @@ def _class_text(classification: str, color: bool) -> str:
     return classification
 
 
-def matrix_to_json(
-    left: ComponentOntology,
-    right: ComponentOntology,
-    matrix: SimilarityMatrix,
-) -> dict:
+def matrix_to_json(left: ComponentOntology, right: ComponentOntology, pair: PairScore) -> dict:
+    rows = [["0"] * len(right.root.members) for _ in left.root.members]
+    for i, j, score in pair.cells:
+        rows[i][j] = str(score)
     return {
         "left": {"source": left.source, "origin": left.origin},
         "right": {"source": right.source, "origin": right.origin},
-        "left_members": list(matrix.left_members),
-        "right_members": list(matrix.right_members),
-        "cells": [[str(cell) for cell in row] for row in matrix.cells],
-        "aggregate": str(matrix.aggregate),
-        "verdict": matrix.verdict,
-        "class": classify(
-            left.root.term == right.root.term, matrix.verdict == VERDICT_SYNONYM
-        ),
+        "left_members": [m.term for m in left.root.members],
+        "right_members": [m.term for m in right.root.members],
+        "cells": rows,
+        "aggregate": str(pair.aggregate),
+        "verdict": pair.verdict,
+        "class": pair_class(left, right, pair.aggregate),
     }
 
 
@@ -201,9 +188,7 @@ def render_pipeline_report(
     """
     if alignment.scores is None:
         raise ValueError("the alignment carries no pair scores; pass what align returned")
-    sources: dict[str, int] = {}
-    for g in graphs:
-        sources[g.source] = sources.get(g.source, 0) + 1
+    sources = Counter(g.source for g in graphs)
     out = ["semantic integration report", "===========================", ""]
     out.append(
         "inputs: "
@@ -215,19 +200,9 @@ def render_pipeline_report(
     out.append("---------------")
     terms = [tuple(m.term for m in g.root.members) for g in graphs]
     # most pairs have no cell, and each graph is the right side of many
-    columns = [_columns(t, [max(len(term), 1) for term in t]) for t in terms]
+    columns = [_columns(t, list(map(len, t))) for t in terms]
     for (i, j), pair in zip(cross_pairs(graphs), alignment.scores, strict=True):
-        verdict = VERDICT_SYNONYM if pair.aggregate.is_one else VERDICT_NOT_SYNONYM
-        text = _matrix_text(
-            graphs[i],
-            graphs[j],
-            (terms[i], terms[j]),
-            pair.cells,
-            pair.aggregate,
-            verdict,
-            False,
-            columns[j],
-        )
+        text = _matrix_text(graphs[i], graphs[j], (terms[i], terms[j]), pair, False, columns[j])
         out.append("")
         out.append(text.rstrip("\n"))
     out.append("")

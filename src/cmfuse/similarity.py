@@ -27,7 +27,6 @@ Kuhn-Munkres assignment are left for composite members.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -86,24 +85,29 @@ class Score:
 ZERO = Score(0)
 ONE = Score(1)
 
-_SCORE_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
-
 
 def parse_score(text: str) -> Score:
-    """Parse the serialized form: "0", "1", or "num/den" in lowest terms."""
-    m = _SCORE_RE.match(text)
-    if not m:
+    """Parse the serialized form: "0", "1", or "num/den" in lowest terms.
+
+    Only the text str(Score) writes is read; any other spelling of a
+    rational, such as "2/4", "01" or "1/1", is rejected.
+    """
+    num, slash, den = text.partition("/")
+    try:
+        score = Score(int(num), int(den) if slash else 1)
+    except ValueError:
+        raise ValueError(f"bad score {text!r}") from None
+    if str(score) != text:
         raise ValueError(f"bad score {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    if den == 0:
-        raise ValueError(f"bad score {text!r}")
-    return Score(num, den)
+    return score
 
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Member-by-member scores of two concept graphs plus the verdict."""
+    """Member-by-member scores of two concept graphs plus the verdict.
+
+    The dense view of a PairScore that similarity_matrix returns.
+    """
 
     left_members: tuple[str, ...]
     right_members: tuple[str, ...]
@@ -123,6 +127,11 @@ class PairScore:
     aggregate: Score
     cells: tuple[tuple[int, int, Score], ...] = ()
 
+    @property
+    def verdict(self) -> str:
+        """Synonym exactly when the aggregate is one."""
+        return VERDICT_SYNONYM if self.aggregate.is_one else VERDICT_NOT_SYNONYM
+
     def matrix(self, left: ComponentOntology, right: ComponentOntology) -> SimilarityMatrix:
         """The dense member matrix of the pair, zeros filled in."""
         m1 = left.root.members
@@ -135,7 +144,7 @@ class PairScore:
             right_members=tuple(c.term for c in m2),
             cells=tuple(map(tuple, rows)),
             aggregate=self.aggregate,
-            verdict=VERDICT_SYNONYM if self.aggregate.is_one else VERDICT_NOT_SYNONYM,
+            verdict=self.verdict,
         )
 
 
@@ -199,6 +208,8 @@ class Scorer:
     """
 
     def __init__(self, od: DomainOntology, *, mode: str = MODE_LITERAL, recursive: bool = True):
+        if mode not in (MODE_LITERAL, MODE_BIPARTITE):
+            raise ValueError(f"unknown mode {mode!r}")
         self.od = od
         self.mode = mode
         self.recursive = recursive
@@ -251,8 +262,6 @@ class Scorer:
         return _syntactic(x, y)
 
     def _members(self, left: _Index, right: _Index) -> PairScore:
-        if self.mode not in (MODE_LITERAL, MODE_BIPARTITE):
-            raise ValueError(f"unknown mode {self.mode!r}")
         arity = max(len(left.nodes), len(right.nodes))
         if not (left.atomic and right.atomic):
             return self._composite(left, right, arity)

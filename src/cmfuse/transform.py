@@ -131,25 +131,14 @@ def to_ontology(
     used: set[str] = set()
     ctx = f"{component.source}/{component.name}"
 
-    members = []
-    for attr in component.attributes:
-        members.append(
-            Concept(
-                attr.term,
-                attr.name,
-                KIND_ATTRIBUTE,
-                anchor=_resolve_anchor(attr.term, hints, used, domain, sink, ctx),
-            )
+    declared = ((KIND_ATTRIBUTE, component.attributes), (KIND_OPERATION, component.operations))
+    members = [
+        Concept(
+            m.term, m.name, kind, anchor=_resolve_anchor(m.term, hints, used, domain, sink, ctx)
         )
-    for op in component.operations:
-        members.append(
-            Concept(
-                op.term,
-                op.name,
-                KIND_OPERATION,
-                anchor=_resolve_anchor(op.term, hints, used, domain, sink, ctx),
-            )
-        )
+        for kind, group in declared
+        for m in group
+    ]
     root_term = normalize_term(component.name)
     root = Concept(
         root_term,

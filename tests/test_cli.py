@@ -460,6 +460,53 @@ class TestPipeline:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()) for name in expected}
         assert {name: d.hexdigest() for name, d in digests.items()} == expected
 
+    # sha256 of sim's stdout; these two pairs print the same under every setting
+    GOLDEN_SIM = {
+        ("Personne", "Lecteur", "text"): "55cb1782756faa6a91a30173ffd1c9c0c012ea41e3fcb9941bd59d57240dfba6",
+        ("Personne", "Lecteur", "json"): "24ab2b80efa566845da885cf4fabb43353229506f8272fb07e482e3e1f734e83",
+        ("Publication", "Publication", "text"): "fac72619e0169e71b21654ce8294ee3a1904fdf18f6e449d86f78df3713935a5",
+        ("Publication", "Publication", "json"): "cc688dd00772fe83d3c88ecdbf6df830e7240ed527a60f4495ebccc668c5cdfd",
+    }
+
+    @pytest.mark.parametrize("settings", list(GOLDEN_ALIGNMENT), ids=" ".join)
+    def test_golden_bytes_of_sim(self, transformed, capsys, settings):
+        digests = {}
+        for left, right, fmt in self.GOLDEN_SIM:
+            argv = [
+                "sim",
+                str(transformed / f"Biblio1.{left}.ocm.json"),
+                str(transformed / f"Biblio2.{right}.ocm.json"),
+                "--domain",
+                DOMAIN,
+                "--format",
+                fmt,
+            ]
+            assert main([*argv, *settings]) == 0
+            out = capsys.readouterr().out
+            digests[left, right, fmt] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digests == self.GOLDEN_SIM
+
+    # sha256 of merge's files and report's stdout for the fixtures' alignment.json
+    GOLDEN_REPLAY = {
+        "ocm_r.json": MERGED["ocm_r.json"],
+        "cm_r.json": MERGED["cm_r.json"],
+        "report text": "927b2e01d5bbb916be39cf32ea7e730329180fd3983c59ebca31abffb3d3c301",
+        "report json": "b77f12cbe23f26987936d29a49b3dcab229f8e948407df6f7f206e9c87b20339",
+    }
+
+    def test_golden_bytes_of_merge_and_report(self, aligned, tmp_path, capsys):
+        assert main(["merge", str(aligned), "-o", str(tmp_path)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("ocm_r.json", "cm_r.json")
+        }
+        for fmt in ("text", "json"):
+            capsys.readouterr()
+            assert main(["report", str(aligned), "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            digests[f"report {fmt}"] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digests == self.GOLDEN_REPLAY
+
     def test_fail_on_conflict(self, tmp_path):
         code = main(
             [
@@ -501,6 +548,32 @@ class TestPipeline:
         assert "component set, 2 components" in capsys.readouterr().out
         result = parse_component_set((out / "cm_r.json").read_text(encoding="utf-8"))
         assert [c.name for c in result.components] == ["personne", "B.Personne"]
+
+    def test_a_qualified_name_that_is_taken_is_numbered(self, tmp_path, capsys):
+        # A's X is qualified A.X for its homonym conflict with B's X, and A
+        # already has a component named A.X, which keeps its name
+        documents = {
+            "od.json": {"concepts": [], "thesaurus": []},
+            "a.json": {"system": "A", "components": [
+                {"name": "X", "kind": "entity", "attributes": [{"name": "nom"}], "operations": []},
+                {"name": "A.X", "kind": "entity", "attributes": [{"name": "titre"}], "operations": []},
+            ]},
+            "b.json": {"system": "B", "components": [
+                {"name": "X", "kind": "entity", "attributes": [{"name": "code"}], "operations": []},
+            ]},
+        }
+        for name, doc in documents.items():
+            (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["pipeline", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        assert main([*argv, "--domain", str(tmp_path / "od.json"), "-o", str(out)]) == 0
+        capsys.readouterr()
+        artifacts = [str(out / name) for name in ("alignment.json", "ocm_r.json", "cm_r.json")]
+        assert main(["validate", *artifacts]) == 0
+        assert capsys.readouterr().out.count("ok: ") == 3
+        result = parse_component_set((out / "cm_r.json").read_text(encoding="utf-8"))
+        assert [c.name for c in result.components] == ["A.X.2", "A.X", "B.X"]
+        assert [a.name for a in result.components[1].attributes] == ["titre"]
 
     @pytest.mark.parametrize("mode", ["literal", "bipartite"])
     def test_merge_qualifies_an_operation_named_like_an_attribute(self, tmp_path, capsys, mode):

@@ -181,9 +181,10 @@ def test_reader_equals_the_spec_walker(library_graphs, library_ontology, monkeyp
     assert 50 <= taken <= 350
 
 
-@pytest.mark.parametrize("text", ["1/2", "2/4", "01", "0/1", "1\n"])
+@pytest.mark.parametrize("text", ["1/2", "2/4", "01", "0/1", "1\n", "\u0661"])
 def test_reader_parses_each_score_text_like_the_walker(text, monkeypatch):
-    # every accepted spelling reads as the walker reads it, and is written back canonical
+    # both paths read only the canonical spelling str(Score) writes, and
+    # reject every other spelling of a rational with the same diagnostic
     data = {
         "correspondences": [
             {
@@ -201,7 +202,10 @@ def test_reader_parses_each_score_text_like_the_walker(text, monkeypatch):
     got = _outcome(data)
     monkeypatch.setattr(integrate, "_fast_correspondences", lambda items: None)
     assert got == _outcome(data)
-    assert isinstance(got[0], Alignment)
+    if text == "1/2":
+        assert isinstance(got[0], Alignment)
+    else:
+        assert got == (SOURCE, ["correspondences[0].score: not a rational in [0, 1]"])
 
 
 def test_reader_shares_one_endpoint_per_distinct_triple(library_graphs, library_ontology):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cmfuse import (
@@ -11,7 +13,10 @@ from cmfuse import (
     CLASS_EQUIVALENT,
     CLASS_HOMONYM_CONFLICT,
     CLASS_SYNONYM_PAIR,
+    MODE_BIPARTITE,
+    MODE_LITERAL,
     ComponentOntology,
+    ComponentSet,
     Concept,
     DocumentError,
     Endpoint,
@@ -21,13 +26,17 @@ from cmfuse import (
     classify,
     detect_naming_conflicts,
     merge,
+    normalize_term,
     parse_alignment,
+    parse_component_set,
     serialize_alignment,
+    serialize_component_set,
     serialize_representation,
     to_ontology,
+    union,
 )
 
-from helpers import component, quick_ontology, root
+from helpers import EMPTY_ONTOLOGY, component, quick_ontology, random_domain, random_source_pair, root
 
 
 class TestClassify:
@@ -268,6 +277,43 @@ class TestMerge:
         merged = merge(align(graphs, od), graphs, od)
         assert [c.name for c in merged.result] == ["A.x", "A.z"]
         assert [r.ontology.origin for r in merged.representation.roots] == ["A.x", "A.z"]
+
+    def test_a_qualified_name_taken_by_a_merged_class_is_numbered(self):
+        # A's X is qualified A.X for its conflict with B's X, and the class
+        # of A's A.X and B's Z, both only titre, is named A.X
+        graphs = [
+            to_ontology(component(name, attrs=[attr], source=source), EMPTY_ONTOLOGY)
+            for name, attr, source in (
+                ("X", "nom", "A"), ("A.X", "titre", "A"), ("X", "code", "B"), ("Z", "titre", "B")
+            )
+        ]
+        merged = merge(align(graphs, EMPTY_ONTOLOGY), graphs, EMPTY_ONTOLOGY)
+        assert [c.name for c in merged.result] == ["A.X.2", "A.X", "B.X"]
+        assert [c.source for c in merged.result] == ["A", "A+B", "B"]
+
+    def test_result_names_stay_unique_next_to_qualified_looking_names(self):
+        # components named like the qualified names merge gives, and like
+        # their numbered forms, next to random synonym and homonym pairs
+        rng = random.Random(7001)
+        numbered = 0
+        for _ in range(400):
+            od, pool = random_domain(rng)
+            sets = dict(zip("AB", random_source_pair(rng, pool)))
+            for _ in range(rng.randrange(1, 4)):
+                system = rng.choice("AB")
+                other = rng.choice([*sets["A"].components, *sets["B"].components])
+                name = f"{rng.choice([system, other.source])}.{other.name}{rng.choice(['', '.2'])}"
+                if all(c.term != normalize_term(name) for c in sets[system].components):
+                    extra = component(name, attrs=rng.sample(pool, rng.randrange(3)), source=system)
+                    sets[system] = union(sets[system], ComponentSet(system, (extra,)))
+            graphs = [to_ontology(c, od) for c in union(sets["A"], sets["B"]).components]
+            mode = rng.choice((MODE_LITERAL, MODE_BIPARTITE))
+            merged = merge(align(graphs, od, mode=mode), graphs, od, mode=mode)
+            text = serialize_component_set(ComponentSet("A+B", merged.result))
+            terms = [c.term for c in parse_component_set(text).components]
+            assert len(set(terms)) == len(terms)
+            numbered += any(c.name.endswith(".2") for c in merged.result)
+        assert numbered >= 20
 
 
 class TestAlignmentDocument:

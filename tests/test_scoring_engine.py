@@ -44,7 +44,7 @@ from cmfuse import (
 )
 from cmfuse.assignment import max_assignment, max_matching
 from cmfuse.integrate import cross_pairs
-from cmfuse.report import render_pipeline_report
+from cmfuse.report import matrix_to_json, render_matrix_text, render_pipeline_report
 from cmfuse.similarity import Scorer
 
 import reference_similarity as reference
@@ -280,6 +280,38 @@ def test_the_report_renders_every_matrix_like_the_reference():
             ]
             expected = "\n---------------\n" + "".join(f"\n{t}" for t in tables) + "\nalignment\n"
             assert expected in report
+
+
+def test_sim_renders_every_pair_like_the_reference():
+    # what sim prints: the engine's PairScore, as a table and as JSON
+    rng = random.Random(5009)
+    seen = {"cells": 0, "no cells": 0, "an empty side": 0, "same name": 0}
+    for _ in range(300):
+        od, pool = random_domain(rng)
+        concept_ids = [c.id for c in od.concepts]
+        a = _random_graph(rng, pool, concept_ids, "A")
+        b = _random_graph(rng, pool, concept_ids, "B")
+        seen["an empty side"] += not (a.root.members and b.root.members)
+        seen["same name"] += a.root.term == b.root.term
+        for mode, recursive in SETTINGS:
+            scorer = Scorer(od, mode=mode, recursive=recursive)
+            pair = scorer.score(scorer.node(a.root), scorer.node(b.root))
+            dense = reference.similarity_matrix(a, b, od, mode=mode, recursive=recursive)
+            assert render_matrix_text(a, b, pair) == reference.render_matrix_text(a, b, dense)
+            data = matrix_to_json(a, b, pair)
+            assert data["cells"] == [[str(cell) for cell in row] for row in dense.cells]
+            assert data["left_members"] == list(dense.left_members)
+            assert data["right_members"] == list(dense.right_members)
+            assert (data["aggregate"], data["verdict"]) == (str(dense.aggregate), dense.verdict)
+            names_equal = a.root.term == b.root.term
+            assert data["class"] == classify(names_equal, dense.verdict == VERDICT_SYNONYM)
+            seen["cells" if pair.cells else "no cells"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_the_engine_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'fuzzy'"):
+        Scorer(EMPTY_ONTOLOGY, mode="fuzzy")
 
 
 def _library():

@@ -63,7 +63,7 @@ class TestScore:
             assert parse_score(str(s)) == s
 
     def test_parse_rejects_junk(self):
-        for text in ("", "1.5", "-1/2", "1/0", "a/b", "1 / 2"):
+        for text in ("", "1.5", "-1/2", "1/0", "a/b", "1 / 2", "1/1", "0/3", "+1", "1_0", " 1"):
             with pytest.raises(ValueError):
                 parse_score(text)
 
