@@ -8,6 +8,8 @@ survivors into one result set.
 
 from __future__ import annotations
 
+from types import ModuleType as _Module
+
 __version__ = "0.1.0"
 
 from .components import (
@@ -93,4 +95,9 @@ from .transform import (
     to_ontology,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules and the __future__ feature
+__all__ = [
+    name
+    for name in dir()
+    if not (name.startswith("_") or name == "annotations" or isinstance(globals()[name], _Module))
+]

@@ -12,6 +12,8 @@ import argparse
 import os
 import re
 import sys
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from .components import (
@@ -26,6 +28,8 @@ from .errors import IntegrationError
 from .integrate import (
     Alignment,
     CLASS_HOMONYM_CONFLICT,
+    MergedComponent,
+    _free,
     align,
     alignment_from_json,
     merge,
@@ -182,38 +186,35 @@ def _slug(text: str) -> str:
     return re.sub(r"[^\w.()-]+", "_", text, flags=re.UNICODE)
 
 
+# each document shape: the keys that mark it (shapes are tried in this order),
+# its kind, its reader, and the attribute paths whose sizes its ok: line
+# gives, each named by its last part
+_SHAPES = (
+    (("system", "components"), "component set", component_set_from_json, ["components"]),
+    (("concepts", "thesaurus"), "ontology", domain_ontology_from_json, ["concepts"]),
+    (("root",), "concept graph", partial(component_ontology_from_json, where=""), ["root.members"]),
+    (("correspondences",), "alignment", alignment_from_json, ["alignment.correspondences", "graphs"]),
+    (("roots",), "representation", representation_from_json, ["roots", "equivalences"]),
+)
+
+
 def cmd_validate(args) -> int:
     """Parse every input once; diagnostics carry the file and position."""
     failed = False
     for path in args.files:
         try:
             data = load_json(_read(path), path)
-            kind = _sniff(data)
-            if kind == "component set":
-                cs = component_set_from_json(data, source=path)
-                detail = f"{len(cs.components)} components"
-                for warning in check_layering(cs):
-                    print(f"warning: {path}: {warning}")
-            elif kind == "ontology":
-                od = domain_ontology_from_json(data, source=path)
-                detail = f"{len(od.concepts)} concepts"
-            elif kind == "concept graph":
-                graph = component_ontology_from_json(data, "", path)
-                detail = f"{len(graph.root.members)} members"
-            elif kind == "alignment":
-                doc = alignment_from_json(data, source=path)
-                detail = (
-                    f"{len(doc.alignment.correspondences)} correspondences,"
-                    f" {len(doc.graphs)} graphs"
-                )
-            elif kind == "representation":
-                rep = representation_from_json(data, source=path)
-                detail = f"{len(rep.roots)} roots, {len(rep.equivalences)} equivalences"
+            for markers, kind, read, counted in _SHAPES:
+                if isinstance(data, dict) and any(key in data for key in markers):
+                    break
             else:
-                print(f"error: {path}: unrecognized document shape")
-                failed = True
-                continue
-            print(f"ok: {path}: {kind}, {detail}")
+                raise IntegrationError(f"{path}: unrecognized document shape")
+            document = read(data, source=path)
+            if isinstance(document, ComponentSet):
+                for warning in check_layering(document):
+                    print(f"warning: {path}: {warning}")
+            counts = (f"{len(attrgetter(part)(document))} {part.split('.')[-1]}" for part in counted)
+            print(f"ok: {path}: {kind}, {', '.join(counts)}")
         except IntegrationError as exc:
             for line in str(exc).splitlines():
                 print(f"error: {line}")
@@ -221,32 +222,20 @@ def cmd_validate(args) -> int:
     return EXIT_INPUT if failed else EXIT_OK
 
 
-def _sniff(data) -> str | None:
-    if not isinstance(data, dict):
-        return None
-    if "system" in data or "components" in data:
-        return "component set"
-    if "concepts" in data or "thesaurus" in data:
-        return "ontology"
-    if "root" in data:
-        return "concept graph"
-    if "correspondences" in data:
-        return "alignment"
-    if "roots" in data:
-        return "representation"
-    return None
-
-
 def cmd_transform(args) -> int:
     domain = _load_domain(args.domain)
     cs = _load_set(args.set)
     out = Path(args.out)
     diagnostics: list[str] = []
+    written: set[str] = set()
     for component in cs.components:
         graph = to_ontology(component, domain, diagnostics=diagnostics)
-        name = f"{_slug(graph.source)}.{_slug(graph.origin)}.ocm.json"
-        target = _write(out, name, serialize_component_ontology(graph))
-        print(target)
+        name = f"{_slug(graph.source)}.{_slug(graph.origin)}"
+        # numbered when this run wrote the name already, up to case, so no
+        # graph overwrites another, also on a case-insensitive filesystem
+        name = _free(name, lambda n: n.casefold() in written)
+        written.add(name.casefold())
+        print(_write(out, f"{name}.ocm.json", serialize_component_ontology(graph)))
     for d in diagnostics:
         print(f"warning: {d}", file=sys.stderr)
     return EXIT_OK
@@ -304,19 +293,18 @@ def cmd_merge(args) -> int:
     merged = merge(
         doc.alignment, doc.graphs, doc.domain, mode=doc.mode, recursive=doc.recursive
     )
-    out = Path(args.out)
-    result = ComponentSet(
-        system=_result_system(doc.graphs),
-        components=merged.result,
-    )
-    print(_write(out, "ocm_r.json", serialize_representation(merged.representation)))
-    print(_write(out, "cm_r.json", serialize_component_set(result)))
+    _write_merge(Path(args.out), doc.graphs, merged)
     return EXIT_OK
 
 
-def _result_system(graphs) -> str:
-    sources = list(dict.fromkeys(g.source for g in graphs))
-    return "+".join(sources) if sources else "empty"
+def _write_merge(out: Path, graphs, merged: MergedComponent) -> ComponentSet:
+    """Write ocm_r.json, then cm_r.json, the result set named after the
+    graphs' sources; return that set."""
+    system = "+".join(dict.fromkeys(g.source for g in graphs)) or "empty"
+    result = ComponentSet(system=system, components=merged.result)
+    print(_write(out, "ocm_r.json", serialize_representation(merged.representation)))
+    print(_write(out, "cm_r.json", serialize_component_set(result)))
+    return result
 
 
 def cmd_report(args) -> int:
@@ -332,14 +320,12 @@ def cmd_pipeline(args) -> int:
     """Transform, align, merge and report in one deterministic run."""
     graphs, domain, alignment = _aligned_graphs(args)
     merged = merge(alignment, graphs, domain, mode=args.mode, recursive=args.recursive)
-    result = ComponentSet(system=_result_system(graphs), components=merged.result)
     out = Path(args.out)
     document = serialize_alignment(
         alignment, graphs, domain, mode=args.mode, recursive=args.recursive
     )
     print(_write(out, "alignment.json", document))
-    print(_write(out, "ocm_r.json", serialize_representation(merged.representation)))
-    print(_write(out, "cm_r.json", serialize_component_set(result)))
+    result = _write_merge(out, graphs, merged)
     report = render_pipeline_report(graphs, domain, alignment, merged, result)
     print(_write(out, "report.txt", report))
     return _conflict_exit(alignment, args)

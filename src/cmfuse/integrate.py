@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import count
+from itertools import combinations, count
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -205,27 +205,24 @@ def detect_naming_conflicts(alignment: Alignment) -> list[Correspondence]:
     return flagged
 
 
-class _UnionFind:
-    def __init__(self, keys: Iterable):
-        self.rank = {k: i for i, k in enumerate(keys)}
-        self.parent = {k: k for k in self.rank}
+def _groups(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The classes that links make of range(n), ordered by their first
+    index, with members ascending."""
+    parent = list(range(n))
 
-    def find(self, key):
-        root = key
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[key] != root:
-            self.parent[key], key = root, self.parent[key]
-        return root
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # the earlier key stays representative, keeping output order stable
-        if self.rank[rb] < self.rank[ra]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+    for i, j in links:
+        parent[find(i)] = find(j)
+    # a class enters at its first index, so the classes keep that order
+    classes: dict[int, list[int]] = {}
+    for i in range(n):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
 
 
 @dataclass(frozen=True)
@@ -272,38 +269,29 @@ def merge(
     "<source>.<origin>.2", ".3", ... until it is free. Untouched roots
     pass through unchanged.
     """
-    index: dict[tuple[str, str], ComponentOntology] = {}
-    for g in graphs:
-        key = (g.source, g.origin)
-        if key in index:
+    index: dict[tuple[str, str], int] = {}
+    for i, g in enumerate(graphs):
+        if index.setdefault((g.source, g.origin), i) != i:
             raise MergeError(f"duplicate graph for {g.source}/{g.origin}")
-        index[key] = g
-
-    def resolve(endpoint: Endpoint) -> tuple[str, str]:
-        key = (endpoint.source, endpoint.origin)
-        if key not in index:
-            raise MergeError(
-                f"alignment references {endpoint.source}/{endpoint.origin},"
-                " which is not in the merged set"
-            )
-        return key
-
-    uf = _UnionFind(index)
-    conflicted: set[tuple[str, str]] = set()
+    links: list[tuple[int, int]] = []
+    conflicted: set[int] = set()
     for corr in alignment.roots:
-        left, right = resolve(corr.left), resolve(corr.right)
+        i, j = (index.get((e.source, e.origin)) for e in (corr.left, corr.right))
+        if i is None or j is None:
+            e = corr.left if i is None else corr.right
+            raise MergeError(
+                f"alignment references {e.source}/{e.origin}, which is not in the merged set"
+            )
         if corr.classification in (CLASS_EQUIVALENT, CLASS_SYNONYM_PAIR):
-            uf.union(left, right)
+            links.append((i, j))
         elif corr.classification == CLASS_HOMONYM_CONFLICT:
-            conflicted.add(left)
-            conflicted.add(right)
+            conflicted.update((i, j))
 
-    classes: dict[tuple[str, str], list[ComponentOntology]] = {}
-    for key, graph in index.items():
-        classes.setdefault(uf.find(key), []).append(graph)
-
+    # each class is keyed by the index of its first graph, so a graph
+    # that stays alone is keyed by its own, as in conflicted
+    classes = {ids[0]: [graphs[i] for i in ids] for ids in _groups(len(graphs), links)}
     names = {
-        rep: _canonical_name([_naming(g.root) for g in members], od)
+        rep: _canonical_name([g.root for g in members], od)
         for rep, members in classes.items()
         if len(members) > 1
     }
@@ -375,10 +363,7 @@ def _merge_class(
     recursive: bool,
     equivalences: list[tuple[str, str]],
 ) -> ComponentOntology:
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            equivalences.append((members[i].path, members[j].path))
-
+    equivalences += combinations((g.path for g in members), 2)
     merged_members = _merge_members(members, od, mode, recursive, equivalences)
 
     kinds = {g.kind for g in members}
@@ -419,20 +404,8 @@ def _merge_members(
         for concept in g.root.members:
             entries.append((gi, concept, f"{g.path}/{concept.term}"))
 
-    uf = _UnionFind(range(len(entries)))
     scorer = Scorer(od, mode=mode, recursive=recursive)
-    for i, j in scorer.links([c for _, c, _ in entries], [gi for gi, _, _ in entries]):
-        uf.union(i, j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(entries)):
-        groups.setdefault(uf.find(i), []).append(i)
-
-    for ids in groups.values():
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                equivalences.append((entries[ids[a]][2], entries[ids[b]][2]))
-
+    links = scorer.links([c for _, c, _ in entries], [gi for gi, _, _ in entries])
     merged: list[Concept] = []
     seen: set[tuple[str, str]] = set()
     # (is attribute, term) and (is attribute, stem) of each member as
@@ -445,12 +418,13 @@ def _merge_members(
         is_attribute, term = rebuilt_term(c)
         return (is_attribute, term) in rebuilt or (not is_attribute, term_stem(term)) in stems
 
-    for ids in groups.values():
+    for ids in _groups(len(entries), links):
+        equivalences += combinations((entries[i][2] for i in ids), 2)
         group = [entries[i][1] for i in ids]
         concept = group[0]
         if len(group) > 1:
             term, raw, common = _canonical_name(
-                [_naming(c) for c in group], od, operation=concept.kind == KIND_OPERATION
+                group, od, operation=concept.kind == KIND_OPERATION
             )
             concept = replace(
                 concept, term=term, raw_label=raw, definitions=_definitions(group), anchor=common
@@ -478,25 +452,20 @@ def _prefixed(c: Concept, prefix: str) -> Concept:
     return replace(c, term=normalize_term(f"{prefix}.{c.term}"), raw_label=raw)
 
 
-def _naming(c: Concept) -> tuple[str, str, str | None]:
-    return c.term, c.raw_label, c.anchor
-
-
 def _canonical_name(
-    named: list[tuple[str, str, str | None]], od: DomainOntology, *, operation: bool = False
+    concepts: Sequence[Concept], od: DomainOntology, *, operation: bool = False
 ) -> tuple[str, str, str | None]:
-    """The (term, raw label, anchor) that names things judged the same.
+    """The (term, raw label, anchor) that names concepts judged the same.
 
-    named holds their (term, raw label, anchor) triples. The smallest
-    domain label among the valid anchors wins, with the call marker kept
-    on an operation term; with no valid anchor, the smallest term wins
-    with its raw label. The anchor is kept only when exactly one is
-    present.
+    The smallest domain label among the valid anchors wins, with the
+    call marker kept on an operation term; with no valid anchor, the
+    smallest term wins with its raw label. The anchor is kept only when
+    exactly one is present.
     """
-    anchors = {a for _, _, a in named if a is not None and od.has_concept(a)}
+    anchors = {c.anchor for c in concepts if c.anchor is not None and od.has_concept(c.anchor)}
     if not anchors:
-        term, raw, _ = min(named, key=lambda n: n[0])
-        return term, raw, None
+        first = min(concepts, key=lambda c: c.term)
+        return first.term, first.raw_label, None
     raw = min(od.label(a) for a in anchors)
     term = normalize_term(raw)
     if operation and not term.endswith(OPERATION_MARKER):
@@ -514,12 +483,11 @@ def _canonical_interfaces(names: Iterable[str], od: DomainOntology) -> list[str]
     for name in names:
         term = normalize_term(name)
         found = anchor(term, od)
-        unique = found.concepts[0] if found.kind == ANCHOR_UNIQUE else None
-        canonical, _, _ = _canonical_name(
-            [(term, name, unique)], od, operation=term.endswith(OPERATION_MARKER)
-        )
-        if canonical not in out:
-            out.append(canonical)
+        if found.kind == ANCHOR_UNIQUE:
+            concept = Concept(term, name, KIND_COMPONENT, anchor=found.concepts[0])
+            term, _, _ = _canonical_name([concept], od, operation=term.endswith(OPERATION_MARKER))
+        if term not in out:
+            out.append(term)
     return out
 
 

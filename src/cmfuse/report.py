@@ -114,19 +114,15 @@ def _corr_line(c: Correspondence, color: bool) -> str:
 
 def render_alignment_text(alignment: Alignment, *, color: bool = False) -> str:
     """Roots, flagged conflicts, member matches and diagnostics."""
-    out = ["correspondences"]
-    roots = alignment.roots
-    for c in roots:
-        out.append(f"  {_corr_line(c, color)}")
-    if not roots:
-        out.append("  (none)")
-    out.append("")
-    out.append("naming conflicts")
-    flagged = detect_naming_conflicts(alignment)
-    for c in flagged:
-        out.append(f"  {_corr_line(c, color)}")
-    if not flagged:
-        out.append("  (none)")
+    out: list[str] = []
+    for title, corrs in (
+        ("correspondences", alignment.roots),
+        ("naming conflicts", detect_naming_conflicts(alignment)),
+    ):
+        if out:
+            out.append("")
+        out.append(title)
+        out += [f"  {_corr_line(c, color)}" for c in corrs] or ["  (none)"]
     members = [c for c in alignment.correspondences if c.left.member is not None]
     if members:
         out.append("")
@@ -150,7 +146,7 @@ def alignment_report_json(alignment: Alignment) -> dict:
     }
 
 
-def render_merge_text(merged: MergedComponent, *, color: bool = False) -> str:
+def render_merge_text(merged: MergedComponent) -> str:
     out = ["merged components"]
     for root in merged.representation.roots:
         graph = root.ontology

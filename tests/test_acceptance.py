@@ -297,6 +297,23 @@ class TestPropertySuite:
             assert again.result == merged.result
         _passed("merge conserves inputs and is idempotent (500 cases)")
 
+    def test_merge_properties_hold_on_random_pipeline_inputs(self):
+        # unlike _merge_universe, these inputs meet homonym conflicts and
+        # result names that merge has to qualify or number
+        rng = random.Random(3009)
+        for _ in range(1000):
+            od, pool = random_domain(rng)
+            set_a, set_b = random_source_pair(rng, pool)
+            graphs = [to_ontology(c, od) for c in (*set_a.components, *set_b.components)]
+            for mode in (MODE_LITERAL, MODE_BIPARTITE):
+                merged = merge(align(graphs, od, mode=mode), graphs, od, mode=mode)
+                folded = sorted(e.path for r in merged.representation.roots for e in r.merged_from)
+                assert folded == sorted(g.path for g in graphs)
+                roots = [r.ontology for r in merged.representation.roots]
+                again = merge(align(roots, od, mode=mode), roots, od, mode=mode)
+                assert again.result == merged.result
+        _passed("merge properties hold on random pipeline inputs (1000 cases, both modes)")
+
     def test_round_trips(self):
         rng = random.Random(3007)
         hint_domain = quick_ontology({"K1": ["nom"]})

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cmfuse
-from cmfuse import parse_alignment, parse_component_set
+from cmfuse import parse_alignment, parse_component_ontology, parse_component_set
 from cmfuse.cli import main
 
 from conftest import FIXTURES
@@ -23,6 +23,44 @@ BIBLIO1 = str(FIXTURES / "biblio1.json")
 BIBLIO2 = str(FIXTURES / "biblio2.json")
 DOMAIN = str(FIXTURES / "library_ontology.json")
 PROJECT = Path(__file__).resolve().parent.parent
+
+# an entity that requires what a process provides: valid, with a layering warning
+LAYERED = {
+    "system": "S",
+    "components": [
+        {
+            "name": "Flow",
+            "kind": "process",
+            "attributes": [],
+            "operations": [],
+            "provides": ["run()"],
+        },
+        {
+            "name": "Store",
+            "kind": "entity",
+            "attributes": [],
+            "operations": [],
+            "requires": ["run()"],
+        },
+    ],
+}
+
+# the stdout of TestValidate::test_golden_stdout, with its directory as <dir>
+VALIDATE_GOLDEN = """\
+warning: <dir>/layered.json: S/Store (entity) requires 'run()' provided by S/Flow (process), which sits on a higher layer
+ok: <dir>/layered.json: component set, 2 components
+ok: <dir>/domain.json: ontology, 5 concepts
+ok: <dir>/graph.json: concept graph, 4 members
+ok: <dir>/alignment.json: alignment, 10 correspondences, 4 graphs
+ok: <dir>/ocm_r.json: representation, 3 roots, 5 equivalences
+error: <dir>/odd.json: unrecognized document shape
+error: <dir>/mixed.json: missing required key 'thesaurus'
+error: <dir>/mixed.json: unknown key 'root'
+error: <dir>/mixed.json: concepts: must be a list
+error: <dir>/list.json: unrecognized document shape
+error: <dir>/bad.json: syntax error at line 1, column 12: Expecting value
+error: <dir>/missing.json: cannot read: No such file or directory
+"""
 
 
 @pytest.fixture(scope="session")
@@ -99,27 +137,8 @@ class TestValidate:
         assert "error:" in out and f"ok: {BIBLIO1}" in out
 
     def test_reports_layering_warnings(self, tmp_path, capsys):
-        doc = {
-            "system": "S",
-            "components": [
-                {
-                    "name": "Flow",
-                    "kind": "process",
-                    "attributes": [],
-                    "operations": [],
-                    "provides": ["run()"],
-                },
-                {
-                    "name": "Store",
-                    "kind": "entity",
-                    "attributes": [],
-                    "operations": [],
-                    "requires": ["run()"],
-                },
-            ],
-        }
         path = tmp_path / "layered.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(json.dumps(LAYERED), encoding="utf-8")
         assert main(["validate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "warning:" in out and "higher layer" in out
@@ -173,6 +192,23 @@ class TestValidate:
             f"error: {bad}: equivalences[0]: must be a pair of strings",
         ]
 
+    def test_golden_stdout(self, transformed, tmp_path, capsys):
+        # every document shape and every kind of failure in one run; the
+        # expected text was captured before validate was rewritten
+        assert main(["pipeline", BIBLIO1, BIBLIO2, "--domain", DOMAIN, "-o", str(tmp_path)]) == 0
+        (tmp_path / "layered.json").write_text(json.dumps(LAYERED), encoding="utf-8")
+        shutil.copy(DOMAIN, tmp_path / "domain.json")
+        shutil.copy(transformed / "Biblio2.Lecteur.ocm.json", tmp_path / "graph.json")
+        (tmp_path / "odd.json").write_text('{"foo": 1}', encoding="utf-8")
+        (tmp_path / "bad.json").write_text('{"system": ', encoding="utf-8")
+        # a shape is told by its first marker key: concepts before root
+        (tmp_path / "mixed.json").write_text('{"root": {}, "concepts": {}}', encoding="utf-8")
+        (tmp_path / "list.json").write_text("[]", encoding="utf-8")
+        names = "layered domain graph alignment ocm_r odd mixed list bad missing".split()
+        capsys.readouterr()
+        assert main(["validate", *(str(tmp_path / f"{n}.json") for n in names)]) == 2
+        assert capsys.readouterr().out.replace(str(tmp_path), "<dir>") == VALIDATE_GOLDEN
+
 
 class TestTransform:
     def test_writes_one_graph_per_component(self, tmp_path, capsys):
@@ -187,6 +223,24 @@ class TestTransform:
         captured = capsys.readouterr()
         assert "left unanchored" in captured.err
         assert "left unanchored" not in captured.out
+
+    def test_colliding_file_names_are_numbered(self, tmp_path, capsys):
+        # three distinct terms whose file names differ at most in case
+        doc = {
+            "system": "S",
+            "components": [
+                {"name": name, "kind": "entity", "attributes": [{"name": attr}], "operations": []}
+                for name, attr in (("Client Pro", "nom"), ("Client_Pro", "code"), ("client/pro", "rang"))
+            ],
+        }
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["transform", str(path), "--domain", DOMAIN, "-o", str(out)]) == 0
+        names = ["S.Client_Pro.ocm.json", "S.Client_Pro.2.ocm.json", "S.client_pro.3.ocm.json"]
+        assert capsys.readouterr().out.splitlines() == [str(out / n) for n in names]
+        graphs = [parse_component_ontology((out / n).read_text(encoding="utf-8")) for n in names]
+        assert [g.origin for g in graphs] == ["Client Pro", "Client_Pro", "client/pro"]
 
     def test_output_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
