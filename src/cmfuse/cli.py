@@ -15,6 +15,7 @@ import sys
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
+from typing import Iterable
 
 from .components import (
     ComponentSet,
@@ -32,11 +33,11 @@ from .integrate import (
     _free,
     align,
     alignment_from_json,
+    alignment_pieces,
     merge,
     pair_class,
     parse_alignment,
     representation_from_json,
-    serialize_alignment,
     serialize_representation,
 )
 from .jsonio import dump_json, load_json
@@ -44,9 +45,9 @@ from .ontology import DomainOntology, domain_ontology_from_json, load_domain_ont
 from .report import (
     alignment_report_json,
     matrix_to_json,
+    pipeline_report_pieces,
     render_alignment_text,
     render_matrix_text,
-    render_pipeline_report,
 )
 from .similarity import MODE_BIPARTITE, MODE_LITERAL, Scorer
 from .transform import (
@@ -167,10 +168,15 @@ def _read(path: str) -> str:
         raise IntegrationError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-def _write(directory: Path, name: str, text: str) -> Path:
-    directory.mkdir(parents=True, exist_ok=True)
+def _write(directory: Path, name: str, pieces: Iterable[str]) -> Path:
+    """Write the text pieces to directory/name as they come."""
     target = directory / name
-    target.write_text(text, encoding="utf-8")
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        with target.open("w", encoding="utf-8") as file:
+            file.writelines(pieces)
+    except OSError as exc:
+        raise IntegrationError(f"{target}: cannot write: {exc.strerror or exc}") from None
     return target
 
 
@@ -235,7 +241,7 @@ def cmd_transform(args) -> int:
         # graph overwrites another, also on a case-insensitive filesystem
         name = _free(name, lambda n: n.casefold() in written)
         written.add(name.casefold())
-        print(_write(out, f"{name}.ocm.json", serialize_component_ontology(graph)))
+        print(_write(out, f"{name}.ocm.json", (serialize_component_ontology(graph),)))
     for d in diagnostics:
         print(f"warning: {d}", file=sys.stderr)
     return EXIT_OK
@@ -281,9 +287,7 @@ def _conflict_exit(alignment: Alignment, args) -> int:
 
 def cmd_align(args) -> int:
     graphs, domain, alignment = _aligned_graphs(args)
-    document = serialize_alignment(
-        alignment, graphs, domain, mode=args.mode, recursive=args.recursive
-    )
+    document = alignment_pieces(alignment, graphs, domain, mode=args.mode, recursive=args.recursive)
     print(_write(Path(args.out), "alignment.json", document))
     return _conflict_exit(alignment, args)
 
@@ -302,8 +306,8 @@ def _write_merge(out: Path, graphs, merged: MergedComponent) -> ComponentSet:
     graphs' sources; return that set."""
     system = "+".join(dict.fromkeys(g.source for g in graphs)) or "empty"
     result = ComponentSet(system=system, components=merged.result)
-    print(_write(out, "ocm_r.json", serialize_representation(merged.representation)))
-    print(_write(out, "cm_r.json", serialize_component_set(result)))
+    print(_write(out, "ocm_r.json", (serialize_representation(merged.representation),)))
+    print(_write(out, "cm_r.json", (serialize_component_set(result),)))
     return result
 
 
@@ -321,12 +325,10 @@ def cmd_pipeline(args) -> int:
     graphs, domain, alignment = _aligned_graphs(args)
     merged = merge(alignment, graphs, domain, mode=args.mode, recursive=args.recursive)
     out = Path(args.out)
-    document = serialize_alignment(
-        alignment, graphs, domain, mode=args.mode, recursive=args.recursive
-    )
+    document = alignment_pieces(alignment, graphs, domain, mode=args.mode, recursive=args.recursive)
     print(_write(out, "alignment.json", document))
     result = _write_merge(out, graphs, merged)
-    report = render_pipeline_report(graphs, domain, alignment, merged, result)
+    report = pipeline_report_pieces(graphs, domain, alignment, merged, result)
     print(_write(out, "report.txt", report))
     return _conflict_exit(alignment, args)
 

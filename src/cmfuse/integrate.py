@@ -158,7 +158,10 @@ def align(
     """
     scorer = Scorer(od, mode=mode, recursive=recursive)
     roots = [scorer.node(g.root) for g in graphs]
+    # one Endpoint per graph and per member, shared by every correspondence
+    # that names it, so the writers' caches hold each once
     ends = [Endpoint(g.source, g.origin) for g in graphs]
+    member_ends = [[Endpoint(g.source, g.origin, m.term) for m in g.root.members] for g in graphs]
     corrs: list[Correspondence] = []
     scores: list[PairScore] = []
     for i, j in cross_pairs(graphs):
@@ -175,16 +178,9 @@ def align(
         )
         for mi, mj, cell in pair.cells:
             if cell.is_one:
-                left_member = a.root.members[mi]
-                right_member = b.root.members[mj]
-                corrs.append(
-                    Correspondence(
-                        Endpoint(a.source, a.origin, left_member.term),
-                        Endpoint(b.source, b.origin, right_member.term),
-                        cell,
-                        classify(left_member.term == right_member.term, True),
-                    )
-                )
+                left, right = member_ends[i][mi], member_ends[j][mj]
+                same = left.member == right.member
+                corrs.append(Correspondence(left, right, cell, classify(same, True)))
     return Alignment(tuple(corrs), tuple(diagnostics), tuple(scores))
 
 
@@ -539,19 +535,31 @@ def serialize_alignment(
     they speak about, the domain ontology needed to merge them, and the
     similarity settings the scores were computed under.
 
-    The text is dump_json of alignment_to_json; the two correspondence
-    lists, which grow with the square of the graph count, are written
-    from templates.
+    The text is dump_json of alignment_to_json, joined from
+    alignment_pieces.
+    """
+    return "".join(alignment_pieces(alignment, graphs, od, mode=mode, recursive=recursive))
+
+
+def alignment_pieces(
+    alignment: Alignment,
+    graphs: Sequence[ComponentOntology],
+    od: DomainOntology,
+    *,
+    mode: str = MODE_LITERAL,
+    recursive: bool = True,
+) -> Iterator[str]:
+    """The text of serialize_alignment, piece by piece: the two
+    correspondence lists, which grow with the square of the graph count,
+    one correspondence at a time from templates, then the rest at once.
     """
     endpoints: dict[int, str] = {}
-    head = (
-        '{\n  "correspondences": '
-        + _correspondence_list(alignment.correspondences, endpoints)
-        + ',\n  "conflicts": '
-        + _correspondence_list(alignment.conflicts, endpoints)
-    )
+    yield '{\n  "correspondences": '
+    yield from _correspondence_list(alignment.correspondences, endpoints)
+    yield ',\n  "conflicts": '
+    yield from _correspondence_list(alignment.conflicts, endpoints)
     rest = dump_json(_alignment_rest(alignment, graphs, od, mode, recursive))
-    return head + ",\n" + rest[len("{\n") :]
+    yield ",\n" + rest[len("{\n") :]
 
 
 def correspondence_to_json(c: Correspondence) -> dict:
@@ -572,21 +580,26 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-def _correspondence_list(corrs: Sequence[Correspondence], endpoints: dict[int, str]) -> str:
-    # endpoints caches each endpoint's text by identity; align shares one
-    # root Endpoint per graph and the reader one per distinct triple
-    items = []
+def _correspondence_list(
+    corrs: Sequence[Correspondence], endpoints: dict[int, str]
+) -> Iterator[str]:
+    # a list of correspondences as dump_json writes it under a top-level
+    # key, one item at a time; endpoints caches each endpoint's text by
+    # identity, since align shares one Endpoint per graph and per member,
+    # and the reader one per distinct triple
+    separator = "[\n"
     for c in corrs:
         for e in (c.left, c.right):
             if id(e) not in endpoints:
                 endpoints[id(e)] = _endpoint_text(e)
-        items.append(
-            f'    {{\n      "left": {endpoints[id(c.left)]},\n'
+        yield (
+            f'{separator}    {{\n      "left": {endpoints[id(c.left)]},\n'
             f'      "right": {endpoints[id(c.right)]},\n'
             f'      "score": {encode_basestring(str(c.score))},\n'
             f'      "class": {encode_basestring(c.classification)}\n    }}'
         )
-    return _json_list(items)
+        separator = ",\n"
+    yield "[]" if separator == "[\n" else "\n  ]"
 
 
 def _endpoint_text(e: Endpoint) -> str:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .components import ComponentSet
 from .integrate import (
     Alignment,
     CLASS_HOMONYM_CONFLICT,
-    Correspondence,
     MergedComponent,
     correspondence_to_json,
     cross_pairs,
@@ -108,33 +107,46 @@ def matrix_to_json(left: ComponentOntology, right: ComponentOntology, pair: Pair
     }
 
 
-def _corr_line(c: Correspondence, color: bool) -> str:
-    return f"{_class_text(c.classification, color):<18} {c.left.path} ~ {c.right.path} (score {c.score})"
-
-
 def render_alignment_text(alignment: Alignment, *, color: bool = False) -> str:
     """Roots, flagged conflicts, member matches and diagnostics."""
-    out: list[str] = []
-    for title, corrs in (
+    return "".join(_alignment_lines(alignment, color))
+
+
+def _alignment_lines(alignment: Alignment, color: bool) -> Iterator[str]:
+    # the lines of render_alignment_text, each with its newline; paths
+    # caches each endpoint's path by identity, since align shares one
+    # Endpoint per graph and per member, and the reader one per distinct
+    # triple
+    paths: dict[int, str] = {}
+
+    def path(e) -> str:
+        text = paths.get(id(e))
+        if text is None:
+            text = paths[id(e)] = e.path
+        return text
+
+    sections = (
         ("correspondences", alignment.roots),
         ("naming conflicts", detect_naming_conflicts(alignment)),
-    ):
-        if out:
-            out.append("")
-        out.append(title)
-        out += [f"  {_corr_line(c, color)}" for c in corrs] or ["  (none)"]
+    )
+    for n, (title, corrs) in enumerate(sections):
+        if n:
+            yield "\n"
+        yield title + "\n"
+        for c in corrs:
+            cls = _class_text(c.classification, color)
+            yield f"  {cls:<18} {path(c.left)} ~ {path(c.right)} (score {c.score})\n"
+        if not corrs:
+            yield "  (none)\n"
     members = [c for c in alignment.correspondences if c.left.member is not None]
     if members:
-        out.append("")
-        out.append("member matches")
+        yield "\nmember matches\n"
         for c in members:
-            out.append(f"  {c.left.path} ~ {c.right.path} ({c.classification})")
+            yield f"  {path(c.left)} ~ {path(c.right)} ({c.classification})\n"
     if alignment.diagnostics:
-        out.append("")
-        out.append("diagnostics")
+        yield "\ndiagnostics\n"
         for d in alignment.diagnostics:
-            out.append(f"  {d}")
-    return "\n".join(out) + "\n"
+            yield f"  {d}\n"
 
 
 def alignment_report_json(alignment: Alignment) -> dict:
@@ -147,27 +159,30 @@ def alignment_report_json(alignment: Alignment) -> dict:
 
 
 def render_merge_text(merged: MergedComponent) -> str:
-    out = ["merged components"]
+    return "".join(_merge_lines(merged))
+
+
+def _merge_lines(merged: MergedComponent) -> Iterator[str]:
+    # the lines of render_merge_text, each with its newline
+    yield "merged components\n"
     for root in merged.representation.roots:
         graph = root.ontology
         origin_list = ", ".join(e.path for e in root.merged_from)
-        out.append(f"  {graph.root.raw_label} ({graph.kind}, from {origin_list})")
+        yield f"  {graph.root.raw_label} ({graph.kind}, from {origin_list})\n"
         attrs = [m.term for m in graph.root.members if m.kind == "attribute"]
         ops = [m.term for m in graph.root.members if m.kind == "operation"]
         if attrs:
-            out.append(f"    attributes: {', '.join(attrs)}")
+            yield f"    attributes: {', '.join(attrs)}\n"
         if ops:
-            out.append(f"    operations: {', '.join(ops)}")
+            yield f"    operations: {', '.join(ops)}\n"
         if graph.provides:
-            out.append(f"    provides: {', '.join(graph.provides)}")
+            yield f"    provides: {', '.join(graph.provides)}\n"
         if graph.requires:
-            out.append(f"    requires: {', '.join(graph.requires)}")
+            yield f"    requires: {', '.join(graph.requires)}\n"
     if merged.representation.equivalences:
-        out.append("")
-        out.append("equivalences")
+        yield "\nequivalences\n"
         for a, b in merged.representation.equivalences:
-            out.append(f"  {a} == {b}")
-    return "\n".join(out) + "\n"
+            yield f"  {a} == {b}\n"
 
 
 def render_pipeline_report(
@@ -177,7 +192,20 @@ def render_pipeline_report(
     merged: MergedComponent,
     result: ComponentSet,
 ) -> str:
-    """The full plain-text report written next to the pipeline artifacts.
+    """The full plain-text report written next to the pipeline artifacts,
+    joined from pipeline_report_pieces."""
+    return "".join(pipeline_report_pieces(graphs, od, alignment, merged, result))
+
+
+def pipeline_report_pieces(
+    graphs: Sequence[ComponentOntology],
+    od: DomainOntology,
+    alignment: Alignment,
+    merged: MergedComponent,
+    result: ComponentSet,
+) -> Iterator[str]:
+    """The text of render_pipeline_report, one pair matrix or one line
+    of the alignment and merge sections at a time.
 
     The member matrices come from the pair table that align kept on the
     alignment of these graphs; nothing is scored again.
@@ -185,32 +213,33 @@ def render_pipeline_report(
     if alignment.scores is None:
         raise ValueError("the alignment carries no pair scores; pass what align returned")
     sources = Counter(g.source for g in graphs)
-    out = ["semantic integration report", "===========================", ""]
-    out.append(
+    yield "semantic integration report\n===========================\n\n"
+    yield (
         "inputs: "
         + ", ".join(f"{name} ({count} components)" for name, count in sources.items())
+        + "\n"
     )
-    out.append(f"domain: {len(od.concepts)} concepts")
-    out.append("")
-    out.append("pair similarity")
-    out.append("---------------")
+    yield f"domain: {len(od.concepts)} concepts\n\npair similarity\n---------------\n"
     terms = [tuple(m.term for m in g.root.members) for g in graphs]
     # most pairs have no cell, and each graph is the right side of many
     columns = [_columns(t, list(map(len, t))) for t in terms]
     for (i, j), pair in zip(cross_pairs(graphs), alignment.scores, strict=True):
         text = _matrix_text(graphs[i], graphs[j], (terms[i], terms[j]), pair, False, columns[j])
-        out.append("")
-        out.append(text.rstrip("\n"))
-    out.append("")
-    out.append("alignment")
-    out.append("---------")
-    out.append("")
-    out.append(render_alignment_text(alignment).rstrip("\n"))
-    out.append("")
-    out.append("merge")
-    out.append("-----")
-    out.append("")
-    out.append(render_merge_text(merged).rstrip("\n"))
-    out.append("")
-    out.append(f"result set '{result.system}': {len(result.components)} components")
-    return "\n".join(out) + "\n"
+        yield "\n" + text
+    yield "\nalignment\n---------\n\n"
+    yield from _trimmed(_alignment_lines(alignment, False))
+    yield "\nmerge\n-----\n\n"
+    yield from _trimmed(_merge_lines(merged))
+    yield f"\nresult set '{result.system}': {len(result.components)} components\n"
+
+
+def _trimmed(lines: Iterable[str]) -> Iterator[str]:
+    # the lines with the last one's trailing newlines cut to one, as a
+    # section's text reads with rstrip("\n") and one newline put back
+    last = None
+    for line in lines:
+        if last is not None:
+            yield last
+        last = line
+    if last is not None:
+        yield last.rstrip("\n") + "\n"

@@ -275,7 +275,18 @@ _CONCEPT = obj(
     required="term raw_label kind members",
     build=lambda term, **fields: Concept(normalize_term(term), **fields),
 )
-_METADATA = obj({"kind": STRING, "provides": maybe(STRINGS), "requires": maybe(STRINGS)})
+_NAMES = list_of(TERM)
+
+
+def _interfaces(value, path, problems):
+    # the list is judged as a whole first, then each name as the
+    # component-set reader judges it, so a merge writes no blank name
+    start = len(problems)
+    STRINGS(value, path, problems)
+    return value if len(problems) > start else _NAMES(value, path, problems)
+
+
+_METADATA = obj({"kind": STRING, "provides": maybe(_interfaces), "requires": maybe(_interfaces)})
 _GRAPH_FIELDS = {
     "source": NON_EMPTY,
     "origin": NON_EMPTY,

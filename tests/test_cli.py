@@ -447,6 +447,21 @@ class TestMerge:
         assert len(results["bipartite"].components) == 2
 
 
+    def test_a_blank_interface_name_is_rejected(self, aligned, tmp_path, capsys):
+        # a graph read back may not provide a name that the result set's
+        # reader would reject
+        doc = json.loads(aligned.read_text(encoding="utf-8"))
+        doc["ontologies"][0]["metadata"]["provides"] = ["lire()", "  "]
+        edited = tmp_path / "alignment.json"
+        edited.write_text(json.dumps(doc), encoding="utf-8")
+        line = f"{edited}: ontologies[0].metadata.provides[1]: must be a non-empty string"
+        assert main(["validate", str(edited)]) == 2
+        assert capsys.readouterr().out == f"error: {line}\n"
+        assert main(["merge", str(edited), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"cmfuse: error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestReport:
     def test_text_sections(self, aligned, capsys):
         assert main(["report", str(aligned)]) == 0
@@ -676,6 +691,31 @@ class TestExitCodes:
         missing = str(tmp_path / "missing.json")
         assert main(["transform", missing, "--domain", DOMAIN, "-o", str(tmp_path)]) == 2
         assert "cmfuse: error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    @pytest.mark.parametrize("command", ["pipeline", "align", "merge", "transform"])
+    def test_an_unwritable_output_directory_is_two(self, aligned, tmp_path, command, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out" if below else blocker
+        inputs = {
+            "pipeline": [BIBLIO1, BIBLIO2, "--domain", DOMAIN],
+            "align": [BIBLIO1, BIBLIO2, "--domain", DOMAIN],
+            "merge": [str(aligned)],
+            "transform": [BIBLIO1, "--domain", DOMAIN],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmfuse", command, *inputs, "-o", str(out)],
+            capture_output=True,
+            text=True,
+            env=TestInstalledEntryPoints.child_env(),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith(f"cmfuse: error: {out}{os.sep}")
+        assert ": cannot write: " in proc.stderr.splitlines()[-1]
+        assert proc.stdout == ""
 
 
 class TestColor:
