@@ -70,8 +70,8 @@ from .similarity import (
     MODE_BIPARTITE,
     MODE_LITERAL,
     ONE,
+    PairScore,
     Score,
-    SimilarityMatrix,
     VERDICT_NOT_SYNONYM,
     VERDICT_SYNONYM,
     ZERO,

@@ -276,8 +276,6 @@ def check_layering(cs: ComponentSet) -> list[str]:
     for comp in cs.components:
         for name in comp.requires:
             for provider in providers.get(normalize_term(name), []):
-                if provider is comp:
-                    continue
                 if _LAYER[comp.kind] < _LAYER[provider.kind]:
                     warnings.append(
                         f"{comp.source}/{comp.name} ({comp.kind}) requires '{name}'"

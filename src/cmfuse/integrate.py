@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations, count
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator, Sequence
@@ -95,7 +96,7 @@ class Endpoint:
     origin: str
     member: str | None = None
 
-    @property
+    @cached_property
     def path(self) -> str:
         base = f"{self.source}/{self.origin}"
         return base if self.member is None else f"{base}/{self.member}"
@@ -258,8 +259,8 @@ def merge(
     the canonical name (the domain label when a root anchors uniquely,
     otherwise the smallest root term), with synonymous members collapsed
     the same way and interfaces rewritten to canonical names. A root on
-    a homonym conflict, or one named like a merged class, keeps its
-    members but is renamed "<source>.<origin>"; merged classes that
+    a homonym conflict, or one named like any other result root, keeps
+    its members but is renamed "<source>.<origin>"; merged classes that
     come out named alike take that name of their first root instead.
     A qualified name that another result root already has is numbered
     "<source>.<origin>.2", ".3", ... until it is free. Untouched roots
@@ -295,16 +296,18 @@ def merge(
         rep: names[rep][1] if rep in names else members[0].root.raw_label
         for rep, members in classes.items()
     }
-    # result names must stay unique: a pass-through named like a merged
-    # class, and merged classes named alike, are qualified; a qualified
-    # name is numbered while another result root has its term
+    # result names must stay unique: a pass-through named like any other
+    # result root, and merged classes named alike, are qualified; a
+    # qualified name is numbered while another result root has its term
+    terms = Counter(normalize_term(own[rep]) for rep in classes)
     class_terms = Counter(normalize_term(own[rep]) for rep in names)
 
     def qualified(rep) -> bool:
         term = normalize_term(own[rep])
-        return class_terms[term] > 1 if rep in names else rep in conflicted or term in class_terms
+        return class_terms[term] > 1 if rep in names else rep in conflicted or terms[term] > 1
 
     taken = {normalize_term(own[rep]) for rep in classes if not qualified(rep)}
+    scorer = Scorer(od, mode=mode, recursive=recursive)
     roots: list[MergedRoot] = []
     equivalences: list[tuple[str, str]] = []
     for rep, members in classes.items():
@@ -313,7 +316,7 @@ def merge(
             name = _free(f"{first.source}.{first.origin}", lambda n: normalize_term(n) in taken)
             taken.add(normalize_term(name))
         if rep in names:
-            merged = _merge_class(members, name, names[rep][2], od, mode, recursive, equivalences)
+            merged = _merge_class(members, name, names[rep][2], scorer, equivalences)
         else:
             merged = _qualify(first, name, od) if renamed else first
         roots.append(MergedRoot(merged, tuple(Endpoint(g.source, g.origin) for g in members)))
@@ -354,13 +357,11 @@ def _merge_class(
     members: list[ComponentOntology],
     raw_name: str,
     root_anchor: str | None,
-    od: DomainOntology,
-    mode: str,
-    recursive: bool,
+    scorer: Scorer,
     equivalences: list[tuple[str, str]],
 ) -> ComponentOntology:
     equivalences += combinations((g.path for g in members), 2)
-    merged_members = _merge_members(members, od, mode, recursive, equivalences)
+    merged_members = _merge_members(members, scorer, equivalences)
 
     kinds = {g.kind for g in members}
     kind = members[0].kind if len(kinds) == 1 else "entity"
@@ -379,20 +380,14 @@ def _merge_class(
         origin=raw_name,
         root=root,
         kind=kind,
-        provides=tuple(
-            _canonical_interfaces((p for g in members for p in g.provides), od)
-        ),
-        requires=tuple(
-            _canonical_interfaces((r for g in members for r in g.requires), od)
-        ),
+        provides=tuple(_canonical_interfaces((p for g in members for p in g.provides), scorer.od)),
+        requires=tuple(_canonical_interfaces((r for g in members for r in g.requires), scorer.od)),
     )
 
 
 def _merge_members(
     members: list[ComponentOntology],
-    od: DomainOntology,
-    mode: str,
-    recursive: bool,
+    scorer: Scorer,
     equivalences: list[tuple[str, str]],
 ) -> list[Concept]:
     entries: list[tuple[int, Concept, str]] = []
@@ -400,19 +395,21 @@ def _merge_members(
         for concept in g.root.members:
             entries.append((gi, concept, f"{g.path}/{concept.term}"))
 
-    scorer = Scorer(od, mode=mode, recursive=recursive)
     links = scorer.links([c for _, c, _ in entries], [gi for gi, _, _ in entries])
     merged: list[Concept] = []
-    seen: set[tuple[str, str]] = set()
-    # (is attribute, term) and (is attribute, stem) of each member as
-    # to_component rebuilds it: no two members may share a term there,
-    # nor an attribute and an operation a stem
-    rebuilt: set[tuple[bool, str]] = set()
-    stems: set[tuple[bool, str]] = set()
+    # the keys the kept members claim: (kind, term), which the merged root
+    # holds once, and, as to_component rebuilds the member, (is attribute,
+    # term) and (is attribute, "stem", stem), since no two members may share
+    # a rebuilt term, nor an attribute and an operation a stem
+    claimed: set[tuple] = set()
+
+    def claims(c: Concept) -> tuple[tuple, tuple, tuple]:
+        is_attribute, term = rebuilt_term(c)
+        return (c.kind, c.term), (is_attribute, term), (is_attribute, "stem", term_stem(term))
 
     def clashes(c: Concept) -> bool:
-        is_attribute, term = rebuilt_term(c)
-        return (is_attribute, term) in rebuilt or (not is_attribute, term_stem(term)) in stems
+        own, rebuilt, (is_attribute, _, stem) = claims(c)
+        return own in claimed or rebuilt in claimed or (not is_attribute, "stem", stem) in claimed
 
     for ids in _groups(len(entries), links):
         equivalences += combinations((entries[i][2] for i in ids), 2)
@@ -420,12 +417,12 @@ def _merge_members(
         concept = group[0]
         if len(group) > 1:
             term, raw, common = _canonical_name(
-                group, od, operation=concept.kind == KIND_OPERATION
+                group, scorer.od, operation=concept.kind == KIND_OPERATION
             )
             concept = replace(
                 concept, term=term, raw_label=raw, definitions=_definitions(group), anchor=common
             )
-        if (concept.kind, concept.term) in seen or clashes(concept):
+        if clashes(concept):
             # homonymous representatives, or a member the rebuilt component
             # cannot hold: qualify by the first origin, numbered until it fits
             gi = entries[ids[0]][0]
@@ -435,10 +432,7 @@ def _merge_members(
                 lambda p: clashes(_prefixed(base, p)),
             )
             concept = _prefixed(base, prefix)
-        seen.add((concept.kind, concept.term))
-        is_attribute, term = rebuilt_term(concept)
-        rebuilt.add((is_attribute, term))
-        stems.add((is_attribute, term_stem(term)))
+        claimed.update(claims(concept))
         merged.append(concept)
     return merged
 
@@ -555,9 +549,9 @@ def alignment_pieces(
     """
     endpoints: dict[int, str] = {}
     yield '{\n  "correspondences": '
-    yield from _correspondence_list(alignment.correspondences, endpoints)
+    yield from _json_list(_correspondence_text(c, endpoints) for c in alignment.correspondences)
     yield ',\n  "conflicts": '
-    yield from _correspondence_list(alignment.conflicts, endpoints)
+    yield from _json_list(_correspondence_text(c, endpoints) for c in alignment.conflicts)
     rest = dump_json(_alignment_rest(alignment, graphs, od, mode, recursive))
     yield ",\n" + rest[len("{\n") :]
 
@@ -575,31 +569,29 @@ def _endpoint_json(e: Endpoint) -> dict:
     return {"source": e.source, "origin": e.origin, "member": e.member}
 
 
-def _json_list(items: list[str]) -> str:
-    # a list of pre-indented item texts, as dump_json writes it under a top-level key
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-
-
-def _correspondence_list(
-    corrs: Sequence[Correspondence], endpoints: dict[int, str]
-) -> Iterator[str]:
-    # a list of correspondences as dump_json writes it under a top-level
-    # key, one item at a time; endpoints caches each endpoint's text by
-    # identity, since align shares one Endpoint per graph and per member,
-    # and the reader one per distinct triple
+def _json_list(items: Iterable[str]) -> Iterator[str]:
+    # a list of pre-indented item texts, as dump_json writes it under a
+    # top-level key, one item at a time
     separator = "[\n"
-    for c in corrs:
-        for e in (c.left, c.right):
-            if id(e) not in endpoints:
-                endpoints[id(e)] = _endpoint_text(e)
-        yield (
-            f'{separator}    {{\n      "left": {endpoints[id(c.left)]},\n'
-            f'      "right": {endpoints[id(c.right)]},\n'
-            f'      "score": {encode_basestring(str(c.score))},\n'
-            f'      "class": {encode_basestring(c.classification)}\n    }}'
-        )
+    for item in items:
+        yield separator + item
         separator = ",\n"
     yield "[]" if separator == "[\n" else "\n  ]"
+
+
+def _correspondence_text(c: Correspondence, endpoints: dict[int, str]) -> str:
+    # one item of a correspondence list; endpoints caches each endpoint's
+    # text by identity, since align shares one Endpoint per graph and per
+    # member, and the reader one per distinct triple
+    for e in (c.left, c.right):
+        if id(e) not in endpoints:
+            endpoints[id(e)] = _endpoint_text(e)
+    return (
+        f'    {{\n      "left": {endpoints[id(c.left)]},\n'
+        f'      "right": {endpoints[id(c.right)]},\n'
+        f'      "score": {encode_basestring(str(c.score))},\n'
+        f'      "class": {encode_basestring(c.classification)}\n    }}'
+    )
 
 
 def _endpoint_text(e: Endpoint) -> str:
@@ -769,11 +761,11 @@ def serialize_representation(rep: RepresentationOntology) -> str:
     """dump_json of representation_to_json, with the equivalence list,
     which grows with the square of the class sizes, written from a template."""
     roots = dump_json(_representation_roots(rep))
-    pairs = [
+    pairs = (
         f"    [\n      {encode_basestring(a)},\n      {encode_basestring(b)}\n    ]"
         for a, b in rep.equivalences
-    ]
-    return roots[: -len("\n}\n")] + ',\n  "equivalences": ' + _json_list(pairs) + "\n}\n"
+    )
+    return roots[: -len("\n}\n")] + ',\n  "equivalences": ' + "".join(_json_list(pairs)) + "\n}\n"
 
 
 def _root_endpoint(value, path, problems):

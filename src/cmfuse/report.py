@@ -113,18 +113,7 @@ def render_alignment_text(alignment: Alignment, *, color: bool = False) -> str:
 
 
 def _alignment_lines(alignment: Alignment, color: bool) -> Iterator[str]:
-    # the lines of render_alignment_text, each with its newline; paths
-    # caches each endpoint's path by identity, since align shares one
-    # Endpoint per graph and per member, and the reader one per distinct
-    # triple
-    paths: dict[int, str] = {}
-
-    def path(e) -> str:
-        text = paths.get(id(e))
-        if text is None:
-            text = paths[id(e)] = e.path
-        return text
-
+    # the lines of render_alignment_text, each with its newline
     sections = (
         ("correspondences", alignment.roots),
         ("naming conflicts", detect_naming_conflicts(alignment)),
@@ -135,14 +124,14 @@ def _alignment_lines(alignment: Alignment, color: bool) -> Iterator[str]:
         yield title + "\n"
         for c in corrs:
             cls = _class_text(c.classification, color)
-            yield f"  {cls:<18} {path(c.left)} ~ {path(c.right)} (score {c.score})\n"
+            yield f"  {cls:<18} {c.left.path} ~ {c.right.path} (score {c.score})\n"
         if not corrs:
             yield "  (none)\n"
     members = [c for c in alignment.correspondences if c.left.member is not None]
     if members:
         yield "\nmember matches\n"
         for c in members:
-            yield f"  {path(c.left)} ~ {path(c.right)} ({c.classification})\n"
+            yield f"  {c.left.path} ~ {c.right.path} ({c.classification})\n"
     if alignment.diagnostics:
         yield "\ndiagnostics\n"
         for d in alignment.diagnostics:
@@ -158,12 +147,8 @@ def alignment_report_json(alignment: Alignment) -> dict:
     }
 
 
-def render_merge_text(merged: MergedComponent) -> str:
-    return "".join(_merge_lines(merged))
-
-
 def _merge_lines(merged: MergedComponent) -> Iterator[str]:
-    # the lines of render_merge_text, each with its newline
+    # the lines of the report's merge section, each with its newline
     yield "merged components\n"
     for root in merged.representation.roots:
         graph = root.ontology

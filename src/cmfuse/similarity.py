@@ -103,20 +103,6 @@ def parse_score(text: str) -> Score:
 
 
 @dataclass(frozen=True)
-class SimilarityMatrix:
-    """Member-by-member scores of two concept graphs plus the verdict.
-
-    The dense view of a PairScore that similarity_matrix returns.
-    """
-
-    left_members: tuple[str, ...]
-    right_members: tuple[str, ...]
-    cells: tuple[tuple[Score, ...], ...]
-    aggregate: Score
-    verdict: str
-
-
-@dataclass(frozen=True)
 class PairScore:
     """One scored pair of graphs: the aggregate and its non-zero cells.
 
@@ -131,21 +117,6 @@ class PairScore:
     def verdict(self) -> str:
         """Synonym exactly when the aggregate is one."""
         return VERDICT_SYNONYM if self.aggregate.is_one else VERDICT_NOT_SYNONYM
-
-    def matrix(self, left: ComponentOntology, right: ComponentOntology) -> SimilarityMatrix:
-        """The dense member matrix of the pair, zeros filled in."""
-        m1 = left.root.members
-        m2 = right.root.members
-        rows = [[ZERO] * len(m2) for _ in m1]
-        for i, j, score in self.cells:
-            rows[i][j] = score
-        return SimilarityMatrix(
-            left_members=tuple(c.term for c in m1),
-            right_members=tuple(c.term for c in m2),
-            cells=tuple(map(tuple, rows)),
-            aggregate=self.aggregate,
-            verdict=self.verdict,
-        )
 
 
 _ZERO_PAIR = PairScore(ZERO)
@@ -362,14 +333,14 @@ def similarity_matrix(
     *,
     mode: str = MODE_LITERAL,
     recursive: bool = True,
-) -> SimilarityMatrix:
+) -> PairScore:
     """Score every member pair of two graphs and aggregate the verdict.
 
     Two empty-membered graphs are judged by their roots alone; an empty
     side against a non-empty one scores zero.
     """
     scorer = Scorer(od, mode=mode, recursive=recursive)
-    return scorer.score(scorer.node(a.root), scorer.node(b.root)).matrix(a, b)
+    return scorer.score(scorer.node(a.root), scorer.node(b.root))
 
 
 def bipartite_score(

@@ -9,6 +9,7 @@ every rendered table. Nothing outside the tests uses them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from cmfuse import (
@@ -19,11 +20,11 @@ from cmfuse import (
     RELATION_SAME,
     VERDICT_NOT_SYNONYM,
     VERDICT_SYNONYM,
+    ZERO,
     ComponentOntology,
     Concept,
     DomainOntology,
     Score,
-    SimilarityMatrix,
     anchor,
     classify,
     relation,
@@ -32,6 +33,27 @@ from cmfuse.assignment import max_assignment
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+@dataclass(frozen=True)
+class DenseMatrix:
+    """Member-by-member scores of two concept graphs plus the verdict."""
+
+    left_members: tuple[str, ...]
+    right_members: tuple[str, ...]
+    cells: tuple[tuple[Score, ...], ...]
+    aggregate: Score
+    verdict: str
+
+    @property
+    def nonzero(self) -> tuple[tuple[int, int, Score], ...]:
+        """The (row, column, score) triples of the non-zero cells, row-major."""
+        return tuple(
+            (i, j, cell)
+            for i, row in enumerate(self.cells)
+            for j, cell in enumerate(row)
+            if cell != ZERO
+        )
 
 
 def _syntactic(c1: Concept, c2: Concept) -> Fraction:
@@ -91,7 +113,7 @@ def similarity_matrix(
     *,
     mode: str = MODE_LITERAL,
     recursive: bool = True,
-) -> SimilarityMatrix:
+) -> DenseMatrix:
     """Score every member pair of two graphs and aggregate the verdict.
 
     Two empty-membered graphs are judged by their roots alone; an empty
@@ -107,7 +129,7 @@ def similarity_matrix(
     else:
         aggregate = _F0
     score = Score.from_fraction(aggregate)
-    return SimilarityMatrix(
+    return DenseMatrix(
         left_members=tuple(c.term for c in m1),
         right_members=tuple(c.term for c in m2),
         cells=tuple(tuple(Score.from_fraction(v) for v in row) for row in cells),
@@ -116,7 +138,7 @@ def similarity_matrix(
     )
 
 
-def render_matrix_text(a: ComponentOntology, b: ComponentOntology, matrix: SimilarityMatrix) -> str:
+def render_matrix_text(a: ComponentOntology, b: ComponentOntology, matrix: DenseMatrix) -> str:
     """The member table as the report rendered it from a dense matrix, uncolored."""
     corner = f"{a.path} \\ {b.path}"
     headers = [corner, *matrix.right_members]

@@ -98,14 +98,14 @@ def test_library_member_matrix_reproduction():
     personne = to_ontology(biblio1.components[0], domain)
     lecteur = to_ontology(biblio2.components[0], domain)
 
+    left_terms = [m.term for m in personne.root.members]
+    right_terms = [m.term for m in lecteur.root.members]
+    assert left_terms == ["numéro lecteur", "prénom", "nom", "consulter()"]
+    assert right_terms == ["numéro lecteur", "prénom", "nom", "lire()"]
     matrix = similarity_matrix(personne, lecteur, domain)
-    assert matrix.left_members == ("numéro lecteur", "prénom", "nom", "consulter()")
-    assert matrix.right_members == ("numéro lecteur", "prénom", "nom", "lire()")
-    for i in range(4):
-        for j in range(4):
-            expected = ONE if i == j else Score(0)
-            assert matrix.cells[i][j] == expected, (i, j)
-    assert matrix.cells[3][3] == ONE  # consulter() ~ lire(), via the thesaurus
+    # the non-zero cells, row-major: exactly the diagonal, each one
+    assert matrix.cells == tuple((i, i, ONE) for i in range(4))
+    assert matrix.cells[3] == (3, 3, ONE)  # consulter() ~ lire(), via the thesaurus
     assert matrix.aggregate == ONE
     assert matrix.verdict == VERDICT_SYNONYM
 

@@ -52,6 +52,15 @@ class TestParsing:
         with pytest.raises(DocumentError, match="shares its term with an attribute"):
             parse_component_set(doc)
 
+    def test_duplicate_operation_term_rejected(self):
+        doc = (
+            '{"system": "S", "components": [{"name": "C", "kind": "entity",'
+            ' "attributes": [], "operations": [{"name": "lire"}, {"name": "Lire ()"}]}]}'
+        )
+        expected = r"components\[0\]: duplicate operation term 'lire\(\)'"
+        with pytest.raises(DocumentError, match=expected):
+            parse_component_set(doc)
+
     def test_unknown_kind_rejected(self):
         doc = (
             '{"system": "S", "components": [{"name": "C", "kind": "widget",'
@@ -217,6 +226,10 @@ class TestLayering:
     def test_unprovided_requirement_is_silent(self):
         lonely = component("Lone", kind="data", source="S", requires=("ghost",))
         assert check_layering(ComponentSet("S", (lonely,))) == []
+
+    def test_a_component_requiring_what_it_provides_is_silent(self):
+        reader = component("Reader", source="S", provides=("lire()",), requires=("lire()",))
+        assert check_layering(ComponentSet("S", (reader,))) == []
 
     def test_fixture_has_no_layering_warnings(self, biblio1, biblio2):
         assert check_layering(union(biblio1, biblio2)) == []

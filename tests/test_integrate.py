@@ -35,8 +35,17 @@ from cmfuse import (
     to_ontology,
     union,
 )
+from cmfuse.cli import main
 
-from helpers import EMPTY_ONTOLOGY, component, quick_ontology, random_domain, random_source_pair, root
+from helpers import (
+    EMPTY_ONTOLOGY,
+    atom,
+    component,
+    quick_ontology,
+    random_domain,
+    random_source_pair,
+    root,
+)
 
 
 class TestClassify:
@@ -314,6 +323,57 @@ class TestMerge:
             assert len(set(terms)) == len(terms)
             numbered += any(c.name.endswith(".2") for c in merged.result)
         assert numbered >= 20
+
+
+def _graph(source: str, origin: str, members=()) -> ComponentOntology:
+    return ComponentOntology(source, origin, root(origin, members))
+
+
+def _merge_through_the_cli(tmp_path, capsys, alignment, graphs, od) -> ComponentSet:
+    """Write the alignment document, check that validate accepts it, then
+    merge it and validate both outputs; return the result set."""
+    document = tmp_path / "alignment.json"
+    document.write_text(serialize_alignment(alignment, graphs, od), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["validate", str(document)]) == 0
+    assert main(["merge", str(document), "-o", str(out)]) == 0
+    assert main(["validate", str(out / "cm_r.json"), str(out / "ocm_r.json")]) == 0
+    assert capsys.readouterr().out.count("ok: ") == 3
+    return parse_component_set((out / "cm_r.json").read_text(encoding="utf-8"))
+
+
+class TestMergeIsTotal:
+    """Merges of valid alignment documents that must exit 0 and write
+    documents that validate accepts."""
+
+    def test_a_member_qualified_into_a_taken_term_is_numbered(self, tmp_path, capsys):
+        # Q's x is homonymous with P's x, and its qualified term s2.q.x is
+        # the term of P's member labelled Zed, so it is numbered S2.Q.2.x
+        od = quick_ontology({"C1": ["c1"], "C2": ["c2"], "K": ["k"]})
+        zed = Concept(term="s2.q.x", raw_label="Zed", kind=KIND_ATTRIBUTE)
+        k1, k2, k3, k4 = (atom(f"k{n}", anchor="K") for n in range(1, 5))
+        p = _graph("S1", "P", [atom("x", anchor="C1"), zed, k1, k2])
+        q = _graph("S2", "Q", [atom("x", anchor="C2"), k3, k4])
+        alignment = align([p, q], od)
+        assert [c.classification for c in alignment.roots] == [CLASS_SYNONYM_PAIR]
+        result = _merge_through_the_cli(tmp_path, capsys, alignment, [p, q], od)
+        (merged,) = result.components
+        assert [a.name for a in merged.attributes] == ["x", "Zed", "k", "S2.Q.2.x"]
+
+    def test_same_source_roots_named_alike_are_qualified(self, tmp_path, capsys):
+        # one source is never aligned with itself, so no correspondence
+        # relates the two roots
+        graphs = [_graph("S1", "Foo", [atom("a")]), _graph("S1", "FOO", [atom("b")])]
+        alignment = align(graphs, EMPTY_ONTOLOGY)
+        assert alignment.correspondences == ()
+        result = _merge_through_the_cli(tmp_path, capsys, alignment, graphs, EMPTY_ONTOLOGY)
+        assert [c.name for c in result.components] == ["S1.Foo", "S1.FOO.2"]
+
+    def test_unrelated_roots_named_alike_are_qualified(self, tmp_path, capsys):
+        # an alignment document without correspondences over two sources
+        graphs = [_graph("S1", "Foo", [atom("a")]), _graph("S2", "foo", [atom("b")])]
+        result = _merge_through_the_cli(tmp_path, capsys, Alignment(()), graphs, EMPTY_ONTOLOGY)
+        assert [c.name for c in result.components] == ["S1.Foo", "S2.foo"]
 
 
 class TestAlignmentDocument:

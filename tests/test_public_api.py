@@ -15,9 +15,9 @@ PUBLIC = [
     "Concept", "Correspondence", "DocumentError", "DomainConcept", "DomainOntology",
     "Endpoint", "IntegrationError", "KINDS", "KIND_ATTRIBUTE", "KIND_COMPONENT",
     "KIND_OPERATION", "MODE_BIPARTITE", "MODE_LITERAL", "MergeError", "MergedComponent",
-    "MergedRoot", "ONE", "OPERATION_MARKER", "Operation", "RELATION_HOMONYM",
-    "RELATION_SAME", "RELATION_UNRELATED", "RepresentationOntology", "Score",
-    "SimilarityMatrix", "Thesaurus", "ThesaurusEntry", "VERDICT_NOT_SYNONYM",
+    "MergedRoot", "ONE", "OPERATION_MARKER", "Operation", "PairScore", "RELATION_HOMONYM",
+    "RELATION_SAME", "RELATION_UNRELATED", "RepresentationOntology", "Score", "Thesaurus",
+    "ThesaurusEntry", "VERDICT_NOT_SYNONYM",
     "VERDICT_SYNONYM", "ZERO", "align", "anchor", "bipartite_score", "check_layering",
     "classify", "component_ontology_from_json", "component_ontology_to_json",
     "detect_naming_conflicts", "load_domain_ontology", "merge", "normalize_term",

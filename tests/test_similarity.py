@@ -10,6 +10,7 @@ import pytest
 from cmfuse import (
     KIND_ATTRIBUTE,
     KIND_OPERATION,
+    Concept,
     MODE_BIPARTITE,
     MODE_LITERAL,
     ONE,
@@ -195,6 +196,15 @@ class TestModes:
         assert score == Score(1, 2)
         assert bipartite_score(left, right, od) == Score(1, 2)
 
+    def test_bipartite_score_of_two_kinds_is_zero(self):
+        # the same members under a component and under an attribute
+        members = (atom("nom"), atom("lire()", KIND_OPERATION))
+        composite = root("c", members=members)
+        attribute = Concept(term="c", raw_label="c", kind=KIND_ATTRIBUTE, members=members)
+        assert bipartite_score(composite, composite, EMPTY_ONTOLOGY) == ONE
+        assert bipartite_score(composite, attribute, EMPTY_ONTOLOGY) == ZERO
+        assert bipartite_score(attribute, composite, EMPTY_ONTOLOGY) == ZERO
+
     def test_modes_agree_on_synonym_free_members(self):
         od = quick_ontology({"A": ["nom"], "B": ["âge"]})
         left = root("c", members=(atom("nom"), atom("âge")))
@@ -212,12 +222,10 @@ class TestMatrix:
     def test_identity_matrix(self, library_ontology, biblio1):
         graph = to_ontology(biblio1.components[0], library_ontology)
         matrix = similarity_matrix(graph, graph, library_ontology)
-        assert matrix.left_members == matrix.right_members
-        n = len(matrix.left_members)
-        for i in range(n):
-            for j in range(n):
-                expected = ONE if i == j else ZERO
-                assert matrix.cells[i][j] == expected
+        n = len(graph.root.members)
+        assert n > 1
+        # the non-zero cells, row-major: exactly the diagonal, each one
+        assert matrix.cells == tuple((i, i, ONE) for i in range(n))
         assert matrix.aggregate == ONE
         assert matrix.verdict == VERDICT_SYNONYM
 
@@ -225,10 +233,10 @@ class TestMatrix:
         first, second = client_pair()
         left = to_ontology(first, EMPTY_ONTOLOGY)
         right = to_ontology(second, EMPTY_ONTOLOGY)
+        assert [m.term for m in left.root.members] == ["nom", "âge"]
+        assert [m.term for m in right.root.members] == ["nom", "prénom"]
         matrix = similarity_matrix(left, right, EMPTY_ONTOLOGY)
-        assert matrix.left_members == ("nom", "âge")
-        assert matrix.right_members == ("nom", "prénom")
-        assert matrix.cells == ((ONE, ZERO), (ZERO, ZERO))
+        assert matrix.cells == ((0, 0, ONE),)
         assert matrix.aggregate == Score(1, 2)
         assert matrix.verdict == VERDICT_NOT_SYNONYM
 
