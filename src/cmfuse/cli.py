@@ -9,6 +9,7 @@ never reaches files.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
 import sys
@@ -28,9 +29,11 @@ from .components import (
 from .errors import IntegrationError
 from .integrate import (
     Alignment,
+    AlignmentDocument,
     CLASS_HOMONYM_CONFLICT,
     MergedComponent,
     _free,
+    _stream_alignment,
     align,
     alignment_from_json,
     alignment_pieces,
@@ -38,15 +41,15 @@ from .integrate import (
     pair_class,
     parse_alignment,
     representation_from_json,
-    serialize_representation,
+    representation_pieces,
 )
 from .jsonio import dump_json, load_json
 from .ontology import DomainOntology, domain_ontology_from_json, load_domain_ontology
 from .report import (
-    alignment_report_json,
+    _alignment_lines,
+    alignment_report_pieces,
     matrix_to_json,
     pipeline_report_pieces,
-    render_alignment_text,
     render_matrix_text,
 )
 from .similarity import MODE_BIPARTITE, MODE_LITERAL, Scorer
@@ -150,11 +153,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except IntegrationError as exc:
         for line in str(exc).splitlines():
             print(f"cmfuse: error: {line}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader of stdout stopped reading, as `| head` does: stop too,
+        # and send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 def _color_enabled() -> bool:
@@ -166,6 +176,30 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IntegrationError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IntegrationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
+def _load_alignment(path: str) -> AlignmentDocument:
+    # the layout cmfuse writes is read in chunks; any other text is read
+    # whole, and every diagnostic comes from parse_alignment
+    return _stream_alignment(path) or parse_alignment(_read(path), source=path)
+
+
+def _check_out(out: Path, first: str) -> None:
+    """Fail before any input is read when out cannot take the artifacts:
+    out must be a directory, or missing below a writable directory. The
+    error names first, the artifact a command writes first. Creates nothing."""
+    existing = out
+    while not os.path.exists(existing) and existing != existing.parent:
+        existing = existing.parent
+    if not os.path.isdir(existing):
+        code = errno.ENOTDIR
+    elif existing != out and not os.access(existing, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise IntegrationError(f"{out / first}: cannot write: {os.strerror(code)}")
 
 
 def _write(directory: Path, name: str, pieces: Iterable[str]) -> Path:
@@ -195,13 +229,29 @@ def _slug(text: str) -> str:
 # each document shape: the keys that mark it (shapes are tried in this order),
 # its kind, its reader, and the attribute paths whose sizes its ok: line
 # gives, each named by its last part
+_ALIGNMENT_SHAPE = (
+    ("correspondences",), "alignment", alignment_from_json, ["alignment.correspondences", "graphs"]
+)
 _SHAPES = (
     (("system", "components"), "component set", component_set_from_json, ["components"]),
     (("concepts", "thesaurus"), "ontology", domain_ontology_from_json, ["concepts"]),
     (("root",), "concept graph", partial(component_ontology_from_json, where=""), ["root.members"]),
-    (("correspondences",), "alignment", alignment_from_json, ["alignment.correspondences", "graphs"]),
+    _ALIGNMENT_SHAPE,
     (("roots",), "representation", representation_from_json, ["roots", "equivalences"]),
 )
+
+
+def _validated(path: str) -> tuple[object, str, list[str]]:
+    # the document at path, with its kind and counted attribute paths
+    document = _stream_alignment(path)
+    if document is not None:
+        _, kind, _, counted = _ALIGNMENT_SHAPE
+        return document, kind, counted
+    data = load_json(_read(path), path)
+    for markers, kind, read, counted in _SHAPES:
+        if isinstance(data, dict) and any(key in data for key in markers):
+            return read(data, source=path), kind, counted
+    raise IntegrationError(f"{path}: unrecognized document shape")
 
 
 def cmd_validate(args) -> int:
@@ -209,13 +259,7 @@ def cmd_validate(args) -> int:
     failed = False
     for path in args.files:
         try:
-            data = load_json(_read(path), path)
-            for markers, kind, read, counted in _SHAPES:
-                if isinstance(data, dict) and any(key in data for key in markers):
-                    break
-            else:
-                raise IntegrationError(f"{path}: unrecognized document shape")
-            document = read(data, source=path)
+            document, kind, counted = _validated(path)
             if isinstance(document, ComponentSet):
                 for warning in check_layering(document):
                     print(f"warning: {path}: {warning}")
@@ -229,9 +273,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    out = Path(args.out)
+    _check_out(out, "*.ocm.json")
     domain = _load_domain(args.domain)
     cs = _load_set(args.set)
-    out = Path(args.out)
     diagnostics: list[str] = []
     written: set[str] = set()
     for component in cs.components:
@@ -286,18 +331,22 @@ def _conflict_exit(alignment: Alignment, args) -> int:
 
 
 def cmd_align(args) -> int:
+    out = Path(args.out)
+    _check_out(out, "alignment.json")
     graphs, domain, alignment = _aligned_graphs(args)
     document = alignment_pieces(alignment, graphs, domain, mode=args.mode, recursive=args.recursive)
-    print(_write(Path(args.out), "alignment.json", document))
+    print(_write(out, "alignment.json", document))
     return _conflict_exit(alignment, args)
 
 
 def cmd_merge(args) -> int:
-    doc = parse_alignment(_read(args.alignment), source=args.alignment)
+    out = Path(args.out)
+    _check_out(out, "ocm_r.json")
+    doc = _load_alignment(args.alignment)
     merged = merge(
         doc.alignment, doc.graphs, doc.domain, mode=doc.mode, recursive=doc.recursive
     )
-    _write_merge(Path(args.out), doc.graphs, merged)
+    _write_merge(out, doc.graphs, merged)
     return EXIT_OK
 
 
@@ -306,25 +355,26 @@ def _write_merge(out: Path, graphs, merged: MergedComponent) -> ComponentSet:
     graphs' sources; return that set."""
     system = "+".join(dict.fromkeys(g.source for g in graphs)) or "empty"
     result = ComponentSet(system=system, components=merged.result)
-    print(_write(out, "ocm_r.json", (serialize_representation(merged.representation),)))
+    print(_write(out, "ocm_r.json", representation_pieces(merged.representation)))
     print(_write(out, "cm_r.json", (serialize_component_set(result),)))
     return result
 
 
 def cmd_report(args) -> int:
-    doc = parse_alignment(_read(args.alignment), source=args.alignment)
+    doc = _load_alignment(args.alignment)
     if args.format == "json":
-        print(dump_json(alignment_report_json(doc.alignment)), end="")
+        sys.stdout.writelines(alignment_report_pieces(doc.alignment))
     else:
-        print(render_alignment_text(doc.alignment, color=_color_enabled()), end="")
+        sys.stdout.writelines(_alignment_lines(doc.alignment, _color_enabled()))
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
     """Transform, align, merge and report in one deterministic run."""
+    out = Path(args.out)
+    _check_out(out, "alignment.json")
     graphs, domain, alignment = _aligned_graphs(args)
     merged = merge(alignment, graphs, domain, mode=args.mode, recursive=args.recursive)
-    out = Path(args.out)
     document = alignment_pieces(alignment, graphs, domain, mode=args.mode, recursive=args.recursive)
     print(_write(out, "alignment.json", document))
     result = _write_merge(out, graphs, merged)

@@ -10,12 +10,17 @@ a homonym conflict.
 
 from __future__ import annotations
 
+import codecs
+import json
+import os
+import re
+import stat
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, count
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .components import BusinessComponent
 from .errors import DocumentError, MergeError
@@ -25,6 +30,7 @@ from .jsonio import (
     STRINGS,
     at,
     check,
+    dump_item,
     dump_json,
     list_of,
     load_json,
@@ -102,7 +108,7 @@ class Endpoint:
         return base if self.member is None else f"{base}/{self.member}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Correspondence:
     left: Endpoint
     right: Endpoint
@@ -547,11 +553,9 @@ def alignment_pieces(
     correspondence lists, which grow with the square of the graph count,
     one correspondence at a time from templates, then the rest at once.
     """
-    endpoints: dict[int, str] = {}
-    yield '{\n  "correspondences": '
-    yield from _json_list(_correspondence_text(c, endpoints) for c in alignment.correspondences)
-    yield ',\n  "conflicts": '
-    yield from _json_list(_correspondence_text(c, endpoints) for c in alignment.conflicts)
+    yield from _correspondence_lists(
+        {"correspondences": alignment.correspondences, "conflicts": alignment.conflicts}
+    )
     rest = dump_json(_alignment_rest(alignment, graphs, od, mode, recursive))
     yield ",\n" + rest[len("{\n") :]
 
@@ -577,6 +581,17 @@ def _json_list(items: Iterable[str]) -> Iterator[str]:
         yield separator + item
         separator = ",\n"
     yield "[]" if separator == "[\n" else "\n  ]"
+
+
+def _correspondence_lists(lists: dict[str, Iterable[Correspondence]]) -> Iterator[str]:
+    # the opening of a document whose first keys hold these correspondence
+    # lists, laid out as dump_json lays them out
+    endpoints: dict[int, str] = {}
+    separator = "{\n"
+    for key, corrs in lists.items():
+        yield f"{separator}  {encode_basestring(key)}: "
+        yield from _json_list(_correspondence_text(c, endpoints) for c in corrs)
+        separator = ",\n"
 
 
 def _correspondence_text(c: Correspondence, endpoints: dict[int, str]) -> str:
@@ -658,7 +673,8 @@ _ALIGNMENT_FIELDS = {
     "ontologies": list_of(graph_spec),
     "domain": _domain,
 }
-_ALIGNMENT_REQUIRED = "correspondences conflicts diagnostics ontologies domain"
+_REST_REQUIRED = "conflicts diagnostics ontologies domain"
+_ALIGNMENT_REQUIRED = "correspondences " + _REST_REQUIRED
 
 
 def _document(correspondences, diagnostics, ontologies, domain, settings=None) -> AlignmentDocument:
@@ -668,6 +684,12 @@ def _document(correspondences, diagnostics, ontologies, domain, settings=None) -
 
 _ALIGNMENT_KEYS = obj(dict.fromkeys(_ALIGNMENT_FIELDS), required=_ALIGNMENT_REQUIRED)
 _ALIGNMENT = obj(_ALIGNMENT_FIELDS, required=_ALIGNMENT_REQUIRED, build=_document)
+# the fields after the correspondence list, which the streamed reader
+# checks on their own; a second correspondences key is unknown here
+_REST = obj(
+    {key: spec for key, spec in _ALIGNMENT_FIELDS.items() if key != "correspondences"},
+    required=_REST_REQUIRED,
+)
 
 
 def parse_alignment(document: str, *, source: str = "<alignment>") -> AlignmentDocument:
@@ -741,31 +763,142 @@ def _fast_correspondences(items: list) -> tuple[Correspondence, ...] | None:
     return tuple(out)
 
 
+_CHUNK = 1 << 18  # bytes that _stream_alignment reads at a time
+# how alignment_pieces opens the document
+_HEAD = '{\n  "correspondences": '
+# a JSON string; its escapes are checked when the text is decoded
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+# decodes the endpoint and score texts, without json.loads's keyword checks
+_DECODER = json.JSONDecoder()
+
+
+@cache
+def _item_pattern() -> re.Pattern:
+    # the writer's own text for a correspondence whose fields are markers,
+    # with each marker's JSON text swapped for the pattern of its field, so
+    # the layout is stated once; compiled at first use, so commands that
+    # read no alignment never compile it
+    end = Endpoint("\0source", "\0origin", "\0member")
+    fields = {"source": _STRING, "origin": _STRING, "member": f"(?:null|{_STRING})"}
+    endpoint = re.escape(_endpoint_text(end))
+    for name, pattern in fields.items():
+        endpoint = endpoint.replace(re.escape(encode_basestring("\0" + name)), pattern)
+    # a score marker stands where the writer takes str(score)
+    item = re.escape(_correspondence_text(Correspondence(end, end, "\0score", "\0class"), {}))
+    item = item.replace(re.escape(_endpoint_text(end)), f"({endpoint})")
+    for name in ("score", "class"):
+        item = item.replace(re.escape(encode_basestring("\0" + name)), f"({_STRING})")
+    return re.compile(item)
+
+
+def _stream_alignment(path: str) -> AlignmentDocument | None:
+    """What parse_alignment makes of the file at path, read in chunks, when
+    the file is laid out as alignment_pieces writes it; None at the first
+    thing that layout does not predict or that parse_alignment would reject.
+
+    Each correspondence is matched against the writer's templates, and
+    each distinct endpoint and score text is decoded and checked once, so
+    the correspondence list never becomes a JSON tree. The rest of the
+    document is decoded whole and checked by the spec walker.
+    """
+    try:
+        # a caller that gets None reads the file again, which a pipe forbids
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "rb") as file:
+            if file.read(len(_HEAD)) != _HEAD.encode():
+                return None
+            return _streamed(file, path)
+    except (OSError, ValueError, KeyError, RecursionError, DocumentError):
+        # ValueError covers bad UTF-8, JSON and score texts, KeyError an
+        # unknown class text
+        return None
+
+
+def _chunks(file: BinaryIO) -> Iterator[str]:
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    while data := file.read(_CHUNK):
+        yield decoder.decode(data)
+    yield decoder.decode(b"", final=True)
+
+
+def _streamed(file: BinaryIO, source: str) -> AlignmentDocument | None:
+    # the document after its head, from the correspondence list on
+    item = _item_pattern().match
+    classes = {encode_basestring(c): c for c in CLASSIFICATIONS}
+    endpoints: dict[str, Endpoint] = {}  # by text
+    triples: dict[tuple, Endpoint] = {}  # by decoded triple, one Endpoint each
+    scores: dict[str, Score] = {}
+
+    # a text seen for the first time; the loop looks up the texts it saw
+    def endpoint(text: str) -> Endpoint:
+        triple = tuple(_DECODER.decode(text).values())  # source, origin, member
+        if not (triple[0] and triple[1]):
+            raise ValueError("blank endpoint field")
+        endpoints[text] = found = triples.setdefault(triple, Endpoint(*triple))
+        return found
+
+    def score(text: str) -> Score:
+        scores[text] = found = parse_score(_DECODER.decode(text))
+        return found
+
+    corrs: list[Correspondence] = []
+    chunks = _chunks(file)
+    text, pos, separator = "", 0, "[\n"
+    for chunk in chunks:
+        text = text[pos:] + chunk
+        pos = 0
+        while text.startswith(separator, pos) and (m := item(text, pos + len(separator))):
+            left, right, score_text, class_text = m.groups()
+            corrs.append(
+                Correspondence(
+                    endpoints.get(left) or endpoint(left),
+                    endpoints.get(right) or endpoint(right),
+                    scores.get(score_text) or score(score_text),
+                    classes[class_text],
+                )
+            )
+            pos, separator = m.end(), ",\n"
+        # the list ends as _json_list ends it, and the document goes on
+        end = "[]," if separator == "[\n" else "\n  ],"
+        if text.startswith(end, pos):
+            break
+    else:
+        return None
+    rest = json.loads("{" + text[pos + len(end) :] + "".join(chunks))
+    return _document(tuple(corrs), **check(_REST, rest, source))
+
+
 def representation_to_json(rep: RepresentationOntology) -> dict:
     return {
-        **_representation_roots(rep),
+        "roots": [_merged_root_json(r) for r in rep.roots],
         "equivalences": [list(pair) for pair in rep.equivalences],
     }
 
 
-def _representation_roots(rep: RepresentationOntology) -> dict:
-    roots = []
-    for r in rep.roots:
-        obj = component_ontology_to_json(r.ontology)
-        obj["merged_from"] = [e.path for e in r.merged_from]
-        roots.append(obj)
-    return {"roots": roots}
+def _merged_root_json(root: MergedRoot) -> dict:
+    obj = component_ontology_to_json(root.ontology)
+    obj["merged_from"] = [e.path for e in root.merged_from]
+    return obj
 
 
 def serialize_representation(rep: RepresentationOntology) -> str:
-    """dump_json of representation_to_json, with the equivalence list,
-    which grows with the square of the class sizes, written from a template."""
-    roots = dump_json(_representation_roots(rep))
-    pairs = (
+    """dump_json of representation_to_json, joined from representation_pieces."""
+    return "".join(representation_pieces(rep))
+
+
+def representation_pieces(rep: RepresentationOntology) -> Iterator[str]:
+    """The text of serialize_representation, one root or one equivalence
+    at a time; the equivalence list, which grows with the square of the
+    class sizes, is written from a template."""
+    yield '{\n  "roots": '
+    yield from _json_list(dump_item(_merged_root_json(r)) for r in rep.roots)
+    yield ',\n  "equivalences": '
+    yield from _json_list(
         f"    [\n      {encode_basestring(a)},\n      {encode_basestring(b)}\n    ]"
         for a, b in rep.equivalences
     )
-    return roots[: -len("\n}\n")] + ',\n  "equivalences": ' + "".join(_json_list(pairs)) + "\n}\n"
+    yield "\n}\n"
 
 
 def _root_endpoint(value, path, problems):

@@ -45,6 +45,12 @@ def dump_json(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
 
 
+def dump_item(obj: Any) -> str:
+    """obj laid out as dump_json lays out an item of a list under a
+    top-level key, without the separator before it."""
+    return "    " + json.dumps(obj, ensure_ascii=False, indent=2).replace("\n", "\n    ")
+
+
 def check(spec: Callable, value: Any, source: str, path: str = "") -> Any:
     """Walk value with spec; return the result or raise every diagnostic at once."""
     problems: list[str] = []

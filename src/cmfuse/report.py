@@ -10,11 +10,13 @@ from .integrate import (
     Alignment,
     CLASS_HOMONYM_CONFLICT,
     MergedComponent,
+    _correspondence_lists,
     correspondence_to_json,
     cross_pairs,
     detect_naming_conflicts,
     pair_class,
 )
+from .jsonio import dump_json
 from .ontology import DomainOntology
 from .similarity import PairScore, VERDICT_SYNONYM
 from .transform import ComponentOntology
@@ -107,13 +109,9 @@ def matrix_to_json(left: ComponentOntology, right: ComponentOntology, pair: Pair
     }
 
 
-def render_alignment_text(alignment: Alignment, *, color: bool = False) -> str:
-    """Roots, flagged conflicts, member matches and diagnostics."""
-    return "".join(_alignment_lines(alignment, color))
-
-
 def _alignment_lines(alignment: Alignment, color: bool) -> Iterator[str]:
-    # the lines of render_alignment_text, each with its newline
+    # the lines of the alignment text, each with its newline: roots, flagged
+    # conflicts, member matches and diagnostics
     sections = (
         ("correspondences", alignment.roots),
         ("naming conflicts", detect_naming_conflicts(alignment)),
@@ -145,6 +143,19 @@ def alignment_report_json(alignment: Alignment) -> dict:
         "flagged": [correspondence_to_json(c) for c in detect_naming_conflicts(alignment)],
         "diagnostics": list(alignment.diagnostics),
     }
+
+
+def alignment_report_pieces(alignment: Alignment) -> Iterator[str]:
+    """The text of dump_json(alignment_report_json(alignment)), one
+    correspondence at a time."""
+    yield from _correspondence_lists(
+        {
+            "correspondences": alignment.correspondences,
+            "conflicts": alignment.conflicts,
+            "flagged": detect_naming_conflicts(alignment),
+        }
+    )
+    yield ",\n" + dump_json({"diagnostics": list(alignment.diagnostics)})[len("{\n") :]
 
 
 def _merge_lines(merged: MergedComponent) -> Iterator[str]:

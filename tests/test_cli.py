@@ -14,10 +14,21 @@ from pathlib import Path
 import pytest
 
 import cmfuse
-from cmfuse import parse_alignment, parse_component_ontology, parse_component_set
+from cmfuse import (
+    CLASS_DISTINCT,
+    Alignment,
+    Correspondence,
+    Endpoint,
+    Score,
+    parse_alignment,
+    parse_component_ontology,
+    parse_component_set,
+    serialize_alignment,
+)
 from cmfuse.cli import main
 
 from conftest import FIXTURES
+from helpers import EMPTY_ONTOLOGY
 
 BIBLIO1 = str(FIXTURES / "biblio1.json")
 BIBLIO2 = str(FIXTURES / "biblio2.json")
@@ -716,6 +727,97 @@ class TestExitCodes:
         assert proc.stderr.splitlines()[-1].startswith(f"cmfuse: error: {out}{os.sep}")
         assert ": cannot write: " in proc.stderr.splitlines()[-1]
         assert proc.stdout == ""
+
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "transform", "sim", "align", "merge", "report", "pipeline"]
+    )
+    def test_text_that_is_not_utf8_is_two(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"a": "\xff"}')
+        out = ["-o", str(tmp_path / "out")]
+        argv = {
+            "validate": [str(bad), BIBLIO1],
+            "transform": [str(bad), "--domain", DOMAIN, *out],
+            "sim": [str(bad), str(bad), "--domain", DOMAIN],
+            "align": [str(bad), BIBLIO2, "--domain", DOMAIN, *out],
+            "merge": [str(bad), *out],
+            "report": [str(bad)],
+            "pipeline": [str(bad), BIBLIO2, "--domain", DOMAIN, *out],
+        }[command]
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        message = f"{bad}: not UTF-8 text at byte 7"
+        if command == "validate":
+            # the next file is still checked
+            assert captured.out == f"error: {message}\nok: {BIBLIO1}: component set, 2 components\n"
+        else:
+            assert captured.err == f"cmfuse: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "merge", "report"])
+    def test_an_alignment_broken_deep_in_its_correspondences_names_the_byte(
+        self, aligned, tmp_path, capsys, command
+    ):
+        # what the streamed reader has read is dropped, and the whole-file
+        # read names the byte
+        data = aligned.read_bytes()
+        at = data.index(b'"member": "') + len(b'"member": "')
+        bad = tmp_path / "alignment.json"
+        bad.write_bytes(data[:at] + b"\xc3" + data[at:])
+        argv = {"merge": ["-o", str(tmp_path / "out")]}.get(command, [])
+        assert main([command, str(bad), *argv]) == 2
+        captured = capsys.readouterr()
+        assert f"{bad}: not UTF-8 text at byte {at}\n" in captured.out + captured.err
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    @pytest.mark.parametrize("command", ["pipeline", "align", "merge", "transform"])
+    def test_an_unwritable_output_directory_fails_before_any_input_is_read(
+        self, tmp_path, capsys, command, below
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out" if below else blocker
+        missing = str(tmp_path / "missing.json")
+        inputs = {
+            "pipeline": [missing, missing, "--domain", missing],
+            "align": [missing, missing, "--domain", missing],
+            "merge": [missing],
+            "transform": [missing, "--domain", missing],
+        }[command]
+        assert main([command, *inputs, "-o", str(out)]) == 2
+        first = {"merge": "ocm_r.json", "transform": "*.ocm.json"}.get(command, "alignment.json")
+        assert capsys.readouterr().err == f"cmfuse: error: {out / first}: cannot write: Not a directory\n"
+
+    def test_a_missing_output_directory_is_made_only_for_a_run_that_writes(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b" / "out"
+        argv = [BIBLIO1, BIBLIO2, "--domain", DOMAIN, "-o", str(out)]
+        assert main(["pipeline", str(tmp_path / "missing.json"), *argv[1:]]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        assert main(["pipeline", *argv]) == 0
+        assert (out / "report.txt").is_file()
+
+
+    def test_a_reader_that_stops_reading_is_not_an_error(self, tmp_path):
+        corrs = tuple(
+            Correspondence(Endpoint("S1", f"C{i}"), Endpoint("S2", f"D{i}"), Score(0), CLASS_DISTINCT)
+            for i in range(5000)
+        )
+        path = tmp_path / "alignment.json"
+        path.write_text(serialize_alignment(Alignment(corrs), [], EMPTY_ONTOLOGY), encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cmfuse", "report", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=TestInstalledEntryPoints.child_env(),
+        )
+        # the text is far larger than a pipe holds
+        assert proc.stdout.read(16) == b"correspondences\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 class TestColor:

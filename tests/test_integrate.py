@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -18,6 +21,7 @@ from cmfuse import (
     ComponentOntology,
     ComponentSet,
     Concept,
+    Correspondence,
     DocumentError,
     Endpoint,
     MergeError,
@@ -60,6 +64,20 @@ class TestEndpoint:
     def test_paths(self):
         assert Endpoint("S", "C").path == "S/C"
         assert Endpoint("S", "C", "nom").path == "S/C/nom"
+
+
+class TestCorrespondence:
+    def test_a_slotted_value(self):
+        # one is kept per correspondence of an alignment, so it has no __dict__
+        c = Correspondence(Endpoint("S", "C"), Endpoint("T", "D", "nom"), Score(1, 2), CLASS_DISTINCT)
+        assert not hasattr(c, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.score = Score(1)
+        same = Correspondence(Endpoint("S", "C"), Endpoint("T", "D", "nom"), Score(1, 2), CLASS_DISTINCT)
+        assert c == same and hash(c) == hash(same)
+        assert pickle.loads(pickle.dumps(c)) == c == copy.copy(c) == copy.deepcopy(c)
+        other = dataclasses.replace(c, classification=CLASS_EQUIVALENT)
+        assert other.classification == CLASS_EQUIVALENT and other.left is c.left and other != c
 
 
 class TestAlign:
