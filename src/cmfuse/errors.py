@@ -19,7 +19,10 @@ class DocumentError(IntegrationError):
     def __init__(self, source: str, diagnostics: Sequence[str]):
         self.source = source
         self.diagnostics = list(diagnostics)
-        super().__init__("\n".join(f"{source}: {d}" for d in self.diagnostics))
+        message = "\n".join(f"{source}: {d}" for d in self.diagnostics)
+        # a diagnostic may quote a lone surrogate of the input, as in an
+        # unknown key; written as its escape, the message prints as UTF-8
+        super().__init__(message.encode("utf-8", "backslashreplace").decode("utf-8"))
 
 
 class MergeError(IntegrationError):

@@ -34,6 +34,7 @@ from .jsonio import (
     dump_json,
     list_of,
     load_json,
+    lone_surrogate,
     maybe,
     obj,
     one_of,
@@ -129,11 +130,13 @@ class Alignment:
     diagnostics: tuple[str, ...] = ()
     scores: tuple[PairScore, ...] | None = field(default=None, compare=False, repr=False)
 
-    @property
+    # computed once per alignment; cached outside the fields, so equality,
+    # repr and replace ignore them
+    @cached_property
     def roots(self) -> tuple[Correspondence, ...]:
         return tuple(c for c in self.correspondences if c.left.member is None)
 
-    @property
+    @cached_property
     def conflicts(self) -> tuple[Correspondence, ...]:
         return tuple(
             c for c in self.roots if c.classification == CLASS_HOMONYM_CONFLICT
@@ -737,7 +740,7 @@ def _fast_correspondences(items: list) -> tuple[Correspondence, ...] | None:
                 and source
                 and origin
                 and (member is None or isinstance(member, str))
-            ):
+            ) or any(lone_surrogate(s) for s in key if s is not None):
                 return None
             found = endpoints[key] = Endpoint(source, origin, member)
         return found
@@ -833,8 +836,8 @@ def _streamed(file: BinaryIO, source: str) -> AlignmentDocument | None:
     # a text seen for the first time; the loop looks up the texts it saw
     def endpoint(text: str) -> Endpoint:
         triple = tuple(_DECODER.decode(text).values())  # source, origin, member
-        if not (triple[0] and triple[1]):
-            raise ValueError("blank endpoint field")
+        if not (triple[0] and triple[1]) or any(lone_surrogate(s) for s in triple if s):
+            raise ValueError("blank endpoint field, or a lone surrogate")
         endpoints[text] = found = triples.setdefault(triple, Endpoint(*triple))
         return found
 
@@ -907,6 +910,9 @@ def _root_endpoint(value, path, problems):
     if not (source and origin):
         problems.append(at(path, "must be a path 'source/origin'"))
         return None
+    if bad := lone_surrogate(value):
+        problems.append(at(path, bad))
+        return None
     return Endpoint(source, origin)
 
 
@@ -914,6 +920,7 @@ def _pair(value, path, problems):
     if not (isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)):
         problems.append(at(path, "must be a pair of strings"))
         return None
+    STRINGS(value, path, problems)
     return tuple(value)
 
 

@@ -12,7 +12,9 @@ caller that sees new problems never uses what came back.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
+from json.encoder import encode_basestring
 from typing import Any, Callable
 
 from .errors import DocumentError
@@ -41,14 +43,74 @@ def load_json(document: str, source: str) -> Any:
 
 
 def dump_json(obj: Any) -> str:
-    """Canonical serialization: UTF-8 text, two-space indent, trailing newline."""
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    """Canonical serialization: UTF-8 text, two-space indent, trailing newline.
+
+    The text is what json.dumps(obj, ensure_ascii=False, indent=2) gives,
+    without the pure-Python encoder that indent selects: objects, lists,
+    tuples and strings are laid out here, strings with the C encoder, and
+    every other value is left to json.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def dump_item(obj: Any) -> str:
     """obj laid out as dump_json lays out an item of a list under a
     top-level key, without the separator before it."""
-    return "    " + json.dumps(obj, ensure_ascii=False, indent=2).replace("\n", "\n    ")
+    out = ["    "]
+    _write(obj, "\n    ", out)
+    return "".join(out)
+
+
+def _write(obj: Any, indent: str, out: list[str]) -> None:
+    # appends the text of obj to out; indent is the newline and the
+    # indentation of the line obj starts on. Objects and lists have a loop
+    # each, and a string item is written in line: a shared loop over
+    # (prefix, value) pairs takes half as long again
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key, value in obj.items():
+            key = encode_basestring(key) if type(key) is str else _key(key)
+            if type(value) is str:
+                out.append(f"{separator}{key}: {encode_basestring(value)}")
+            else:
+                out.append(f"{separator}{key}: ")
+                _write(value, inner, out)
+            separator = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for value in obj:
+            if type(value) is str:
+                out.append(separator + encode_basestring(value))
+            else:
+                out.append(separator)
+                _write(value, inner, out)
+            separator = "," + inner
+        out.append(indent + "]")
+    elif isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    else:
+        out.append(json.dumps(obj))
+
+
+def _key(key: Any) -> str:
+    # json writes a number, boolean or null key as the string of its value
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return encode_basestring(key)
 
 
 def check(spec: Callable, value: Any, source: str, path: str = "") -> Any:
@@ -140,7 +202,13 @@ def mapping(item: Callable) -> Callable:
         if not isinstance(value, dict):
             problems.append(at(path, "must be an object"))
             return {}
-        return {k: item(v, f"{path}['{k}']", problems) for k, v in value.items()}
+        out = {}
+        for k, v in value.items():
+            where = f"{path}['{k}']"
+            if bad := lone_surrogate(k):
+                problems.append(at(where, "key " + bad))
+            out[k] = item(v, where, problems)
+        return out
 
     return walk
 
@@ -156,12 +224,34 @@ def leaf(test: Callable, message: str) -> Callable:
     return walk
 
 
-def string(message: str = "must be a string") -> Callable:
-    return leaf(lambda v: isinstance(v, str), message)
+# the JSON decoder pairs the surrogates of an astral character, so a
+# surrogate left in a decoded string stands alone: only a \u escape puts
+# it there, and no UTF-8 output can hold it
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def lone_surrogate(text: str) -> str | None:
+    """The diagnostic for a string that holds a lone surrogate, or None."""
+    found = None if text.isascii() else _SURROGATE.search(text)
+    return found and f"must not hold a lone surrogate (U+{ord(found.group()):04X})"
+
+
+def string(message: str = "must be a string", test: Callable | None = None) -> Callable:
+    """A string that test, when given, accepts; a lone surrogate in it is
+    reported on its own."""
+
+    def walk(value, path, problems):
+        if not isinstance(value, str) or (test is not None and not test(value)):
+            problems.append(at(path, message))
+        elif bad := lone_surrogate(value):
+            problems.append(at(path, bad))
+        return value
+
+    return walk
 
 
 def non_empty(message: str = "must be a non-empty string") -> Callable:
-    return leaf(lambda v: isinstance(v, str) and v != "", message)
+    return string(message, bool)
 
 
 def one_of(choices: tuple, message: str | None = None) -> Callable:
@@ -171,8 +261,18 @@ def one_of(choices: tuple, message: str | None = None) -> Callable:
 STRING = string()
 NON_EMPTY = non_empty()
 BOOLEAN = leaf(lambda v: isinstance(v, bool), "must be a boolean")
-# judged as a whole, with one diagnostic however many elements are bad
-STRINGS = leaf(
-    lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-    "must be a list of strings",
-)
+
+
+def _strings(value, path, problems):
+    # judged as a whole, with one diagnostic however many elements are not
+    # strings; then each lone surrogate at its element
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+        problems.append(at(path, "must be a list of strings"))
+        return value
+    for i, s in enumerate(value):
+        if bad := lone_surrogate(s):
+            problems.append(at(f"{path}[{i}]", bad))
+    return value
+
+
+STRINGS = _strings

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DocumentError, IntegrationError
-from .jsonio import NON_EMPTY, STRING, check, dump_json, leaf, list_of, load_json, maybe, obj
+from .jsonio import NON_EMPTY, STRING, check, dump_json, list_of, load_json, maybe, obj, string
 
 OPERATION_MARKER = "()"
 
@@ -239,7 +239,7 @@ def relation(a: str, b: str, od: DomainOntology) -> str:
 
 
 # a non-empty matchable term
-TERM = leaf(lambda v: isinstance(v, str) and normalize_term(v) != "", "must be a non-empty string")
+TERM = string("must be a non-empty string", lambda v: normalize_term(v) != "")
 
 _STRING_LIST = maybe(list_of(STRING, "must be a list of strings"))
 _CONCEPT = obj(

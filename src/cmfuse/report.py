@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .components import ComponentSet
@@ -43,47 +45,84 @@ def render_matrix_text(
     color: bool = False,
 ) -> str:
     """A member-by-member score table with the aggregate underneath."""
-    terms = ([m.term for m in left.root.members], [m.term for m in right.root.members])
-    return _matrix_text(left, right, terms, pair, color)
+    classification = pair_class(left, right, pair.aggregate)
+    return _Matrices([left, right], color).text(0, 1, pair, classification)
 
 
-def _matrix_text(left, right, terms, pair: PairScore, color: bool, columns=None) -> str:
-    # terms holds the left and right member terms; every cell outside
-    # pair.cells reads 0, so rows without a hit share one rendering.
-    # columns may hold _columns of the right terms at their own widths,
-    # which a pair without cells uses
-    left_terms, right_terms = terms
-    corner = f"{left.path} \\ {right.path}"
-    first = max([len(corner), *map(len, left_terms)])
-    rows: dict[int, str] = {}
-    if columns is None or pair.cells:
-        widths = [len(term) for term in right_terms]
-        texts = [(i, j, str(score)) for i, j, score in pair.cells]
-        for _, j, text in texts:
-            widths[j] = max(widths[j], len(text))
-        columns = _columns(right_terms, widths)
-        hits: dict[int, list[str]] = {}
-        for i, j, text in texts:
-            hits.setdefault(i, ["0".ljust(w) for w in widths])[j] = text.ljust(widths[j])
-        rows = {i: "".join(" | " + cell for cell in row) for i, row in hits.items()}
-    header, rule, blank = columns
-    out = [(corner.ljust(first) + header).rstrip(), "-" * first + rule]
-    out += [(term.ljust(first) + rows.get(i, blank)).rstrip() for i, term in enumerate(left_terms)]
-    if not left_terms:
-        out.append("(no members)")
-    out.append("")
-    out.append(f"aggregate: {pair.aggregate}")
-    out.append(f"verdict:   {_verdict_text(pair.verdict, color)}")
-    out.append(f"class:     {_class_text(pair_class(left, right, pair.aggregate), color)}")
-    return "\n".join(out) + "\n"
+class _Matrices:
+    """The member tables of pairs of graphs, built from blocks that do not
+    depend on the pair and are made once: each left graph's padded term
+    column per first-column width, each right graph's columns and its
+    all-zero row, and the lines under the table per aggregate and class.
+
+    Every cell outside pair.cells reads 0, so a pair without cells is
+    one join, and a pair with cells builds only its hit rows. A cell
+    text wider than its column widens that column for its pair alone.
+    """
+
+    def __init__(self, graphs: Sequence[ComponentOntology], color: bool):
+        self.paths = [g.path for g in graphs]
+        self.terms = [[m.term for m in g.root.members] for g in graphs]
+        self.widest = [max(map(len, t), default=0) for t in self.terms]
+        self.color = color
+        self.left: dict[tuple[int, int], list[str]] = {}
+        self.right: dict[int, tuple] = {}
+        self.tails: dict[tuple, str] = {}
+
+    def text(self, i: int, j: int, pair: PairScore, classification: str) -> str:
+        corner = f"{self.paths[i]} \\ {self.paths[j]}"
+        first = max(len(corner), self.widest[i])
+        column = self.left.get((i, first))
+        if column is None:
+            column = self.left[i, first] = [t.ljust(first) for t in self.terms[i]]
+        right = self.right.get(j)
+        if right is None:
+            widths = list(map(len, self.terms[j]))
+            right = self.right[j] = (widths, *_columns(self.terms[j], widths))
+        widths, header, rule, zero, zeros = right
+        if pair.cells:
+            texts = [(row, col, str(score)) for row, col, score in pair.cells]
+            if any(len(text) > widths[col] for _, col, text in texts):
+                widths = widths.copy()
+                for _, col, text in texts:
+                    widths[col] = max(widths[col], len(text))
+                header, rule, zero, zeros = _columns(self.terms[j], widths)
+            ends = [zero] * len(column)
+            # the cells are in row-major order
+            for row, hits in groupby(texts, itemgetter(0)):
+                cells = zeros.copy()
+                for _, col, text in hits:
+                    cells[col] = " | " + text.ljust(widths[col])
+                ends[row] = "".join(cells).rstrip()
+            body = "\n".join(map(str.__add__, column, ends))
+        elif not column:
+            body = "(no members)"
+        elif zero:
+            body = (zero + "\n").join(column) + zero
+        else:
+            # no right member: each row is its term alone
+            body = "\n".join(t.rstrip() for t in column)
+        score = pair.aggregate
+        tail = self.tails.get((score.num, score.den, classification))
+        if tail is None:
+            tail = self.tails[score.num, score.den, classification] = (
+                f"\n\naggregate: {score}\n"
+                f"verdict:   {_verdict_text(pair.verdict, self.color)}\n"
+                f"class:     {_class_text(classification, self.color)}\n"
+            )
+        head = (corner.ljust(first) + header).rstrip()
+        return f"{head}\n{'-' * first}{rule}\n{body}{tail}"
 
 
-def _columns(terms, widths) -> tuple[str, str, str]:
-    # what follows the first column in the header, the rule and an all-zero row
+def _columns(terms, widths) -> tuple[str, str, str, list[str]]:
+    # what follows the first column in the header, the rule and an all-zero
+    # row, stripped, and that row's cells
+    zeros = [" | " + "0".ljust(w) for w in widths]
     return (
         "".join(f" | {term.ljust(w)}" for term, w in zip(terms, widths)),
         "".join("-+-" + "-" * w for w in widths),
-        "".join(" | " + "0".ljust(w) for w in widths),
+        "".join(zeros).rstrip(),
+        zeros,
     )
 
 
@@ -216,12 +255,11 @@ def pipeline_report_pieces(
         + "\n"
     )
     yield f"domain: {len(od.concepts)} concepts\n\npair similarity\n---------------\n"
-    terms = [tuple(m.term for m in g.root.members) for g in graphs]
-    # most pairs have no cell, and each graph is the right side of many
-    columns = [_columns(t, list(map(len, t))) for t in terms]
-    for (i, j), pair in zip(cross_pairs(graphs), alignment.scores, strict=True):
-        text = _matrix_text(graphs[i], graphs[j], (terms[i], terms[j]), pair, False, columns[j])
-        yield "\n" + text
+    matrices = _Matrices(graphs, False)
+    # align made one root correspondence per pair, in cross_pairs order
+    pairs = zip(cross_pairs(graphs), alignment.scores, alignment.roots, strict=True)
+    for (i, j), pair, root in pairs:
+        yield "\n" + matrices.text(i, j, pair, root.classification)
     yield "\nalignment\n---------\n\n"
     yield from _trimmed(_alignment_lines(alignment, False))
     yield "\nmerge\n-----\n\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 from cmfuse import (
@@ -61,6 +62,11 @@ def quick_ontology(synsets: dict[str, list[str]]) -> DomainOntology:
 
 
 EMPTY_ONTOLOGY = DomainOntology((), ())
+
+
+def reference_dump_json(obj) -> str:
+    """What jsonio.dump_json writes, from json's own indenting encoder."""
+    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
 
 
 def client_pair() -> tuple[BusinessComponent, BusinessComponent]:

@@ -1,15 +1,18 @@
 """The fast alignment I/O paths against their plain references.
 
-The writers emit the correspondence and equivalence lists from templates;
-the reference is dump_json of the document's JSON tree. The reader takes
-a happy path through well-formed correspondences; the reference is the
-spec walker alone, which is what the reader falls back to.
+The writers emit the correspondence and equivalence lists from templates,
+and dump_json lays out the rest with its own small writer; the reference
+for both is json's indenting encoder on the document's JSON tree. The
+reader takes a happy path through well-formed correspondences; the
+reference is the spec walker alone, which is what the reader falls back
+to.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -27,15 +30,15 @@ from cmfuse import (
     serialize_representation,
 )
 from cmfuse import integrate
+from cmfuse.jsonio import dump_item, dump_json
 from cmfuse.integrate import (
     CLASSIFICATIONS,
     alignment_from_json,
     alignment_to_json,
     representation_to_json,
 )
-from cmfuse.jsonio import dump_json
 
-from helpers import EMPTY_ONTOLOGY
+from helpers import EMPTY_ONTOLOGY, reference_dump_json
 
 # pieces of text the JSON encoder treats differently: non-ASCII, quote and
 # backslash, control characters, the JavaScript line separators
@@ -65,6 +68,59 @@ def _random_alignment(rng: random.Random) -> Alignment:
     return Alignment(tuple(corrs), tuple(_text(rng) for _ in range(rng.randrange(3))))
 
 
+# ---- writer
+
+def _counted_text(rng: random.Random, seen: Counter) -> str:
+    text = _text(rng)
+    seen.update(f"text {piece!r}" for piece in PIECES if piece in text)
+    return text
+
+
+def _tree(rng: random.Random, depth: int, seen: Counter):
+    # a random JSON value; seen counts each kind of value that is made
+    kinds = ["str", "None", "True", "False", "int", "float"]
+    if depth < 4:
+        kinds += ["dict", "list", "tuple"] * 2
+    kind = rng.choice(kinds)
+    if kind in ("dict", "list", "tuple"):
+        size = rng.choice([0, 1, rng.randrange(2, 5)])
+        seen[f"empty {kind}" if size == 0 else kind] += 1
+        if kind != "dict":
+            items = [_tree(rng, depth + 1, seen) for _ in range(size)]
+            return items if kind == "list" else tuple(items)
+        out = {}
+        for _ in range(size):
+            key = _counted_text(rng, seen)
+            if rng.random() < 0.1:
+                # json writes these keys as the strings of their values
+                key = rng.choice([None, True, False, -7, 10**20, 1.5])
+                seen["non-str key"] += 1
+            out[key] = _tree(rng, depth + 1, seen)
+        return out
+    seen[kind] += 1
+    if kind == "str":
+        return _counted_text(rng, seen)
+    if kind == "int":
+        return rng.choice([0, -1, 42, -(10**30), 10**40 + 3])
+    if kind == "float":
+        return rng.choice([0.1, -2.5, 1e300, float("inf"), float("nan")])
+    return {"None": None, "True": True, "False": False}[kind]
+
+
+def test_the_writer_equals_json_indenting_encoder():
+    rng = random.Random(6003)
+    seen: Counter = Counter()
+    for _ in range(1000):
+        tree = _tree(rng, 0, seen)
+        expected = reference_dump_json(tree)
+        assert dump_json(tree) == expected
+        item = "    " + expected[:-1].replace("\n", "\n    ")
+        assert dump_item(tree) == item
+    assert min(seen.values()) >= 20, seen
+    # six scalar kinds, three containers, each also empty, non-str keys
+    assert len(seen) == 6 + 3 * 2 + 1 + len(PIECES), seen
+
+
 def test_alignment_writer_equals_dump_json(library_graphs, library_ontology):
     rng = random.Random(6001)
     empty_lists = conflict_lists = 0
@@ -72,7 +128,7 @@ def test_alignment_writer_equals_dump_json(library_graphs, library_ontology):
         alignment = _random_alignment(rng)
         graphs, od = rng.choice([(library_graphs, library_ontology), ([], EMPTY_ONTOLOGY)])
         settings = {"mode": rng.choice(["literal", "bipartite"]), "recursive": rng.random() < 0.5}
-        expected = dump_json(alignment_to_json(alignment, graphs, od, **settings))
+        expected = reference_dump_json(alignment_to_json(alignment, graphs, od, **settings))
         assert serialize_alignment(alignment, graphs, od, **settings) == expected
         empty_lists += not alignment.correspondences
         conflict_lists += bool(alignment.conflicts)
@@ -90,7 +146,7 @@ def test_representation_writer_equals_dump_json(library_graphs):
         count = rng.choice([0, rng.randrange(1, 20)])
         pairs = tuple((_text(rng), _text(rng)) for _ in range(count))
         rep = RepresentationOntology(roots, pairs)
-        assert serialize_representation(rep) == dump_json(representation_to_json(rep))
+        assert serialize_representation(rep) == reference_dump_json(representation_to_json(rep))
         empty += not roots and not pairs
     assert empty >= 5
 
@@ -98,7 +154,7 @@ def test_representation_writer_equals_dump_json(library_graphs):
 def test_pipeline_alignment_equals_dump_json(library_graphs, library_ontology):
     alignment = align(library_graphs, library_ontology)
     assert alignment.conflicts
-    expected = dump_json(alignment_to_json(alignment, library_graphs, library_ontology))
+    expected = reference_dump_json(alignment_to_json(alignment, library_graphs, library_ontology))
     assert serialize_alignment(alignment, library_graphs, library_ontology) == expected
 
 

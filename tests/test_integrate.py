@@ -129,6 +129,20 @@ class TestAlign:
         assert len(conflicts) == 1
         assert conflicts[0].classification == CLASS_HOMONYM_CONFLICT
 
+    def test_roots_and_conflicts_are_computed_once(self, library_graphs, library_ontology):
+        alignment = align(library_graphs, library_ontology)
+        fields = repr(alignment)
+        roots, conflicts = alignment.roots, alignment.conflicts
+        assert alignment.roots is roots and alignment.conflicts is conflicts
+        assert roots == tuple(c for c in alignment.correspondences if c.left.member is None)
+        # the cache is not a field: repr, equality and replace ignore it
+        assert repr(alignment) == fields
+        fresh = Alignment(alignment.correspondences, alignment.diagnostics)
+        assert fresh == alignment
+        changed = dataclasses.replace(alignment, correspondences=roots[:1])
+        assert changed.roots == roots[:1] and changed.conflicts == ()
+        assert copy.deepcopy(alignment) == alignment
+
     def test_diagnostics_ride_along(self, library_graphs, library_ontology):
         alignment = align(
             library_graphs, library_ontology, diagnostics=["note one"]

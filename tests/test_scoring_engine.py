@@ -51,6 +51,7 @@ import reference_similarity as reference
 from conftest import FIXTURES
 from helpers import (
     EMPTY_ONTOLOGY,
+    atom,
     random_concept,
     random_domain,
     random_nested_concept,
@@ -259,30 +260,57 @@ def test_merge_folds_members_like_the_reference_in_any_class(monkeypatch):
                 assert merged == _merged(alignment, graphs, od, mode, recursive)
 
 
+def _widened(rng: random.Random, graph: ComponentOntology) -> ComponentOntology:
+    # sometimes a member term wider than any corner
+    if not graph.root.members or rng.random() < 0.8:
+        return graph
+    wide = atom(graph.root.members[0].term + "x" * 20)
+    return replace(graph, root=replace(graph.root, members=(*graph.root.members, wide)))
+
+
 def test_the_report_renders_every_matrix_like_the_reference():
+    # the report builds its tables from blocks cached per graph, per
+    # first-column width and per aggregate and class; each case that takes
+    # another path through them is counted
     rng = random.Random(5007)
+    seen = dict.fromkeys(
+        ["4+ graphs a side", "score wider than its column", "memberless left", "memberless right",
+         "same name", "corner widest", "left term widest"],
+        0,
+    )
     for _ in range(100):
         od, pool = random_domain(rng)
         concept_ids = [c.id for c in od.concepts]
+        sizes = {source: rng.choice([1, 2, 3, 4, 5, 6]) for source in ("A", "B")}
         graphs = [
-            _random_graph(rng, pool, concept_ids, source)
-            for source in ("A", "B")
-            for _ in range(rng.randrange(1, 4))
+            _widened(rng, _random_graph(rng, pool, concept_ids, source))
+            for source, size in sizes.items()
+            for _ in range(size)
         ]
         graphs = [replace(g, origin=f"{g.origin}{k}") for k, g in enumerate(graphs)]
+        seen["4+ graphs a side"] += min(sizes.values()) >= 4
+        for i, j in cross_pairs(graphs):
+            a, b = graphs[i], graphs[j]
+            widest = max((len(m.term) for m in a.root.members), default=0)
+            seen["memberless left"] += not a.root.members
+            seen["memberless right"] += not b.root.members
+            seen["same name"] += a.root.term == b.root.term
+            seen["corner widest"] += bool(a.root.members) and len(f"{a.path} \\ {b.path}") > widest
+            seen["left term widest"] += len(f"{a.path} \\ {b.path}") < widest
         for mode, recursive in SETTINGS:
             alignment = align(graphs, od, mode=mode, recursive=recursive)
             report = render_pipeline_report(graphs, od, alignment, NOTHING_MERGED, ComponentSet("S", ()))
-            tables = [
-                reference.render_matrix_text(
-                    graphs[i],
-                    graphs[j],
-                    reference.similarity_matrix(graphs[i], graphs[j], od, mode=mode, recursive=recursive),
+            tables = []
+            for (i, j), pair in zip(cross_pairs(graphs), alignment.scores):
+                right = graphs[j].root.members
+                seen["score wider than its column"] += any(
+                    len(str(score)) > len(right[col].term) for _, col, score in pair.cells
                 )
-                for i, j in cross_pairs(graphs)
-            ]
+                dense = reference.similarity_matrix(graphs[i], graphs[j], od, mode=mode, recursive=recursive)
+                tables.append(reference.render_matrix_text(graphs[i], graphs[j], dense))
             expected = "\n---------------\n" + "".join(f"\n{t}" for t in tables) + "\nalignment\n"
             assert expected in report
+    assert min(seen.values()) >= 20, seen
 
 
 def test_sim_renders_every_pair_like_the_reference():

@@ -36,10 +36,9 @@ from cmfuse import (
 from cmfuse import integrate
 from cmfuse.cli import _read, main
 from cmfuse.integrate import CLASS_DISTINCT, _stream_alignment
-from cmfuse.jsonio import dump_json
 from cmfuse.report import alignment_report_json, alignment_report_pieces
 
-from helpers import EMPTY_ONTOLOGY
+from helpers import EMPTY_ONTOLOGY, reference_dump_json
 from test_fast_io import _random_alignment
 
 
@@ -255,7 +254,7 @@ def test_report_json_writer_equals_dump_json(library_graphs, library_ontology, t
     alignments += [_random_alignment(rng) for _ in range(300)]
     flagged = 0
     for alignment in alignments:
-        expected = dump_json(alignment_report_json(alignment))
+        expected = reference_dump_json(alignment_report_json(alignment))
         assert "".join(alignment_report_pieces(alignment)) == expected
         flagged += bool(alignment_report_json(alignment)["flagged"])
     assert flagged >= 20
@@ -263,4 +262,4 @@ def test_report_json_writer_equals_dump_json(library_graphs, library_ontology, t
     path = tmp_path / "alignment.json"
     path.write_text(serialize_alignment(alignments[0], library_graphs, library_ontology), encoding="utf-8")
     assert main(["report", str(path), "--format", "json"]) == 0
-    assert capsys.readouterr().out == dump_json(alignment_report_json(alignments[0]))
+    assert capsys.readouterr().out == reference_dump_json(alignment_report_json(alignments[0]))
