@@ -181,8 +181,8 @@ def _read(path: str) -> str:
 
 
 def _load_alignment(path: str) -> AlignmentDocument:
-    # the layout cmfuse writes is read in chunks; any other text is read
-    # whole, and every diagnostic comes from parse_alignment
+    # a regular file in the layout cmfuse writes is read in chunks; any
+    # other file is read whole, and parse_alignment writes every diagnostic
     return _stream_alignment(path) or parse_alignment(_read(path), source=path)
 
 

@@ -282,9 +282,11 @@ def merge(
     links: list[tuple[int, int]] = []
     conflicted: set[int] = set()
     for corr in alignment.roots:
-        i, j = (index.get((e.source, e.origin)) for e in (corr.left, corr.right))
+        left, right = corr.left, corr.right
+        i = index.get((left.source, left.origin))
+        j = index.get((right.source, right.origin))
         if i is None or j is None:
-            e = corr.left if i is None else corr.right
+            e = left if i is None else right
             raise MergeError(
                 f"alignment references {e.source}/{e.origin}, which is not in the merged set"
             )
@@ -659,18 +661,10 @@ _CORRESPONDENCE = obj(
 )
 _CORRESPONDENCES = list_of(_CORRESPONDENCE)
 
-
-def _correspondences(value: list, path, problems):
-    # a well-formed list takes the fast path; at its first problem the
-    # walker checks the list again and writes the diagnostics
-    found = _fast_correspondences(value)
-    return _CORRESPONDENCES(value, path, problems) if found is None else found
-
-
 _MODE = one_of((MODE_LITERAL, MODE_BIPARTITE), "must be literal or bipartite")
 _ALIGNMENT_FIELDS = {
     "settings": maybe(obj({"mode": _MODE, "recursive": BOOLEAN})),
-    "correspondences": _correspondences,
+    "correspondences": _CORRESPONDENCES,
     "conflicts": None,  # derived from the correspondences
     "diagnostics": STRINGS,
     "ontologies": list_of(graph_spec),
@@ -698,72 +692,26 @@ _REST = obj(
 def parse_alignment(document: str, *, source: str = "<alignment>") -> AlignmentDocument:
     """Parse an alignment document back into its parts.
 
-    Problems with the top-level keys, and then correspondences that are
-    not a list, are each reported on their own.
+    Text laid out as cmfuse writes it is matched one correspondence at a
+    time, and only the rest of the document is decoded whole; any other
+    text, and any text with a problem, goes to alignment_from_json, which
+    writes the diagnostics.
     """
-    return alignment_from_json(load_json(document, source), source=source)
+    found = _streamed((document,), source)
+    return found or alignment_from_json(load_json(document, source), source=source)
 
 
 def alignment_from_json(data, *, source: str = "<alignment>") -> AlignmentDocument:
-    """Check a decoded alignment document; see parse_alignment.
+    """Check a decoded alignment document with the spec walker.
 
-    Well-formed correspondences take a fast path; at its first problem
-    the spec walker checks them and writes the diagnostics.
+    Problems with the top-level keys, and then correspondences that are
+    not a list, are each reported on their own; otherwise every problem
+    in the document is.
     """
     check(_ALIGNMENT_KEYS, data, source)
     if not isinstance(data["correspondences"], list):
         raise DocumentError(source, ["correspondences: must be a list"])
     return check(_ALIGNMENT, data, source)
-
-
-_CORRESPONDENCE_KEYS = frozenset(("left", "right", "score", "class"))
-_ENDPOINT_KEYS = frozenset(("source", "origin", "member"))
-
-
-def _fast_correspondences(items: list) -> tuple[Correspondence, ...] | None:
-    """What _CORRESPONDENCE makes of every item, or None when one is not
-    well-formed. Each distinct endpoint becomes one Endpoint and each
-    distinct score text is parsed once."""
-    endpoints: dict[tuple, Endpoint] = {}
-    scores: dict[str, Score] = {}
-
-    def endpoint(value) -> Endpoint | None:
-        if not (isinstance(value, dict) and value.keys() == _ENDPOINT_KEYS):
-            return None
-        key = (value["source"], value["origin"], value["member"])
-        found = endpoints.get(key)  # only checked triples are stored
-        if found is None:
-            source, origin, member = key
-            if not (
-                isinstance(source, str)
-                and isinstance(origin, str)
-                and source
-                and origin
-                and (member is None or isinstance(member, str))
-            ) or any(lone_surrogate(s) for s in key if s is not None):
-                return None
-            found = endpoints[key] = Endpoint(source, origin, member)
-        return found
-
-    out = []
-    try:
-        for item in items:
-            if not (isinstance(item, dict) and item.keys() == _CORRESPONDENCE_KEYS):
-                return None
-            left, right = endpoint(item["left"]), endpoint(item["right"])
-            text, classification = item["score"], item["class"]
-            score = scores.get(text)
-            if score is None:
-                if not isinstance(text, str):
-                    return None
-                score = scores[text] = parse_score(text)
-            if left is None or right is None or classification not in CLASSIFICATIONS:
-                return None
-            out.append(Correspondence(left, right, score, classification))
-    except (TypeError, ValueError):
-        # an unhashable endpoint field or score (TypeError), or a bad score text
-        return None
-    return tuple(out)
 
 
 _CHUNK = 1 << 18  # bytes that _stream_alignment reads at a time
@@ -795,26 +743,15 @@ def _item_pattern() -> re.Pattern:
 
 
 def _stream_alignment(path: str) -> AlignmentDocument | None:
-    """What parse_alignment makes of the file at path, read in chunks, when
-    the file is laid out as alignment_pieces writes it; None at the first
-    thing that layout does not predict or that parse_alignment would reject.
-
-    Each correspondence is matched against the writer's templates, and
-    each distinct endpoint and score text is decoded and checked once, so
-    the correspondence list never becomes a JSON tree. The rest of the
-    document is decoded whole and checked by the spec walker.
-    """
+    """The alignment document in the regular file at path, when _streamed
+    accepts its text, read in chunks; None otherwise."""
     try:
         # a caller that gets None reads the file again, which a pipe forbids
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None
         with open(path, "rb") as file:
-            if file.read(len(_HEAD)) != _HEAD.encode():
-                return None
-            return _streamed(file, path)
-    except (OSError, ValueError, KeyError, RecursionError, DocumentError):
-        # ValueError covers bad UTF-8, JSON and score texts, KeyError an
-        # unknown class text
+            return _streamed(_chunks(file), path)
+    except OSError:
         return None
 
 
@@ -825,51 +762,72 @@ def _chunks(file: BinaryIO) -> Iterator[str]:
     yield decoder.decode(b"", final=True)
 
 
-def _streamed(file: BinaryIO, source: str) -> AlignmentDocument | None:
-    # the document after its head, from the correspondence list on
+def _streamed(chunks: Iterable[str], source: str) -> AlignmentDocument | None:
+    """The alignment document whose text comes in chunks, when it is laid
+    out as alignment_pieces writes it; None at the first thing that layout
+    does not predict or that the specs reject.
+
+    Each correspondence is matched against the writer's templates. The
+    first sight of each endpoint text is checked by _ENDPOINT and of each
+    score text by _score, and each distinct endpoint becomes one Endpoint,
+    so the correspondence list never becomes a JSON tree. The rest of the
+    document is decoded whole and checked by the spec walker.
+    """
     item = _item_pattern().match
     classes = {encode_basestring(c): c for c in CLASSIFICATIONS}
     endpoints: dict[str, Endpoint] = {}  # by text
-    triples: dict[tuple, Endpoint] = {}  # by decoded triple, one Endpoint each
+    distinct: dict[Endpoint, Endpoint] = {}  # one Endpoint per decoded triple
     scores: dict[str, Score] = {}
 
     # a text seen for the first time; the loop looks up the texts it saw
     def endpoint(text: str) -> Endpoint:
-        triple = tuple(_DECODER.decode(text).values())  # source, origin, member
-        if not (triple[0] and triple[1]) or any(lone_surrogate(s) for s in triple if s):
-            raise ValueError("blank endpoint field, or a lone surrogate")
-        endpoints[text] = found = triples.setdefault(triple, Endpoint(*triple))
+        found = check(_ENDPOINT, _DECODER.decode(text), source)
+        endpoints[text] = found = distinct.setdefault(found, found)
         return found
 
     def score(text: str) -> Score:
-        scores[text] = found = parse_score(_DECODER.decode(text))
+        scores[text] = found = check(_score, _DECODER.decode(text), source)
         return found
 
     corrs: list[Correspondence] = []
-    chunks = _chunks(file)
-    text, pos, separator = "", 0, "[\n"
-    for chunk in chunks:
-        text = text[pos:] + chunk
-        pos = 0
-        while text.startswith(separator, pos) and (m := item(text, pos + len(separator))):
-            left, right, score_text, class_text = m.groups()
-            corrs.append(
-                Correspondence(
-                    endpoints.get(left) or endpoint(left),
-                    endpoints.get(right) or endpoint(right),
-                    scores.get(score_text) or score(score_text),
-                    classes[class_text],
+    chunks = iter(chunks)
+    try:
+        text = ""
+        for chunk in chunks:
+            text += chunk
+            if len(text) >= len(_HEAD):
+                break
+        if not text.startswith(_HEAD):
+            return None
+        pos, separator = len(_HEAD), "[\n"
+        while True:
+            while text.startswith(separator, pos) and (m := item(text, pos + len(separator))):
+                left, right, score_text, class_text = m.groups()
+                corrs.append(
+                    Correspondence(
+                        endpoints.get(left) or endpoint(left),
+                        endpoints.get(right) or endpoint(right),
+                        scores.get(score_text) or score(score_text),
+                        classes[class_text],
+                    )
                 )
-            )
-            pos, separator = m.end(), ",\n"
-        # the list ends as _json_list ends it, and the document goes on
-        end = "[]," if separator == "[\n" else "\n  ],"
-        if text.startswith(end, pos):
-            break
-    else:
+                pos, separator = m.end(), ",\n"
+            # the list ends as _json_list ends it, and the document goes on
+            end = "[]," if separator == "[\n" else "\n  ],"
+            if text.startswith(end, pos):
+                break
+            chunk = next(chunks, None)
+            if chunk is None:
+                return None
+            # a statement of its own, so that CPython extends text in place while pos is 0
+            text = text[pos:] + chunk
+            pos = 0
+        rest = json.loads("{" + text[pos + len(end) :] + "".join(chunks))
+        return _document(tuple(corrs), **check(_REST, rest, source))
+    except (ValueError, KeyError, RecursionError, DocumentError):
+        # ValueError covers bad UTF-8 and JSON texts, KeyError an unknown
+        # class text, DocumentError what a spec rejects
         return None
-    rest = json.loads("{" + text[pos + len(end) :] + "".join(chunks))
-    return _document(tuple(corrs), **check(_REST, rest, source))
 
 
 def representation_to_json(rep: RepresentationOntology) -> dict:

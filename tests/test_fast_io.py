@@ -3,9 +3,9 @@
 The writers emit the correspondence and equivalence lists from templates,
 and dump_json lays out the rest with its own small writer; the reference
 for both is json's indenting encoder on the document's JSON tree. The
-reader takes a happy path through well-formed correspondences; the
-reference is the spec walker alone, which is what the reader falls back
-to.
+reader matches text in the writer's layout one correspondence at a time;
+the reference is the spec walker on the decoded tree, which is what the
+reader falls back to.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from cmfuse import (
     RepresentationOntology,
     Score,
     align,
+    parse_alignment,
     serialize_alignment,
     serialize_representation,
 )
@@ -174,13 +175,18 @@ def _library_alignment(graphs, od) -> str:
     return serialize_alignment(align(graphs, od), graphs, od)
 
 
-def _outcome(data):
+def _outcome(read, document):
     try:
-        doc = alignment_from_json(data, source=SOURCE)
+        doc = read(document, source=SOURCE)
     except DocumentError as exc:
         return exc.source, exc.diagnostics
     settings = {"mode": doc.mode, "recursive": doc.recursive}
     return doc.alignment, serialize_alignment(doc.alignment, doc.graphs, doc.domain, **settings)
+
+
+def _matched(text: str) -> bool:
+    # whether the reader took the matcher's path, not the walker's
+    return integrate._streamed((text,), SOURCE) is not None
 
 
 def _mutate(rng: random.Random, data: dict) -> None:
@@ -214,31 +220,31 @@ def _mutate(rng: random.Random, data: dict) -> None:
         target[rng.choice(keys)] = rng.choice(VALUES)
 
 
-def test_reader_equals_the_spec_walker(library_graphs, library_ontology, monkeypatch):
+def test_reader_equals_the_spec_walker(library_graphs, library_ontology):
     base = json.loads(_library_alignment(library_graphs, library_ontology))
-    assert integrate._fast_correspondences(base["correspondences"]) is not None
+    assert _matched(dump_json(base))
     rng = random.Random(6003)
     documents = []
-    for _ in range(400):
+    for _ in range(600):
         data = json.loads(json.dumps(base))
         for _ in range(rng.choice([1, 1, 2, 3])):
             _mutate(rng, data)
         documents.append(data)
-    fast = [_outcome(d) for d in documents]
-    fast_path = integrate._fast_correspondences
-    taken = sum(fast_path(d["correspondences"]) is not None for d in documents)
-    monkeypatch.setattr(integrate, "_fast_correspondences", lambda items: None)
-    walked = [_outcome(d) for d in documents]
-    for data, got, expected in zip(documents, fast, walked):
-        assert got == expected, json.dumps(data["correspondences"], ensure_ascii=False)[:2000]
+    matched = errors = 0
+    for data in documents:
+        # the mutated tree in the writer's layout, read from its text
+        text = dump_json(data)
+        got = _outcome(parse_alignment, text)
+        assert got == _outcome(alignment_from_json, data), text[:2000]
+        matched += _matched(text)
+        errors += isinstance(got[0], str)
     # both outcomes, and both paths, occur often enough to mean something
-    errors = sum(isinstance(o[0], str) for o in fast)
-    assert 100 <= errors <= 380
-    assert 50 <= taken <= 350
+    assert 100 <= errors <= 550
+    assert matched >= 50 and len(documents) - matched >= 50
 
 
 @pytest.mark.parametrize("text", ["1/2", "2/4", "01", "0/1", "1\n", "\u0661"])
-def test_reader_parses_each_score_text_like_the_walker(text, monkeypatch):
+def test_reader_parses_each_score_text_like_the_walker(text):
     # both paths read only the canonical spelling str(Score) writes, and
     # reject every other spelling of a rational with the same diagnostic
     data = {
@@ -255,9 +261,11 @@ def test_reader_parses_each_score_text_like_the_walker(text, monkeypatch):
         "ontologies": [],
         "domain": {"concepts": [], "thesaurus": []},
     }
-    got = _outcome(data)
-    monkeypatch.setattr(integrate, "_fast_correspondences", lambda items: None)
-    assert got == _outcome(data)
+    document = dump_json(data)
+    got = _outcome(parse_alignment, document)
+    assert got == _outcome(alignment_from_json, data)
+    # the score text is matched in the writer's layout, and checked by _score
+    assert _matched(document) == (text == "1/2")
     if text == "1/2":
         assert isinstance(got[0], Alignment)
     else:
@@ -266,6 +274,24 @@ def test_reader_parses_each_score_text_like_the_walker(text, monkeypatch):
 
 def test_reader_shares_one_endpoint_per_distinct_triple(library_graphs, library_ontology):
     text = _library_alignment(library_graphs, library_ontology)
-    corrs = alignment_from_json(json.loads(text)).alignment.correspondences
+    corrs = parse_alignment(text).alignment.correspondences
     ends = [e for c in corrs for e in (c.left, c.right)]
     assert len({id(e) for e in ends}) == len(set(ends)) < len(ends)
+
+
+def test_reader_decodes_only_the_text_after_the_list(library_graphs, library_ontology, monkeypatch):
+    # the correspondence list of text in the writer's layout never goes
+    # through json.loads; only the fields after it do
+    text = _library_alignment(library_graphs, library_ontology)
+    lengths = []
+    loads = json.loads
+
+    def counted(document, *args, **kwargs):
+        lengths.append(len(document))
+        return loads(document, *args, **kwargs)
+
+    monkeypatch.setattr(integrate.json, "loads", counted)
+    doc = parse_alignment(text)
+    after = len(text) - text.index('\n  "conflicts": ')
+    assert len(lengths) == 1 and lengths[0] <= after + 1, (lengths, after)
+    assert len(doc.alignment.correspondences) == len(loads(text)["correspondences"])

@@ -2,8 +2,8 @@
 
 merge, report and validate read the correspondence list of a file laid
 out as cmfuse writes it in chunks, item by item, from the writer's
-templates; the reference is parse_alignment of the whole text, which is
-also what they fall back to at the first surprise. The streamed reader
+templates; the reference is the spec walker on the decoded text, which
+is what they fall back to at the first surprise. The streamed reader
 must give the same document, or give up, on every text; the report's
 JSON writer must give dump_json of the report's JSON tree.
 """
@@ -29,13 +29,13 @@ from cmfuse import (
     IntegrationError,
     Score,
     align,
-    parse_alignment,
     serialize_alignment,
     serialize_domain_ontology,
 )
 from cmfuse import integrate
 from cmfuse.cli import _read, main
-from cmfuse.integrate import CLASS_DISTINCT, _stream_alignment
+from cmfuse.integrate import CLASS_DISTINCT, _stream_alignment, alignment_from_json
+from cmfuse.jsonio import load_json
 from cmfuse.report import alignment_report_json, alignment_report_pieces
 
 from helpers import EMPTY_ONTOLOGY, reference_dump_json
@@ -50,7 +50,7 @@ def _summary(doc) -> tuple:
 
 def _reference(path: str):
     try:
-        return _summary(parse_alignment(_read(path), source=path))
+        return _summary(alignment_from_json(load_json(_read(path), path), source=path))
     except DocumentError as exc:
         return exc.source, exc.diagnostics
     except IntegrationError as exc:
