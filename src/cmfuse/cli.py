@@ -34,6 +34,7 @@ from .integrate import (
     MergedComponent,
     _free,
     _stream_alignment,
+    _streamed,
     align,
     alignment_from_json,
     alignment_pieces,
@@ -242,12 +243,16 @@ _SHAPES = (
 
 
 def _validated(path: str) -> tuple[object, str, list[str]]:
-    # the document at path, with its kind and counted attribute paths
+    # the document at path, with its kind and counted attribute paths; the
+    # alignment in a pipe is matched in its whole text, as parse_alignment does
     document = _stream_alignment(path)
+    if document is None:
+        text = _read(path)
+        document = _streamed((text,), path)
     if document is not None:
         _, kind, _, counted = _ALIGNMENT_SHAPE
         return document, kind, counted
-    data = load_json(_read(path), path)
+    data = load_json(text, path)
     for markers, kind, read, counted in _SHAPES:
         if isinstance(data, dict) and any(key in data for key in markers):
             return read(data, source=path), kind, counted

@@ -17,7 +17,7 @@ import re
 import stat
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations, count
 from json.encoder import encode_basestring
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
@@ -30,8 +30,7 @@ from .jsonio import (
     STRINGS,
     at,
     check,
-    dump_item,
-    dump_json,
+    dump_pieces,
     list_of,
     load_json,
     lone_surrogate,
@@ -503,31 +502,6 @@ class AlignmentDocument:
     recursive: bool = True
 
 
-def alignment_to_json(
-    alignment: Alignment,
-    graphs: Sequence[ComponentOntology],
-    od: DomainOntology,
-    *,
-    mode: str = MODE_LITERAL,
-    recursive: bool = True,
-) -> dict:
-    return {
-        "correspondences": [correspondence_to_json(c) for c in alignment.correspondences],
-        "conflicts": [correspondence_to_json(c) for c in alignment.conflicts],
-        **_alignment_rest(alignment, graphs, od, mode, recursive),
-    }
-
-
-def _alignment_rest(alignment, graphs, od, mode, recursive) -> dict:
-    # the fields of an alignment document after its correspondence lists
-    return {
-        "diagnostics": list(alignment.diagnostics),
-        "settings": {"mode": mode, "recursive": recursive},
-        "ontologies": [component_ontology_to_json(g) for g in graphs],
-        "domain": domain_ontology_to_json(od),
-    }
-
-
 def serialize_alignment(
     alignment: Alignment,
     graphs: Sequence[ComponentOntology],
@@ -540,8 +514,7 @@ def serialize_alignment(
     they speak about, the domain ontology needed to merge them, and the
     similarity settings the scores were computed under.
 
-    The text is dump_json of alignment_to_json, joined from
-    alignment_pieces.
+    The text is joined from alignment_pieces.
     """
     return "".join(alignment_pieces(alignment, graphs, od, mode=mode, recursive=recursive))
 
@@ -556,53 +529,31 @@ def alignment_pieces(
 ) -> Iterator[str]:
     """The text of serialize_alignment, piece by piece: the two
     correspondence lists, which grow with the square of the graph count,
-    one correspondence at a time from templates, then the rest at once.
+    one correspondence at a time, then each of the other fields at once.
     """
-    yield from _correspondence_lists(
-        {"correspondences": alignment.correspondences, "conflicts": alignment.conflicts}
+    item = correspondence_items()
+    return dump_pieces(
+        {
+            "correspondences": map(item, alignment.correspondences),
+            "conflicts": map(item, alignment.conflicts),
+            "diagnostics": alignment.diagnostics,
+            "settings": {"mode": mode, "recursive": recursive},
+            "ontologies": [component_ontology_to_json(g) for g in graphs],
+            "domain": domain_ontology_to_json(od),
+        }
     )
-    rest = dump_json(_alignment_rest(alignment, graphs, od, mode, recursive))
-    yield ",\n" + rest[len("{\n") :]
 
 
-def correspondence_to_json(c: Correspondence) -> dict:
-    return {
-        "left": _endpoint_json(c.left),
-        "right": _endpoint_json(c.right),
-        "score": str(c.score),
-        "class": c.classification,
-    }
-
-
-def _endpoint_json(e: Endpoint) -> dict:
-    return {"source": e.source, "origin": e.origin, "member": e.member}
-
-
-def _json_list(items: Iterable[str]) -> Iterator[str]:
-    # a list of pre-indented item texts, as dump_json writes it under a
-    # top-level key, one item at a time
-    separator = "[\n"
-    for item in items:
-        yield separator + item
-        separator = ",\n"
-    yield "[]" if separator == "[\n" else "\n  ]"
-
-
-def _correspondence_lists(lists: dict[str, Iterable[Correspondence]]) -> Iterator[str]:
-    # the opening of a document whose first keys hold these correspondence
-    # lists, laid out as dump_json lays them out
-    endpoints: dict[int, str] = {}
-    separator = "{\n"
-    for key, corrs in lists.items():
-        yield f"{separator}  {encode_basestring(key)}: "
-        yield from _json_list(_correspondence_text(c, endpoints) for c in corrs)
-        separator = ",\n"
+def correspondence_items() -> Callable[[Correspondence], str]:
+    """Lays out each correspondence as an item of one document's list,
+    each endpoint's text made once: align shares one Endpoint per graph
+    and per member, and the reader one per distinct triple."""
+    return partial(_correspondence_text, endpoints={})
 
 
 def _correspondence_text(c: Correspondence, endpoints: dict[int, str]) -> str:
     # one item of a correspondence list; endpoints caches each endpoint's
-    # text by identity, since align shares one Endpoint per graph and per
-    # member, and the reader one per distinct triple
+    # text by its id
     for e in (c.left, c.right):
         if id(e) not in endpoints:
             endpoints[id(e)] = _endpoint_text(e)
@@ -812,7 +763,7 @@ def _streamed(chunks: Iterable[str], source: str) -> AlignmentDocument | None:
                     )
                 )
                 pos, separator = m.end(), ",\n"
-            # the list ends as _json_list ends it, and the document goes on
+            # the list ends as dump_pieces ends it, and the document goes on
             end = "[]," if separator == "[\n" else "\n  ],"
             if text.startswith(end, pos):
                 break
@@ -830,13 +781,6 @@ def _streamed(chunks: Iterable[str], source: str) -> AlignmentDocument | None:
         return None
 
 
-def representation_to_json(rep: RepresentationOntology) -> dict:
-    return {
-        "roots": [_merged_root_json(r) for r in rep.roots],
-        "equivalences": [list(pair) for pair in rep.equivalences],
-    }
-
-
 def _merged_root_json(root: MergedRoot) -> dict:
     obj = component_ontology_to_json(root.ontology)
     obj["merged_from"] = [e.path for e in root.merged_from]
@@ -844,22 +788,23 @@ def _merged_root_json(root: MergedRoot) -> dict:
 
 
 def serialize_representation(rep: RepresentationOntology) -> str:
-    """dump_json of representation_to_json, joined from representation_pieces."""
+    """The representation document, joined from representation_pieces."""
     return "".join(representation_pieces(rep))
 
 
 def representation_pieces(rep: RepresentationOntology) -> Iterator[str]:
-    """The text of serialize_representation, one root or one equivalence
-    at a time; the equivalence list, which grows with the square of the
-    class sizes, is written from a template."""
-    yield '{\n  "roots": '
-    yield from _json_list(dump_item(_merged_root_json(r)) for r in rep.roots)
-    yield ',\n  "equivalences": '
-    yield from _json_list(
-        f"    [\n      {encode_basestring(a)},\n      {encode_basestring(b)}\n    ]"
-        for a, b in rep.equivalences
+    """The text of serialize_representation: the roots, one graph per
+    result component, at once, then the equivalence list, which grows
+    with the square of the class sizes, one pair at a time."""
+    return dump_pieces(
+        {
+            "roots": [_merged_root_json(r) for r in rep.roots],
+            "equivalences": (
+                f"    [\n      {encode_basestring(a)},\n      {encode_basestring(b)}\n    ]"
+                for a, b in rep.equivalences
+            ),
+        }
     )
-    yield "\n}\n"
 
 
 def _root_endpoint(value, path, problems):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from contextlib import contextmanager
 from json.encoder import encode_basestring
 from typing import Any, Callable
@@ -56,12 +57,28 @@ def dump_json(obj: Any) -> str:
     return "".join(out)
 
 
-def dump_item(obj: Any) -> str:
-    """obj laid out as dump_json lays out an item of a list under a
-    top-level key, without the separator before it."""
-    out = ["    "]
-    _write(obj, "\n    ", out)
-    return "".join(out)
+def dump_pieces(fields: dict) -> Iterator[str]:
+    """The text of dump_json(fields), one field at a time.
+
+    A field whose value is an iterator is a list whose items come as
+    texts already laid out at list-item depth, written one at a time, so
+    a list that grows with the square of the input is never held whole.
+    """
+    separator = "{\n  "
+    for key, value in fields.items():
+        yield f"{separator}{encode_basestring(key)}: "
+        if isinstance(value, Iterator):
+            opening = "[\n"
+            for item in value:
+                yield opening + item
+                opening = ",\n"
+            yield "[]" if opening == "[\n" else "\n  ]"
+        else:
+            out: list[str] = []
+            _write(value, "\n  ", out)
+            yield "".join(out)
+        separator = ",\n  "
+    yield "{}\n" if separator == "{\n  " else "\n}\n"
 
 
 def _write(obj: Any, indent: str, out: list[str]) -> None:
@@ -76,11 +93,10 @@ def _write(obj: Any, indent: str, out: list[str]) -> None:
         inner = indent + "  "
         separator = "{" + inner
         for key, value in obj.items():
-            key = encode_basestring(key) if type(key) is str else _key(key)
             if type(value) is str:
-                out.append(f"{separator}{key}: {encode_basestring(value)}")
+                out.append(f"{separator}{encode_basestring(key)}: {encode_basestring(value)}")
             else:
-                out.append(f"{separator}{key}: ")
+                out.append(f"{separator}{encode_basestring(key)}: ")
                 _write(value, inner, out)
             separator = "," + inner
         out.append(indent + "}")
@@ -102,15 +118,6 @@ def _write(obj: Any, indent: str, out: list[str]) -> None:
         out.append(encode_basestring(obj))
     else:
         out.append(json.dumps(obj))
-
-
-def _key(key: Any) -> str:
-    # json writes a number, boolean or null key as the string of its value
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = json.dumps(key)
-    return encode_basestring(key)
 
 
 def check(spec: Callable, value: Any, source: str, path: str = "") -> Any:

@@ -12,13 +12,12 @@ from .integrate import (
     Alignment,
     CLASS_HOMONYM_CONFLICT,
     MergedComponent,
-    _correspondence_lists,
-    correspondence_to_json,
+    correspondence_items,
     cross_pairs,
     detect_naming_conflicts,
     pair_class,
 )
-from .jsonio import dump_json
+from .jsonio import dump_pieces
 from .ontology import DomainOntology
 from .similarity import PairScore, VERDICT_SYNONYM
 from .transform import ComponentOntology
@@ -175,26 +174,18 @@ def _alignment_lines(alignment: Alignment, color: bool) -> Iterator[str]:
             yield f"  {d}\n"
 
 
-def alignment_report_json(alignment: Alignment) -> dict:
-    return {
-        "correspondences": [correspondence_to_json(c) for c in alignment.correspondences],
-        "conflicts": [correspondence_to_json(c) for c in alignment.conflicts],
-        "flagged": [correspondence_to_json(c) for c in detect_naming_conflicts(alignment)],
-        "diagnostics": list(alignment.diagnostics),
-    }
-
-
 def alignment_report_pieces(alignment: Alignment) -> Iterator[str]:
-    """The text of dump_json(alignment_report_json(alignment)), one
-    correspondence at a time."""
-    yield from _correspondence_lists(
+    """The JSON report of an alignment, one correspondence at a time: its
+    correspondences, conflicts, flagged naming conflicts and diagnostics."""
+    item = correspondence_items()
+    return dump_pieces(
         {
-            "correspondences": alignment.correspondences,
-            "conflicts": alignment.conflicts,
-            "flagged": detect_naming_conflicts(alignment),
+            "correspondences": map(item, alignment.correspondences),
+            "conflicts": map(item, alignment.conflicts),
+            "flagged": map(item, detect_naming_conflicts(alignment)),
+            "diagnostics": alignment.diagnostics,
         }
     )
-    yield ",\n" + dump_json({"diagnostics": list(alignment.diagnostics)})[len("{\n") :]
 
 
 def _merge_lines(merged: MergedComponent) -> Iterator[str]:
@@ -220,18 +211,6 @@ def _merge_lines(merged: MergedComponent) -> Iterator[str]:
             yield f"  {a} == {b}\n"
 
 
-def render_pipeline_report(
-    graphs: Sequence[ComponentOntology],
-    od: DomainOntology,
-    alignment: Alignment,
-    merged: MergedComponent,
-    result: ComponentSet,
-) -> str:
-    """The full plain-text report written next to the pipeline artifacts,
-    joined from pipeline_report_pieces."""
-    return "".join(pipeline_report_pieces(graphs, od, alignment, merged, result))
-
-
 def pipeline_report_pieces(
     graphs: Sequence[ComponentOntology],
     od: DomainOntology,
@@ -239,8 +218,9 @@ def pipeline_report_pieces(
     merged: MergedComponent,
     result: ComponentSet,
 ) -> Iterator[str]:
-    """The text of render_pipeline_report, one pair matrix or one line
-    of the alignment and merge sections at a time.
+    """The full plain-text report written next to the pipeline
+    artifacts, one pair matrix or one line of the alignment and merge
+    sections at a time.
 
     The member matrices come from the pair table that align kept on the
     alignment of these graphs; nothing is scored again.

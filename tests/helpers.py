@@ -17,8 +17,11 @@ from cmfuse import (
     KIND_OPERATION,
     Operation,
     ThesaurusEntry,
+    component_ontology_to_json,
+    detect_naming_conflicts,
     normalize_term,
 )
+from cmfuse.ontology import domain_ontology_to_json
 
 
 def atom(term: str, kind: str = KIND_ATTRIBUTE, anchor: str | None = None) -> Concept:
@@ -67,6 +70,52 @@ EMPTY_ONTOLOGY = DomainOntology((), ())
 def reference_dump_json(obj) -> str:
     """What jsonio.dump_json writes, from json's own indenting encoder."""
     return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+
+
+# the JSON trees of the streamed documents, built field by field; the
+# writers must give reference_dump_json of these
+
+def alignment_to_json(alignment, graphs, od, *, mode="literal", recursive=True) -> dict:
+    return {
+        "correspondences": [correspondence_to_json(c) for c in alignment.correspondences],
+        "conflicts": [correspondence_to_json(c) for c in alignment.conflicts],
+        "diagnostics": list(alignment.diagnostics),
+        "settings": {"mode": mode, "recursive": recursive},
+        "ontologies": [component_ontology_to_json(g) for g in graphs],
+        "domain": domain_ontology_to_json(od),
+    }
+
+
+def alignment_report_json(alignment) -> dict:
+    return {
+        "correspondences": [correspondence_to_json(c) for c in alignment.correspondences],
+        "conflicts": [correspondence_to_json(c) for c in alignment.conflicts],
+        "flagged": [correspondence_to_json(c) for c in detect_naming_conflicts(alignment)],
+        "diagnostics": list(alignment.diagnostics),
+    }
+
+
+def correspondence_to_json(c) -> dict:
+    return {
+        "left": endpoint_json(c.left),
+        "right": endpoint_json(c.right),
+        "score": str(c.score),
+        "class": c.classification,
+    }
+
+
+def endpoint_json(e) -> dict:
+    return {"source": e.source, "origin": e.origin, "member": e.member}
+
+
+def representation_to_json(rep) -> dict:
+    return {
+        "roots": [
+            {**component_ontology_to_json(r.ontology), "merged_from": [e.path for e in r.merged_from]}
+            for r in rep.roots
+        ],
+        "equivalences": [list(pair) for pair in rep.equivalences],
+    }
 
 
 def client_pair() -> tuple[BusinessComponent, BusinessComponent]:

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from importlib.metadata import Distribution
 from pathlib import Path
 
@@ -179,6 +180,36 @@ class TestValidate:
         assert main(["validate", *files]) == 0
         assert len(calls) == len(files)
         assert capsys.readouterr().out.count("ok: ") == len(files)
+
+    def test_matches_an_alignment_from_a_pipe(self, aligned, monkeypatch, capsys):
+        # read through a pipe, the correspondence list is matched and never
+        # decoded; only the fields after it go through json.loads
+        text = aligned.read_text(encoding="utf-8")
+        calls = []
+        loads = json.loads
+
+        def counted(document, *args, **kwargs):
+            calls.append(len(document))
+            return loads(document, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted)
+        read, write = os.pipe()
+
+        def feed():
+            with os.fdopen(write, "w", encoding="utf-8") as pipe:
+                pipe.write(text)
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        try:
+            assert main(["validate", f"/dev/fd/{read}"]) == 0
+        finally:
+            feeder.join(timeout=10)
+            os.close(read)
+        assert not feeder.is_alive()
+        assert "alignment, 10 correspondences, 4 graphs" in capsys.readouterr().out
+        after = len(text) - text.index('\n  "conflicts": ')
+        assert len(calls) == 1 and calls[0] <= after + 1, (calls, after)
 
     def test_accepts_the_representation_a_merge_writes(self, aligned, tmp_path, capsys):
         assert main(["merge", str(aligned), "-o", str(tmp_path)]) == 0

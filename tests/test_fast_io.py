@@ -1,8 +1,9 @@
 """The fast alignment I/O paths against their plain references.
 
 The writers emit the correspondence and equivalence lists from templates,
-and dump_json lays out the rest with its own small writer; the reference
-for both is json's indenting encoder on the document's JSON tree. The
+dump_pieces frames them, and dump_json lays out the rest with its own
+small writer; the reference for all three is json's indenting encoder on
+the document's JSON tree, built by the reference builders in helpers. The
 reader matches text in the writer's layout one correspondence at a time;
 the reference is the spec walker on the decoded tree, which is what the
 reader falls back to.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import replace
 
 import pytest
@@ -31,15 +33,10 @@ from cmfuse import (
     serialize_representation,
 )
 from cmfuse import integrate
-from cmfuse.jsonio import dump_item, dump_json
-from cmfuse.integrate import (
-    CLASSIFICATIONS,
-    alignment_from_json,
-    alignment_to_json,
-    representation_to_json,
-)
+from cmfuse.jsonio import dump_json, dump_pieces
+from cmfuse.integrate import CLASSIFICATIONS, alignment_from_json
 
-from helpers import EMPTY_ONTOLOGY, reference_dump_json
+from helpers import EMPTY_ONTOLOGY, alignment_to_json, reference_dump_json, representation_to_json
 
 # pieces of text the JSON encoder treats differently: non-ASCII, quote and
 # backslash, control characters, the JavaScript line separators
@@ -91,12 +88,7 @@ def _tree(rng: random.Random, depth: int, seen: Counter):
             return items if kind == "list" else tuple(items)
         out = {}
         for _ in range(size):
-            key = _counted_text(rng, seen)
-            if rng.random() < 0.1:
-                # json writes these keys as the strings of their values
-                key = rng.choice([None, True, False, -7, 10**20, 1.5])
-                seen["non-str key"] += 1
-            out[key] = _tree(rng, depth + 1, seen)
+            out[_counted_text(rng, seen)] = _tree(rng, depth + 1, seen)
         return out
     seen[kind] += 1
     if kind == "str":
@@ -113,13 +105,37 @@ def test_the_writer_equals_json_indenting_encoder():
     seen: Counter = Counter()
     for _ in range(1000):
         tree = _tree(rng, 0, seen)
-        expected = reference_dump_json(tree)
-        assert dump_json(tree) == expected
-        item = "    " + expected[:-1].replace("\n", "\n    ")
-        assert dump_item(tree) == item
+        assert dump_json(tree) == reference_dump_json(tree)
     assert min(seen.values()) >= 20, seen
-    # six scalar kinds, three containers, each also empty, non-str keys
-    assert len(seen) == 6 + 3 * 2 + 1 + len(PIECES), seen
+    # six scalar kinds, three containers, each also empty
+    assert len(seen) == 6 + 3 * 2 + len(PIECES), seen
+
+
+def _item_text(value) -> str:
+    # value laid out as an item of a list under a top-level key, from the reference
+    return "    " + reference_dump_json(value)[:-1].replace("\n", "\n    ")
+
+
+def test_dump_pieces_equals_json_indenting_encoder():
+    # a list field given as an iterator of item texts is framed as dump_json
+    # frames the list itself
+    rng = random.Random(6004)
+    seen: Counter = Counter()
+    for _ in range(1000):
+        size = rng.choice([0, 1, rng.randrange(2, 6)])
+        fields = {_text(rng): _tree(rng, 1, Counter()) for _ in range(size)}
+        pieces = dict(fields)
+        for key, value in fields.items():
+            if isinstance(value, list) and rng.random() < 0.7:
+                pieces[key] = iter([_item_text(item) for item in value])
+                seen["iterator" if value else "empty iterator"] += 1
+        streamed = [isinstance(value, Iterator) for value in pieces.values()]
+        seen["no field"] += not fields
+        seen["only field"] += streamed == [True]
+        seen["first field"] += len(streamed) > 1 and streamed[0]
+        seen["last field"] += len(streamed) > 1 and streamed[-1]
+        assert "".join(dump_pieces(pieces)) == reference_dump_json(fields)
+    assert min(seen.values()) >= 20 and len(seen) == 6, seen
 
 
 def test_alignment_writer_equals_dump_json(library_graphs, library_ontology):

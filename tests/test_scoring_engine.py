@@ -44,7 +44,7 @@ from cmfuse import (
 )
 from cmfuse.assignment import max_assignment, max_matching
 from cmfuse.integrate import cross_pairs
-from cmfuse.report import matrix_to_json, render_matrix_text, render_pipeline_report
+from cmfuse.report import matrix_to_json, pipeline_report_pieces, render_matrix_text
 from cmfuse.similarity import Scorer
 
 import reference_similarity as reference
@@ -299,7 +299,8 @@ def test_the_report_renders_every_matrix_like_the_reference():
             seen["left term widest"] += len(f"{a.path} \\ {b.path}") < widest
         for mode, recursive in SETTINGS:
             alignment = align(graphs, od, mode=mode, recursive=recursive)
-            report = render_pipeline_report(graphs, od, alignment, NOTHING_MERGED, ComponentSet("S", ()))
+            pieces = pipeline_report_pieces(graphs, od, alignment, NOTHING_MERGED, ComponentSet("S", ()))
+            report = "".join(pieces)
             tables = []
             for (i, j), pair in zip(cross_pairs(graphs), alignment.scores):
                 right = graphs[j].root.members
@@ -369,8 +370,8 @@ def test_the_pipeline_report_never_scores_again(mode, monkeypatch):
     assert len(calls) == len(alignment.roots) > 0
     merged = merge(alignment, graphs, od, mode=mode)
     calls.clear()
-    report = render_pipeline_report(
-        graphs, od, alignment, merged, ComponentSet("S", merged.result)
+    report = "".join(
+        pipeline_report_pieces(graphs, od, alignment, merged, ComponentSet("S", merged.result))
     )
     assert calls == []
     assert "aggregate: 1" in report
@@ -382,4 +383,4 @@ def test_the_pipeline_report_needs_the_pair_table():
     merged = merge(alignment, graphs, od)
     bare = Alignment(alignment.correspondences, alignment.diagnostics)
     with pytest.raises(ValueError, match="no pair scores"):
-        render_pipeline_report(graphs, od, bare, merged, ComponentSet("S", merged.result))
+        "".join(pipeline_report_pieces(graphs, od, bare, merged, ComponentSet("S", merged.result)))

@@ -36,9 +36,9 @@ from cmfuse import integrate
 from cmfuse.cli import _read, main
 from cmfuse.integrate import CLASS_DISTINCT, _stream_alignment, alignment_from_json
 from cmfuse.jsonio import load_json
-from cmfuse.report import alignment_report_json, alignment_report_pieces
+from cmfuse.report import alignment_report_pieces
 
-from helpers import EMPTY_ONTOLOGY, reference_dump_json
+from helpers import EMPTY_ONTOLOGY, alignment_report_json, reference_dump_json
 from test_fast_io import _random_alignment
 
 

@@ -24,7 +24,7 @@ from cmfuse import (
     union,
 )
 from cmfuse.cli import _write, main
-from cmfuse.report import pipeline_report_pieces, render_pipeline_report
+from cmfuse.report import pipeline_report_pieces
 
 from helpers import component, quick_ontology, random_domain, random_source_pair
 
@@ -61,7 +61,7 @@ def test_written_artifacts_equal_the_api_strings(tmp_path):
                 out = tmp_path / f"{case}-{mode}-{command}"
                 assert main([command, *inputs, "-o", str(out), "--mode", mode]) == 0
                 assert (out / "alignment.json").read_bytes() == document, (case, mode, command)
-            report = render_pipeline_report(graphs, od, alignment, merged, result)
+            report = "".join(pipeline_report_pieces(graphs, od, alignment, merged, result))
             assert (out / "report.txt").read_bytes() == report.encode("utf-8"), (case, mode)
 
 
@@ -98,7 +98,9 @@ def test_a_section_ends_in_one_newline(library_graphs, library_ontology):
     alignment = align(library_graphs, library_ontology)
     merged = merge(alignment, library_graphs, library_ontology)
     odd = replace(alignment, diagnostics=("odd\n\n",))
-    report = render_pipeline_report(
-        library_graphs, library_ontology, odd, merged, ComponentSet("S", merged.result)
+    report = "".join(
+        pipeline_report_pieces(
+            library_graphs, library_ontology, odd, merged, ComponentSet("S", merged.result)
+        )
     )
     assert "\ndiagnostics\n  odd\n\nmerge\n-----\n\n" in report
