@@ -12,6 +12,7 @@ import argparse
 import errno
 import os
 import re
+import stat
 import sys
 from functools import partial
 from operator import attrgetter
@@ -181,10 +182,22 @@ def _read(path: str) -> str:
         raise IntegrationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
+def _regular(path: str) -> bool:
+    # a regular file can be read twice, unlike a pipe; a path that cannot
+    # be read at all is left to _read to report
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        return False
+
+
 def _load_alignment(path: str) -> AlignmentDocument:
-    # a regular file in the layout cmfuse writes is read in chunks; any
-    # other file is read whole, and parse_alignment writes every diagnostic
-    return _stream_alignment(path) or parse_alignment(_read(path), source=path)
+    # each input is matched once: a regular file in chunks, and read whole
+    # for the spec walker only when the matcher rejects it; any other file
+    # is read whole, and parse_alignment matches its text
+    if not _regular(path):
+        return parse_alignment(_read(path), source=path)
+    return _stream_alignment(path) or alignment_from_json(load_json(_read(path), path), source=path)
 
 
 def _check_out(out: Path, first: str) -> None:
@@ -243,16 +256,17 @@ _SHAPES = (
 
 
 def _validated(path: str) -> tuple[object, str, list[str]]:
-    # the document at path, with its kind and counted attribute paths; the
-    # alignment in a pipe is matched in its whole text, as parse_alignment does
-    document = _stream_alignment(path)
-    if document is None:
+    # the document at path, with its kind and counted attribute paths; an
+    # alignment is matched once, as _load_alignment matches it
+    if _regular(path):
+        document, text = _stream_alignment(path), None
+    else:
         text = _read(path)
         document = _streamed((text,), path)
     if document is not None:
         _, kind, _, counted = _ALIGNMENT_SHAPE
         return document, kind, counted
-    data = load_json(text, path)
+    data = load_json(_read(path) if text is None else text, path)
     for markers, kind, read, counted in _SHAPES:
         if isinstance(data, dict) and any(key in data for key in markers):
             return read(data, source=path), kind, counted

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import DocumentError
 from .jsonio import (
@@ -181,59 +181,22 @@ def parse_component_set(document: str, *, source: str = "<component-set>") -> Co
 def component_set_from_json(data, *, source: str = "<component-set>") -> ComponentSet:
     """Check a decoded component-set document; see parse_component_set."""
     system = data.get("system") if isinstance(data, dict) else None
-    system = system if isinstance(system, str) else ""  # every component's source
+    return check(_set_spec(system if isinstance(system, str) else ""), data, source)
 
+
+def _set_spec(system: str) -> Callable:
+    # the schema of a component set whose components all come from system;
+    # it writes any set, whatever its components' sources
     def component(anchors=None, **fields):
         hints = {normalize_term(k): v for k, v in (anchors or {}).items()}
         return BusinessComponent(source=system, anchors=hints, **fields)
 
     components = obj(_COMPONENT_FIELDS, required="name kind attributes operations", build=component)
-    spec = obj(
+    return obj(
         {"system": NON_EMPTY, "components": maybe(list_of(components))},
         required="system components",
         build=ComponentSet,
     )
-    return check(spec, data, source)
-
-
-def component_set_to_json(cs: ComponentSet) -> dict:
-    return {
-        "system": cs.system,
-        "components": [_component_json(c) for c in cs.components],
-    }
-
-
-def _component_json(c: BusinessComponent) -> dict:
-    obj: dict = {"name": c.name, "kind": c.kind}
-    if c.doc is not None:
-        obj["doc"] = c.doc
-    obj["attributes"] = [_attribute_json(a) for a in c.attributes]
-    obj["operations"] = [_operation_json(o) for o in c.operations]
-    if c.provides:
-        obj["provides"] = list(c.provides)
-    if c.requires:
-        obj["requires"] = list(c.requires)
-    if c.anchors:
-        obj["anchors"] = {k: c.anchors[k] for k in sorted(c.anchors)}
-    return obj
-
-
-def _attribute_json(a: Attribute) -> dict:
-    obj: dict = {"name": a.name}
-    if a.datatype is not None:
-        obj["datatype"] = a.datatype
-    if a.unit is not None:
-        obj["unit"] = a.unit
-    return obj
-
-
-def _operation_json(o: Operation) -> dict:
-    obj: dict = {"name": o.name}
-    if o.params:
-        obj["params"] = list(o.params)
-    if o.returns is not None:
-        obj["returns"] = o.returns
-    return obj
 
 
 def serialize_component_set(cs: ComponentSet) -> str:
@@ -243,7 +206,7 @@ def serialize_component_set(cs: ComponentSet) -> str:
     sources of a mixed-source set (a union or a merge result) are not
     round-tripped; reparsing assigns every component the set's system.
     """
-    return dump_json(component_set_to_json(cs))
+    return dump_json(_set_spec(cs.system).write(cs))
 
 
 def union(a: ComponentSet, b: ComponentSet) -> ComponentSet:

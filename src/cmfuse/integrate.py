@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import codecs
 import json
-import os
 import re
-import stat
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from itertools import combinations, count
 from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .components import BusinessComponent
@@ -46,7 +45,6 @@ from .ontology import (
     ONTOLOGY_SPEC,
     DomainOntology,
     anchor,
-    domain_ontology_to_json,
     normalize_term,
     term_stem,
 )
@@ -56,7 +54,6 @@ from .transform import (
     KIND_OPERATION,
     ComponentOntology,
     Concept,
-    component_ontology_to_json,
     graph_object,
     graph_spec,
     rebuilt_term,
@@ -538,8 +535,8 @@ def alignment_pieces(
             "conflicts": map(item, alignment.conflicts),
             "diagnostics": alignment.diagnostics,
             "settings": {"mode": mode, "recursive": recursive},
-            "ontologies": [component_ontology_to_json(g) for g in graphs],
-            "domain": domain_ontology_to_json(od),
+            "ontologies": _GRAPHS.write(graphs),
+            "domain": ONTOLOGY_SPEC.write(od),
         }
     )
 
@@ -612,13 +609,14 @@ _CORRESPONDENCE = obj(
 )
 _CORRESPONDENCES = list_of(_CORRESPONDENCE)
 
+_GRAPHS = list_of(graph_spec)
 _MODE = one_of((MODE_LITERAL, MODE_BIPARTITE), "must be literal or bipartite")
 _ALIGNMENT_FIELDS = {
     "settings": maybe(obj({"mode": _MODE, "recursive": BOOLEAN})),
     "correspondences": _CORRESPONDENCES,
     "conflicts": None,  # derived from the correspondences
     "diagnostics": STRINGS,
-    "ontologies": list_of(graph_spec),
+    "ontologies": _GRAPHS,
     "domain": _domain,
 }
 _REST_REQUIRED = "conflicts diagnostics ontologies domain"
@@ -695,11 +693,9 @@ def _item_pattern() -> re.Pattern:
 
 def _stream_alignment(path: str) -> AlignmentDocument | None:
     """The alignment document in the regular file at path, when _streamed
-    accepts its text, read in chunks; None otherwise."""
+    accepts its text, read in chunks; None otherwise. A pipe would be
+    drained, and a caller that gets None reads the file again."""
     try:
-        # a caller that gets None reads the file again, which a pipe forbids
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
         with open(path, "rb") as file:
             return _streamed(_chunks(file), path)
     except OSError:
@@ -781,12 +777,6 @@ def _streamed(chunks: Iterable[str], source: str) -> AlignmentDocument | None:
         return None
 
 
-def _merged_root_json(root: MergedRoot) -> dict:
-    obj = component_ontology_to_json(root.ontology)
-    obj["merged_from"] = [e.path for e in root.merged_from]
-    return obj
-
-
 def serialize_representation(rep: RepresentationOntology) -> str:
     """The representation document, joined from representation_pieces."""
     return "".join(representation_pieces(rep))
@@ -798,7 +788,7 @@ def representation_pieces(rep: RepresentationOntology) -> Iterator[str]:
     with the square of the class sizes, one pair at a time."""
     return dump_pieces(
         {
-            "roots": [_merged_root_json(r) for r in rep.roots],
+            "roots": _ROOTS.write(rep.roots),
             "equivalences": (
                 f"    [\n      {encode_basestring(a)},\n      {encode_basestring(b)}\n    ]"
                 for a, b in rep.equivalences
@@ -831,9 +821,16 @@ _MERGED_ROOT = graph_object(
     {"merged_from": list_of(_root_endpoint)},
     required="merged_from",
     build=MergedRoot,
+    # written from the graph the root holds, and the paths of its endpoints
+    get={
+        **{key: attrgetter(f"ontology.{key}") for key in ("source", "origin", "root")},
+        "metadata": attrgetter("ontology"),
+        "merged_from": lambda root: [e.path for e in root.merged_from],
+    },
 )
+_ROOTS = list_of(_MERGED_ROOT)
 _REPRESENTATION = obj(
-    {"roots": list_of(_MERGED_ROOT), "equivalences": list_of(_pair)},
+    {"roots": _ROOTS, "equivalences": list_of(_pair)},
     required="roots equivalences",
     build=RepresentationOntology,
 )

@@ -7,6 +7,11 @@ one parsed JSON value found at ``path`` (a JSON path such as
 ``"<path>: <message>"`` diagnostic to ``problems`` per violation and
 returns the checked value, or what its object's build made of it. A
 caller that sees new problems never uses what came back.
+
+The specs made by obj, list_of, mapping and ref also write: their
+write attribute turns a value they read back into the JSON value they
+read it from. Every other spec writes its value as it is, a tuple as a
+list.
 """
 
 from __future__ import annotations
@@ -16,11 +21,14 @@ import re
 from collections.abc import Iterator
 from contextlib import contextmanager
 from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import Any, Callable
 
 from .errors import DocumentError
 
 _ABSENT = object()
+# the written values for which obj leaves out a field that is not required
+_EMPTY = (None, [], {})
 
 
 @contextmanager
@@ -144,7 +152,9 @@ def or_null(spec: Callable) -> tuple:
     return (spec, None, False)
 
 
-def obj(fields: dict, required: str = "", build: Callable = dict) -> Callable:
+def obj(
+    fields: dict, required: str = "", build: Callable = dict, get: dict | None = None
+) -> Callable:
     """An object with the given fields, checked in declaration order.
 
     fields maps each key to its spec, plain or wrapped in maybe or
@@ -154,6 +164,12 @@ def obj(fields: dict, required: str = "", build: Callable = dict) -> Callable:
     build is called with the checked fields as keyword arguments, and
     the diagnostics of a DocumentError it raises are reported at the
     object's path.
+
+    The spec writes what build made as an object of the same fields, in
+    declaration order: each field's value is get[key] of it when get has
+    the key, else its attribute of that name, written by the field's
+    spec. A field that is not required is left out when it writes as
+    null or as an empty list or object.
     """
     required_keys = frozenset(required.split())
     allowed = frozenset(fields)
@@ -161,6 +177,11 @@ def obj(fields: dict, required: str = "", build: Callable = dict) -> Callable:
         (key, "." + key, *(spec if isinstance(spec, tuple) else (spec, _ABSENT, False)))
         for key, spec in fields.items()
         if spec is not None
+    ]
+    get = get or {}
+    writers = [
+        (key, get.get(key) or attrgetter(key), getattr(spec, "write", _plain), key in required_keys)
+        for key, _, spec, _, _ in plan
     ]
 
     def walk(value, path, problems):
@@ -187,6 +208,15 @@ def obj(fields: dict, required: str = "", build: Callable = dict) -> Callable:
             problems += [at(path, d) for d in exc.diagnostics]
             return None
 
+    def write(value) -> dict:
+        out = {}
+        for key, find, write_field, kept in writers:
+            item = write_field(find(value))
+            if kept or item not in _EMPTY:
+                out[key] = item
+        return out
+
+    walk.write = write
     return walk
 
 
@@ -199,11 +229,14 @@ def list_of(item: Callable, message: str = "must be a list") -> Callable:
             return ()
         return tuple([item(element, f"{path}[{i}]", problems) for i, element in enumerate(value)])
 
+    write_item = getattr(item, "write", _plain)
+    walk.write = lambda value: [write_item(element) for element in value]
     return walk
 
 
 def mapping(item: Callable) -> Callable:
-    """An object with free keys whose every value is checked by item."""
+    """An object with free keys whose every value is checked by item; it
+    writes its keys sorted."""
 
     def walk(value, path, problems):
         if not isinstance(value, dict):
@@ -217,7 +250,25 @@ def mapping(item: Callable) -> Callable:
             out[k] = item(v, where, problems)
         return out
 
+    write_item = getattr(item, "write", _plain)
+    walk.write = lambda value: {k: write_item(value[k]) for k in sorted(value)}
     return walk
+
+
+def ref(target: Callable[[], Callable]) -> Callable:
+    """The spec that target returns, looked up at each use, so that a
+    shape can hold itself."""
+
+    def walk(value, path, problems):
+        return target()(value, path, problems)
+
+    walk.write = lambda value: target().write(value)
+    return walk
+
+
+def _plain(value):
+    # how a spec without a write of its own writes
+    return list(value) if isinstance(value, tuple) else value
 
 
 def leaf(test: Callable, message: str) -> Callable:

@@ -257,6 +257,7 @@ ONTOLOGY_SPEC = obj(
     {"concepts": maybe(list_of(_CONCEPT)), "thesaurus": maybe(list_of(_ENTRY))},
     required="concepts thesaurus",
     build=lambda concepts=(), thesaurus=(): DomainOntology(concepts, thesaurus),
+    get={"thesaurus": lambda od: od.thesaurus.entries},
 )
 
 
@@ -270,21 +271,6 @@ def domain_ontology_from_json(data, *, source: str = "<ontology>") -> DomainOnto
     return check(ONTOLOGY_SPEC, data, source)
 
 
-def domain_ontology_to_json(od: DomainOntology) -> dict:
-    concepts = []
-    for c in od.concepts:
-        obj: dict = {"id": c.id, "label": c.label}
-        if c.parent is not None:
-            obj["parent"] = c.parent
-        if c.definitions:
-            obj["definitions"] = list(c.definitions)
-        concepts.append(obj)
-    thesaurus = [
-        {"concept": e.concept, "terms": list(e.terms)} for e in od.thesaurus.entries
-    ]
-    return {"concepts": concepts, "thesaurus": thesaurus}
-
-
 def serialize_domain_ontology(od: DomainOntology) -> str:
     """Canonical document for an ontology; terms come out normalized."""
-    return dump_json(domain_ontology_to_json(od))
+    return dump_json(ONTOLOGY_SPEC.write(od))

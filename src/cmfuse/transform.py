@@ -18,6 +18,7 @@ from .jsonio import (
     maybe,
     obj,
     one_of,
+    ref,
 )
 from .ontology import (
     ANCHOR_AMBIGUOUS,
@@ -227,42 +228,6 @@ def _operation_name(raw_label: str) -> str:
     return name or raw_label
 
 
-def component_ontology_to_json(graph: ComponentOntology) -> dict:
-    obj: dict = {
-        "source": graph.source,
-        "origin": graph.origin,
-        "root": _concept_json(graph.root),
-    }
-    meta: dict = {}
-    if graph.kind != "entity":
-        meta["kind"] = graph.kind
-    if graph.provides:
-        meta["provides"] = list(graph.provides)
-    if graph.requires:
-        meta["requires"] = list(graph.requires)
-    if meta:
-        obj["metadata"] = meta
-    return obj
-
-
-def _concept_json(c: Concept) -> dict:
-    obj: dict = {"term": c.term, "raw_label": c.raw_label, "kind": c.kind}
-    if c.anchor is not None:
-        obj["anchor"] = c.anchor
-    if c.definitions:
-        obj["definitions"] = list(c.definitions)
-    obj["members"] = [_concept_json(m) for m in c.members]
-    return obj
-
-
-def serialize_component_ontology(graph: ComponentOntology) -> str:
-    return dump_json(component_ontology_to_json(graph))
-
-
-def _member_concept(value, path, problems):
-    return _CONCEPT(value, path, problems)
-
-
 _CONCEPT = obj(
     {
         "term": TERM,
@@ -270,7 +235,7 @@ _CONCEPT = obj(
         "kind": one_of(CONCEPT_KINDS),
         "anchor": maybe(NON_EMPTY),
         "definitions": maybe(STRINGS),
-        "members": maybe(list_of(_member_concept)),
+        "members": maybe(list_of(ref(lambda: _CONCEPT))),
     },
     required="term raw_label kind members",
     build=lambda term, **fields: Concept(normalize_term(term), **fields),
@@ -286,24 +251,34 @@ def _interfaces(value, path, problems):
     return value if len(problems) > start else _NAMES(value, path, problems)
 
 
-_METADATA = obj({"kind": STRING, "provides": maybe(_interfaces), "requires": maybe(_interfaces)})
+# read from a graph's metadata and written from the graph itself, whose
+# kind is written only when it is not the default
+_METADATA = obj(
+    {"kind": STRING, "provides": maybe(_interfaces), "requires": maybe(_interfaces)},
+    get={"kind": lambda graph: None if graph.kind == "entity" else graph.kind},
+)
 _GRAPH_FIELDS = {
     "source": NON_EMPTY,
     "origin": NON_EMPTY,
-    "metadata": maybe(_METADATA),
     "root": maybe(_CONCEPT),
+    "metadata": maybe(_METADATA),
 }
 
 
-def graph_object(extra: dict | None = None, required: str = "", build=None):
+def graph_object(extra: dict | None = None, required: str = "", build=None, get=None):
     """The schema of a concept-graph object, optionally with extra fields.
 
     extra and required add fields to the graph's own; build, when given,
-    is called with the graph and the checked extra fields. A null root
-    is reported as missing when nothing else is wrong; the graph's own
-    invariants are reported without a path.
+    is called with the graph and the checked extra fields, and get says
+    where the writer finds the fields in what build made, as for obj. A
+    null root is reported as missing when nothing else is wrong; the
+    graph's own invariants are reported without a path.
     """
-    fields_spec = obj({**_GRAPH_FIELDS, **(extra or {})}, required=f"source origin root {required}")
+    fields_spec = obj(
+        {**_GRAPH_FIELDS, **(extra or {})},
+        required=f"source origin root {required}",
+        get=get or {"metadata": lambda graph: graph},
+    )
 
     def walk(value, path: str, problems: list[str]):
         start = len(problems)
@@ -325,11 +300,20 @@ def graph_object(extra: dict | None = None, required: str = "", build=None):
             return None
         return build(graph, **fields) if build else graph
 
+    walk.write = fields_spec.write
     return walk
 
 
 # the schema of one concept-graph object, at the top level or nested
 graph_spec = graph_object()
+
+
+def component_ontology_to_json(graph: ComponentOntology) -> dict:
+    return graph_spec.write(graph)
+
+
+def serialize_component_ontology(graph: ComponentOntology) -> str:
+    return dump_json(graph_spec.write(graph))
 
 
 def parse_component_ontology(

@@ -17,11 +17,9 @@ from cmfuse import (
     KIND_OPERATION,
     Operation,
     ThesaurusEntry,
-    component_ontology_to_json,
     detect_naming_conflicts,
     normalize_term,
 )
-from cmfuse.ontology import domain_ontology_to_json
 
 
 def atom(term: str, kind: str = KIND_ATTRIBUTE, anchor: str | None = None) -> Concept:
@@ -72,8 +70,86 @@ def reference_dump_json(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
 
 
-# the JSON trees of the streamed documents, built field by field; the
-# writers must give reference_dump_json of these
+# the JSON trees of every document cmfuse writes, built field by field;
+# the writers must give reference_dump_json of these
+
+def component_set_to_json(cs) -> dict:
+    return {"system": cs.system, "components": [component_to_json(c) for c in cs.components]}
+
+
+def component_to_json(c) -> dict:
+    obj: dict = {"name": c.name, "kind": c.kind}
+    if c.doc is not None:
+        obj["doc"] = c.doc
+    obj["attributes"] = [attribute_to_json(a) for a in c.attributes]
+    obj["operations"] = [operation_to_json(o) for o in c.operations]
+    if c.provides:
+        obj["provides"] = list(c.provides)
+    if c.requires:
+        obj["requires"] = list(c.requires)
+    if c.anchors:
+        obj["anchors"] = {k: c.anchors[k] for k in sorted(c.anchors)}
+    return obj
+
+
+def attribute_to_json(a) -> dict:
+    obj: dict = {"name": a.name}
+    if a.datatype is not None:
+        obj["datatype"] = a.datatype
+    if a.unit is not None:
+        obj["unit"] = a.unit
+    return obj
+
+
+def operation_to_json(o) -> dict:
+    obj: dict = {"name": o.name}
+    if o.params:
+        obj["params"] = list(o.params)
+    if o.returns is not None:
+        obj["returns"] = o.returns
+    return obj
+
+
+def domain_ontology_to_json(od) -> dict:
+    concepts = []
+    for c in od.concepts:
+        obj: dict = {"id": c.id, "label": c.label}
+        if c.parent is not None:
+            obj["parent"] = c.parent
+        if c.definitions:
+            obj["definitions"] = list(c.definitions)
+        concepts.append(obj)
+    thesaurus = [{"concept": e.concept, "terms": list(e.terms)} for e in od.thesaurus.entries]
+    return {"concepts": concepts, "thesaurus": thesaurus}
+
+
+def graph_to_json(graph) -> dict:
+    obj: dict = {"source": graph.source, "origin": graph.origin, "root": concept_to_json(graph.root)}
+    meta: dict = {}
+    if graph.kind != "entity":
+        meta["kind"] = graph.kind
+    if graph.provides:
+        meta["provides"] = list(graph.provides)
+    if graph.requires:
+        meta["requires"] = list(graph.requires)
+    if meta:
+        obj["metadata"] = meta
+    return obj
+
+
+def concept_to_json(c) -> dict:
+    obj: dict = {"term": c.term, "raw_label": c.raw_label, "kind": c.kind}
+    if c.anchor is not None:
+        obj["anchor"] = c.anchor
+    if c.definitions:
+        obj["definitions"] = list(c.definitions)
+    obj["members"] = [concept_to_json(m) for m in c.members]
+    return obj
+
+
+def merged_root_to_json(r) -> dict:
+    return {**graph_to_json(r.ontology), "merged_from": [e.path for e in r.merged_from]}
+
 
 def alignment_to_json(alignment, graphs, od, *, mode="literal", recursive=True) -> dict:
     return {
@@ -81,7 +157,7 @@ def alignment_to_json(alignment, graphs, od, *, mode="literal", recursive=True) 
         "conflicts": [correspondence_to_json(c) for c in alignment.conflicts],
         "diagnostics": list(alignment.diagnostics),
         "settings": {"mode": mode, "recursive": recursive},
-        "ontologies": [component_ontology_to_json(g) for g in graphs],
+        "ontologies": [graph_to_json(g) for g in graphs],
         "domain": domain_ontology_to_json(od),
     }
 
@@ -110,10 +186,7 @@ def endpoint_json(e) -> dict:
 
 def representation_to_json(rep) -> dict:
     return {
-        "roots": [
-            {**component_ontology_to_json(r.ontology), "merged_from": [e.path for e in r.merged_from]}
-            for r in rep.roots
-        ],
+        "roots": [merged_root_to_json(r) for r in rep.roots],
         "equivalences": [list(pair) for pair in rep.equivalences],
     }
 

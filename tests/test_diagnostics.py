@@ -261,6 +261,9 @@ ROWS = [
     ("graph-metadata-null-kind", "graph", edit(GRAPH, metadata={"kind": None, "provides": None}),
      ["metadata.kind: must be a string"]),
     ("graph-root-type", "graph", edit(GRAPH, root="x"), ["root: must be an object"]),
+    # the fields are checked in the order a graph is written: root, then metadata
+    ("graph-root-then-metadata", "graph", edit(GRAPH, metadata={"kind": 1}, root=edit(ROOT, term=" ")),
+     ["root.term: must be a non-empty string", "metadata.kind: must be a string"]),
     ("graph-concept-fields", "graph",
      root(term=" ", raw_label=5, kind="widget", anchor="", definitions=[1], members={}, note=1),
      [
@@ -363,6 +366,9 @@ ROWS = [
          "the root concept must have the component kind",
          "ontologies[4].metadata.kind: must be a string",
      ]),
+    ("alignment-graph-root-then-metadata", "alignment",
+     edit(ALIGNMENT, ontologies=[edit(GRAPH, metadata={"kind": 1}, root=edit(ROOT, term=" "))]),
+     ["ontologies[0].root.term: must be a non-empty string", "ontologies[0].metadata.kind: must be a string"]),
     # the embedded domain reports as a document of its own, under a domain: prefix
     ("alignment-domain-shape", "alignment",
      edit(ALIGNMENT, domain={"concepts": [{"id": 1, "label": "x"}], "extra": 1}),

@@ -263,3 +263,22 @@ def test_report_json_writer_equals_dump_json(library_graphs, library_ontology, t
     path.write_text(serialize_alignment(alignments[0], library_graphs, library_ontology), encoding="utf-8")
     assert main(["report", str(path), "--format", "json"]) == 0
     assert capsys.readouterr().out == reference_dump_json(alignment_report_json(alignments[0]))
+
+
+@pytest.mark.parametrize("command", ["merge", "report", "validate"])
+def test_a_rejected_file_is_matched_once(library_graphs, library_ontology, tmp_path, monkeypatch, capsys, command):
+    # a regular file that the matcher rejects goes straight to the spec
+    # walker, and the diagnostic is the walker's
+    text = serialize_alignment(align(library_graphs, library_ontology), library_graphs, library_ontology)
+    end = text.index('\n  "conflicts": ')
+    at = text.rindex('"class": "', 0, end) + len('"class": "')
+    path = tmp_path / "alignment.json"
+    path.write_text(text[:at] + "bogus" + text[text.index('"', at) :], encoding="utf-8")
+    runs = []
+    pattern = integrate._item_pattern
+    monkeypatch.setattr(integrate, "_item_pattern", lambda: runs.append(1) or pattern())
+    argv = [command, str(path)] + (["-o", str(tmp_path / "out")] if command == "merge" else [])
+    assert main(argv) == 2
+    assert len(runs) == 1
+    streams = capsys.readouterr()
+    assert "correspondences[9].class: must be one of" in streams.out + streams.err
