@@ -15,6 +15,7 @@ import re
 import stat
 import sys
 from functools import partial
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
@@ -382,10 +383,21 @@ def _write_merge(out: Path, graphs, merged: MergedComponent) -> ComponentSet:
 def cmd_report(args) -> int:
     doc = _load_alignment(args.alignment)
     if args.format == "json":
-        sys.stdout.writelines(alignment_report_pieces(doc.alignment))
+        _print_blocks(alignment_report_pieces(doc.alignment))
     else:
-        sys.stdout.writelines(_alignment_lines(doc.alignment, _color_enabled()))
+        _print_blocks(_alignment_lines(doc.alignment, _color_enabled()))
     return EXIT_OK
+
+
+_BLOCK = 2048  # pieces that _print_blocks joins into one write
+
+
+def _print_blocks(pieces: Iterable[str]) -> None:
+    # under PYTHONUNBUFFERED=1 stdout writes through to the file, one
+    # write(2) per call, so the pieces go out joined in blocks
+    pieces = iter(pieces)
+    while block := list(islice(pieces, _BLOCK)):
+        sys.stdout.write("".join(block))
 
 
 def cmd_pipeline(args) -> int:

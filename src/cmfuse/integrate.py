@@ -19,7 +19,7 @@ from functools import cache, cached_property, partial
 from itertools import combinations, count
 from json.encoder import encode_basestring
 from operator import attrgetter
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .components import BusinessComponent
 from .errors import DocumentError, MergeError
@@ -105,8 +105,10 @@ class Endpoint:
         return base if self.member is None else f"{base}/{self.member}"
 
 
-@dataclass(frozen=True, slots=True)
-class Correspondence:
+class Correspondence(NamedTuple):
+    """One scored pair of endpoints and its class; a tuple, so that the
+    reader builds one at C speed."""
+
     left: Endpoint
     right: Endpoint
     score: Score
@@ -641,8 +643,8 @@ _REST = obj(
 def parse_alignment(document: str, *, source: str = "<alignment>") -> AlignmentDocument:
     """Parse an alignment document back into its parts.
 
-    Text laid out as cmfuse writes it is matched one correspondence at a
-    time, and only the rest of the document is decoded whole; any other
+    Text laid out as cmfuse writes it is split into correspondences a
+    batch at a time, and only the rest of the document is decoded whole; any other
     text, and any text with a problem, goes to alignment_from_json, which
     writes the diagnostics.
     """
@@ -663,32 +665,62 @@ def alignment_from_json(data, *, source: str = "<alignment>") -> AlignmentDocume
     return check(_ALIGNMENT, data, source)
 
 
-_CHUNK = 1 << 18  # bytes that _stream_alignment reads at a time
+_CHUNK = 1 << 16  # bytes that _stream_alignment reads, and characters _streamed takes, at a time
 # how alignment_pieces opens the document
 _HEAD = '{\n  "correspondences": '
 # a JSON string; its escapes are checked when the text is decoded
 _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 # decodes the endpoint and score texts, without json.loads's keyword checks
 _DECODER = json.JSONDecoder()
+# builds a correspondence from its fields without a Python call
+_correspondence = partial(tuple.__new__, Correspondence)
+
+
+class _Layout(NamedTuple):
+    key: str  # the newline, indent and quote before each key of an item
+    left: Callable  # fullmatch of a left field text; group 1 is the endpoint text
+    right: Callable  # the same for a right field text
+    score: Callable  # fullmatch of a score field text; group 1 is the score text
+    classes: dict  # the class of each class field text, with the ending
+    opening: str  # from the list's bracket to the first item's left field
+    ending: str  # from a class text to the key line of the item that follows
+    closing: str  # from the last item's class text to the next key of the document
 
 
 @cache
-def _item_pattern() -> re.Pattern:
+def _layout() -> _Layout:
     # the writer's own text for a correspondence whose fields are markers,
-    # with each marker's JSON text swapped for the pattern of its field, so
-    # the layout is stated once; compiled at first use, so commands that
-    # read no alignment never compile it
+    # cut at the lines that open its four fields and at the markers' JSON
+    # texts, so the layout is stated once; made at first use, so commands
+    # that read no alignment never compile it
     end = Endpoint("\0source", "\0origin", "\0member")
-    fields = {"source": _STRING, "origin": _STRING, "member": f"(?:null|{_STRING})"}
-    endpoint = re.escape(_endpoint_text(end))
-    for name, pattern in fields.items():
-        endpoint = endpoint.replace(re.escape(encode_basestring("\0" + name)), pattern)
+    endpoint = _endpoint_text(end)
     # a score marker stands where the writer takes str(score)
-    item = re.escape(_correspondence_text(Correspondence(end, end, "\0score", "\0class"), {}))
-    item = item.replace(re.escape(_endpoint_text(end)), f"({endpoint})")
-    for name in ("score", "class"):
-        item = item.replace(re.escape(encode_basestring("\0" + name)), f"({_STRING})")
-    return re.compile(item)
+    item = _correspondence_text(Correspondence(end, end, "\0score", "\0class"), {})
+    at = item.index(encode_basestring("left"))
+    key = item[item.rindex("\n", 0, at) : at + 1]
+    head, left, right, score, kind = item.split(key)
+    endpoint_pattern = re.escape(endpoint)
+    for name, pattern in {"source": _STRING, "origin": _STRING, "member": f"(?:null|{_STRING})"}.items():
+        endpoint_pattern = endpoint_pattern.replace(re.escape(encode_basestring("\0" + name)), pattern)
+
+    def matcher(text: str, marker: str, pattern: str) -> Callable:
+        before, _, after = text.partition(marker)
+        return re.compile(f"{re.escape(before)}({pattern}){re.escape(after)}").fullmatch
+
+    # items are framed as dump_pieces frames a streamed list
+    before, _, after = kind.partition(encode_basestring("\0class"))
+    ending = after + ",\n" + head
+    return _Layout(
+        key,
+        matcher(left, endpoint, endpoint_pattern),
+        matcher(right, endpoint, endpoint_pattern),
+        matcher(score, encode_basestring("\0score"), _STRING),
+        {before + encode_basestring(c) + ending: c for c in CLASSIFICATIONS},
+        "[\n" + head + key,
+        ending,
+        after + "\n  ],",
+    )
 
 
 def _stream_alignment(path: str) -> AlignmentDocument | None:
@@ -714,66 +746,79 @@ def _streamed(chunks: Iterable[str], source: str) -> AlignmentDocument | None:
     out as alignment_pieces writes it; None at the first thing that layout
     does not predict or that the specs reject.
 
-    Each correspondence is matched against the writer's templates. The
-    first sight of each endpoint text is checked by _ENDPOINT and of each
-    score text by _score, and each distinct endpoint becomes one Endpoint,
-    so the correspondence list never becomes a JSON tree. The rest of the
-    document is decoded whole and checked by the spec walker.
+    The complete items of each chunk are split in one batch at the line
+    that opens each of their four fields, so every fourth piece is a left
+    field, and so on. The first sight of each field text is checked
+    against the writer's layout, then its endpoint by _ENDPOINT and its
+    score by _score; class field texts are looked up. Each distinct
+    endpoint becomes one Endpoint, so the correspondence list never
+    becomes a JSON tree. The rest of the document is decoded whole and
+    checked by the spec walker.
+
+    The line that opens a field holds a raw newline, which no JSON string
+    can, so a text split anywhere else leaves a piece that fails its check.
     """
-    item = _item_pattern().match
-    classes = {encode_basestring(c): c for c in CLASSIFICATIONS}
-    endpoints: dict[str, Endpoint] = {}  # by text
-    distinct: dict[Endpoint, Endpoint] = {}  # one Endpoint per decoded triple
+    layout = _layout()
+    lefts: dict[str, Endpoint] = {}  # by field text
+    rights: dict[str, Endpoint] = {}
     scores: dict[str, Score] = {}
-
-    # a text seen for the first time; the loop looks up the texts it saw
-    def endpoint(text: str) -> Endpoint:
-        found = check(_ENDPOINT, _DECODER.decode(text), source)
-        endpoints[text] = found = distinct.setdefault(found, found)
-        return found
-
-    def score(text: str) -> Score:
-        scores[text] = found = check(_score, _DECODER.decode(text), source)
-        return found
-
+    distinct: dict = {}  # one Endpoint per decoded triple, one Score per value
     corrs: list[Correspondence] = []
-    chunks = iter(chunks)
+
+    def first_seen(texts: list[str], seen: dict, match: Callable, spec: Callable) -> None:
+        for text in set(texts).difference(seen):
+            if not (m := match(text)):
+                raise ValueError(text)
+            found = check(spec, _DECODER.decode(m[1]), source)
+            seen[text] = distinct.setdefault(found, found)
+
+    def add(batch: str) -> None:
+        # a batch of whole items, each class text followed by the ending
+        pieces = batch.split(layout.key)
+        fields = pieces[0::4], pieces[1::4], pieces[2::4], pieces[3::4]
+        first_seen(fields[0], lefts, layout.left, _ENDPOINT)
+        first_seen(fields[1], rights, layout.right, _ENDPOINT)
+        first_seen(fields[2], scores, layout.score, _score)
+        find = lefts.__getitem__, rights.__getitem__, scores.__getitem__, layout.classes.__getitem__
+        # strict: a piece left over is a field without an item
+        corrs.extend(map(_correspondence, zip(*map(map, find, fields), strict=True)))
+
+    # a text given whole still goes in batches of at most a chunk
+    chunks = (chunk[i : i + _CHUNK] for chunk in chunks for i in range(0, len(chunk), _CHUNK))
     try:
         text = ""
         for chunk in chunks:
             text += chunk
-            if len(text) >= len(_HEAD):
+            if len(text) >= len(_HEAD) + len(layout.opening):
                 break
-        if not text.startswith(_HEAD):
+        # the list ends as dump_pieces ends it, and the document goes on
+        if text.startswith(_HEAD + "[],"):
+            pos = len(_HEAD) + len("[],")
+        elif text.startswith(_HEAD + layout.opening):
+            pos = len(_HEAD) + len(layout.opening)
+            while True:
+                if (end := text.find(layout.closing, pos)) >= 0:
+                    add(text[pos:end] + layout.ending)
+                    pos = end + len(layout.closing)
+                    break
+                # the complete items, up to the last one that another follows
+                if (cut := text.rfind(layout.ending + layout.key, pos)) >= 0:
+                    cut += len(layout.ending)
+                    add(text[pos:cut])
+                    pos = cut + len(layout.key)
+                chunk = next(chunks, None)
+                if chunk is None:
+                    return None
+                # a statement of its own, so that CPython extends text in place while pos is 0
+                text = text[pos:] + chunk
+                pos = 0
+        else:
             return None
-        pos, separator = len(_HEAD), "[\n"
-        while True:
-            while text.startswith(separator, pos) and (m := item(text, pos + len(separator))):
-                left, right, score_text, class_text = m.groups()
-                corrs.append(
-                    Correspondence(
-                        endpoints.get(left) or endpoint(left),
-                        endpoints.get(right) or endpoint(right),
-                        scores.get(score_text) or score(score_text),
-                        classes[class_text],
-                    )
-                )
-                pos, separator = m.end(), ",\n"
-            # the list ends as dump_pieces ends it, and the document goes on
-            end = "[]," if separator == "[\n" else "\n  ],"
-            if text.startswith(end, pos):
-                break
-            chunk = next(chunks, None)
-            if chunk is None:
-                return None
-            # a statement of its own, so that CPython extends text in place while pos is 0
-            text = text[pos:] + chunk
-            pos = 0
-        rest = json.loads("{" + text[pos + len(end) :] + "".join(chunks))
+        rest = json.loads("{" + text[pos:] + "".join(chunks))
         return _document(tuple(corrs), **check(_REST, rest, source))
     except (ValueError, KeyError, RecursionError, DocumentError):
-        # ValueError covers bad UTF-8 and JSON texts, KeyError an unknown
-        # class text, DocumentError what a spec rejects
+        # ValueError covers bad UTF-8, JSON texts and field texts, KeyError
+        # an unknown class text, DocumentError what a spec rejects
         return None
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
-from contextlib import contextmanager
 from json.encoder import encode_basestring
 from operator import attrgetter
 from typing import Any, Callable
@@ -31,24 +30,21 @@ _ABSENT = object()
 _EMPTY = (None, [], {})
 
 
-@contextmanager
-def _depth_guard(source: str):
-    # the JSON decoder and the spec walkers both recurse once per nesting level
-    try:
-        yield
-    except RecursionError:
-        raise DocumentError(source, ["nesting too deep to read"]) from None
+# the JSON decoder and the spec walkers both recurse once per nesting
+# level; load_json and check report a RecursionError with this
+_TOO_DEEP = "nesting too deep to read"
 
 
 def load_json(document: str, source: str) -> Any:
     """Parse a JSON document, reporting syntax errors with line and column."""
-    with _depth_guard(source):
-        try:
-            return json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(
-                source, [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
-            ) from None
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(
+            source, [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
+        ) from None
+    except RecursionError:
+        raise DocumentError(source, [_TOO_DEEP]) from None
 
 
 def dump_json(obj: Any) -> str:
@@ -131,8 +127,10 @@ def _write(obj: Any, indent: str, out: list[str]) -> None:
 def check(spec: Callable, value: Any, source: str, path: str = "") -> Any:
     """Walk value with spec; return the result or raise every diagnostic at once."""
     problems: list[str] = []
-    with _depth_guard(source):
+    try:
         result = spec(value, path, problems)
+    except RecursionError:
+        raise DocumentError(source, [_TOO_DEEP]) from None
     if problems:
         raise DocumentError(source, problems)
     return result

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import DocumentError, IntegrationError
@@ -26,6 +27,9 @@ RELATION_HOMONYM = "homonym_shared_term"
 RELATION_UNRELATED = "unrelated"
 
 
+# pure, and called again and again on the same few labels: a pipeline
+# folds each distinct term about nine times
+@lru_cache(maxsize=1 << 14)
 def normalize_term(raw: str) -> str:
     """Fold a raw label into its canonical matchable form.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import unicodedata
 
 from cmfuse import (
     Attribute,
@@ -20,6 +21,17 @@ from cmfuse import (
     detect_naming_conflicts,
     normalize_term,
 )
+
+
+def reference_normalize_term(raw: str) -> str:
+    """normalize_term without its cache: NFC of the case fold, stripped,
+    whitespace runs collapsed, a trailing call marker glued on."""
+    text = unicodedata.normalize("NFC", raw.casefold()).strip()
+    marker = text.endswith("()")
+    if marker:
+        text = text[:-2]
+    text = " ".join(text.split())
+    return text + "()" if marker else text
 
 
 def atom(term: str, kind: str = KIND_ATTRIBUTE, anchor: str | None = None) -> Concept:

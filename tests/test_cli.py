@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -26,7 +27,7 @@ from cmfuse import (
     parse_component_set,
     serialize_alignment,
 )
-from cmfuse.cli import main
+from cmfuse.cli import _BLOCK, main
 
 from conftest import FIXTURES
 from helpers import EMPTY_ONTOLOGY
@@ -518,6 +519,55 @@ class TestReport:
         data = json.loads(capsys.readouterr().out)
         assert set(data) == {"correspondences", "conflicts", "flagged", "diagnostics"}
         assert len(data["flagged"]) == 2
+
+    @staticmethod
+    def large_alignment(tmp_path) -> Path:
+        # a report of more lines than several blocks hold
+        corrs = tuple(
+            Correspondence(Endpoint("S1", f"C{i}"), Endpoint("S2", f"D{i % 7}", f"m{i}"), Score(1), CLASS_DISTINCT)
+            for i in range(5 * _BLOCK)
+        )
+        path = tmp_path / "alignment.json"
+        path.write_text(serialize_alignment(Alignment(corrs), [], EMPTY_ONTOLOGY), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_unbuffered_stdout_gets_the_same_bytes(self, tmp_path, fmt):
+        path = self.large_alignment(tmp_path)
+        outputs = []
+        for unbuffered in (True, False):
+            env = TestInstalledEntryPoints.child_env()
+            env.pop("PYTHONUNBUFFERED", None)
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            proc = subprocess.run(
+                [sys.executable, "-m", "cmfuse", "report", str(path), *fmt],
+                capture_output=True,
+                env=env,
+                timeout=60,
+            )
+            assert proc.returncode == 0 and proc.stderr == b""
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_stdout_is_written_in_blocks(self, tmp_path, monkeypatch, fmt):
+        # a write-through stdout makes one write(2) per call: the calls
+        # grow with the text's size over the block, not with its lines
+        class Counted(io.StringIO):
+            calls = 0
+
+            def write(self, text):
+                self.calls += 1
+                return super().write(text)
+
+        path = self.large_alignment(tmp_path)
+        out = Counted()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["report", str(path), *fmt]) == 0
+        lines = out.getvalue().count("\n")
+        assert lines > 4 * _BLOCK
+        assert 1 <= out.calls <= lines // _BLOCK + 1
 
 
 class TestPipeline:

@@ -27,7 +27,7 @@ from cmfuse import (
     term_stem,
 )
 
-from helpers import quick_ontology
+from helpers import quick_ontology, reference_normalize_term
 
 
 class TestNormalizeTerm:
@@ -56,6 +56,17 @@ class TestNormalizeTerm:
             raw = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
             once = normalize_term(raw)
             assert normalize_term(once) == once
+
+    def test_the_cached_fold_equals_the_plain_one(self):
+        # each raw label asked for twice, the second time from the cache,
+        # and more distinct labels than the cache holds
+        rng = random.Random(8)
+        alphabet = ["a", "B", "é", "e\u0301", "ß", "Σ", "ﬁ", " ", "\t", "\u00a0", "\u2003", "(", ")", "()", ".", "İ"]
+        labels = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(10))) for _ in range(3000)]
+        labels += [f"label {i} ()" for i in range(normalize_term.cache_info().maxsize + 100)]
+        for raw in labels + labels[:3000]:
+            assert normalize_term(raw) == reference_normalize_term(raw), repr(raw)
+        assert normalize_term.cache_info().currsize <= normalize_term.cache_info().maxsize
 
     def test_operation_term_appends_marker(self):
         assert operation_term("Consulter") == "consulter()"

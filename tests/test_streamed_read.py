@@ -1,8 +1,8 @@
 """The streamed alignment reader against its plain reference.
 
 merge, report and validate read the correspondence list of a file laid
-out as cmfuse writes it in chunks, item by item, from the writer's
-templates; the reference is the spec walker on the decoded text, which
+out as cmfuse writes it in chunks, a batch of items at a time, split at
+the writer's own separators; the reference is the spec walker on the decoded text, which
 is what they fall back to at the first surprise. The streamed reader
 must give the same document, or give up, on every text; the report's
 JSON writer must give dump_json of the report's JSON tree.
@@ -33,8 +33,8 @@ from cmfuse import (
     serialize_domain_ontology,
 )
 from cmfuse import integrate
-from cmfuse.cli import _read, main
-from cmfuse.integrate import CLASS_DISTINCT, _stream_alignment, alignment_from_json
+from cmfuse.cli import _load_alignment, _read, main
+from cmfuse.integrate import CLASS_DISTINCT, CLASSIFICATIONS, _stream_alignment, alignment_from_json
 from cmfuse.jsonio import load_json
 from cmfuse.report import alignment_report_pieces
 
@@ -218,6 +218,98 @@ def test_items_and_characters_across_chunk_boundaries(
             assert _stream_alignment(str(path)) is None
 
 
+# names that hold, escaped, the texts the reader splits an item list at;
+# undoing the escapes puts the raw separators inside strings
+HOSTILE = [
+    "\n",
+    '"right": ',
+    '",\n      "right": {',
+    "},\n    {",
+    '\n    },\n    {\n      "left": ',
+    '\n    }\n  ],',
+    '",\n      "class": "distinct"',
+    '"',
+    "\\",
+    '\\"',
+    "null",
+]
+
+
+def _hostile(rng: random.Random) -> list[tuple[str, bool]]:
+    # each text, and whether cmfuse wrote it
+    texts = []
+    for _ in range(8):
+        ends = [
+            Endpoint(rng.choice(HOSTILE), rng.choice(HOSTILE), rng.choice([None, "null", *HOSTILE]))
+            for _ in range(4)
+        ]
+        corrs = tuple(
+            Correspondence(rng.choice(ends), rng.choice(ends), Score(rng.randrange(3), 2), rng.choice(CLASSIFICATIONS))
+            for _ in range(rng.randrange(1, 8))
+        )
+        text = serialize_alignment(Alignment(corrs, (rng.choice(HOSTILE),)), [], EMPTY_ONTOLOGY)
+        quotes = text.replace('\\"', '"')
+        undone = (text.replace("\\n", "\n"), quotes, quotes.replace("\\n", "\n"), text.replace("\\\\", "\\"))
+        texts += [(text, True), *((other, False) for other in undone if other != text)]
+    return texts
+
+
+def _outcome(read):
+    try:
+        return _summary(read())
+    except DocumentError as exc:
+        return exc.source, exc.diagnostics
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 64])
+def test_names_that_hold_separators(tmp_path, monkeypatch, chunk):
+    # each text gives the walker's document, or none, and then the
+    # commands and parse_alignment give the walker's diagnostics
+    monkeypatch.setattr(integrate, "_CHUNK", chunk)
+    path = tmp_path / "alignment.json"
+    streamed = fallbacks = 0
+    for text, written in _hostile(random.Random(11017 + chunk)):
+        path.write_text(text, encoding="utf-8")
+        expected = _reference(str(path))
+        doc = _stream_alignment(str(path))
+        if doc is None:
+            fallbacks += 1
+            assert not written
+        else:
+            streamed += 1
+            assert _summary(doc) == expected
+            assert _one_endpoint_per_triple(doc)
+        assert _outcome(lambda: _load_alignment(str(path))) == expected
+        assert _outcome(lambda: integrate.parse_alignment(text, source=str(path))) == expected
+    assert streamed >= 8 and fallbacks >= 8
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"left": {\n        "source": ', '"left": {"source": '),
+        ('\n        "member": null\n      },\n      "right"', ' "member": null},\n      "right"'),
+        ('"score": "0"', '"score":  "0"'),
+        ('"score": "0"', '"score": "0" '),
+        # a right endpoint text where a left one stands
+        ('"left": ', '"right": '),
+    ],
+)
+def test_only_the_writers_layout_is_streamed(monkeypatch, old, new):
+    # the last item changed, when the one before it has the same texts and
+    # went in a batch of its own, is decoded whole, and the walker has the
+    # last word
+    monkeypatch.setattr(integrate, "_CHUNK", 64)
+    end = Endpoint("S1", "A")
+    corrs = (Correspondence(end, end, Score(0), CLASS_DISTINCT),) * 2
+    text = serialize_alignment(Alignment(corrs), [], EMPTY_ONTOLOGY)
+    before, _, after = text.rpartition(old)
+    changed = before + new + after
+    assert integrate._streamed((changed,), "<alignment>") is None
+    expected = _outcome(lambda: alignment_from_json(json.loads(changed)))
+    assert _outcome(lambda: integrate.parse_alignment(changed)) == expected
+
+
 def test_reading_holds_a_small_part_of_the_file(tmp_path, monkeypatch):
     # beside the document it returns, reading holds a few chunks and one
     # pointer per correspondence; the chunk is cut so that the file in the
@@ -275,8 +367,8 @@ def test_a_rejected_file_is_matched_once(library_graphs, library_ontology, tmp_p
     path = tmp_path / "alignment.json"
     path.write_text(text[:at] + "bogus" + text[text.index('"', at) :], encoding="utf-8")
     runs = []
-    pattern = integrate._item_pattern
-    monkeypatch.setattr(integrate, "_item_pattern", lambda: runs.append(1) or pattern())
+    streamed = integrate._streamed
+    monkeypatch.setattr(integrate, "_streamed", lambda *args: runs.append(1) or streamed(*args))
     argv = [command, str(path)] + (["-o", str(tmp_path / "out")] if command == "merge" else [])
     assert main(argv) == 2
     assert len(runs) == 1
