@@ -1,3 +1,3 @@
-from .cli import main
+from .cli import entry_point
 
-raise SystemExit(main())
+raise SystemExit(entry_point())

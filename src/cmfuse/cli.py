@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import os
 import re
 import stat
@@ -48,13 +49,6 @@ from .integrate import (
 )
 from .jsonio import dump_json, load_json
 from .ontology import DomainOntology, domain_ontology_from_json, load_domain_ontology
-from .report import (
-    _alignment_lines,
-    alignment_report_pieces,
-    matrix_to_json,
-    pipeline_report_pieces,
-    render_matrix_text,
-)
 from .similarity import MODE_BIPARTITE, MODE_LITERAL, Scorer
 from .transform import (
     ComponentOntology,
@@ -63,6 +57,9 @@ from .transform import (
     serialize_component_ontology,
     to_ontology,
 )
+
+# report is imported by the commands that render (sim, report and
+# pipeline), so that the others never compile it
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,6 +144,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_similarity_flags(p)
     p.set_defaults(func=cmd_pipeline)
     return parser
+
+
+def entry_point() -> int:
+    """Run the command in sys.argv as a process of its own: python -m
+    cmfuse and the cmfuse script start here.
+
+    The cyclic GC stays off, since a command builds no cycles, and the
+    heap is frozen before exit, so that neither the command nor the
+    interpreter's teardown walks it. main() leaves the GC as it finds
+    it, so a program that calls it keeps its own GC state.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 def main(argv=None) -> int:
@@ -313,6 +326,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    from .report import matrix_to_json, render_matrix_text
+
     domain = _load_domain(args.domain)
     left = parse_component_ontology(_read(args.left), source=args.left)
     right = parse_component_ontology(_read(args.right), source=args.right)
@@ -381,6 +396,8 @@ def _write_merge(out: Path, graphs, merged: MergedComponent) -> ComponentSet:
 
 
 def cmd_report(args) -> int:
+    from .report import _alignment_lines, alignment_report_pieces
+
     doc = _load_alignment(args.alignment)
     if args.format == "json":
         _print_blocks(alignment_report_pieces(doc.alignment))
@@ -402,6 +419,8 @@ def _print_blocks(pieces: Iterable[str]) -> None:
 
 def cmd_pipeline(args) -> int:
     """Transform, align, merge and report in one deterministic run."""
+    from .report import pipeline_report_pieces
+
     out = Path(args.out)
     _check_out(out, "alignment.json")
     graphs, domain, alignment = _aligned_graphs(args)
@@ -415,4 +434,4 @@ def cmd_pipeline(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from ._record import field, record
 from .errors import DocumentError
 from .jsonio import (
     NON_EMPTY,
@@ -27,7 +27,7 @@ KINDS = ("entity", "process", "utility", "data")
 _LAYER = {"process": 3, "entity": 2, "utility": 1, "data": 0}
 
 
-@dataclass(frozen=True)
+@record
 class Attribute:
     name: str
     datatype: str | None = None
@@ -42,7 +42,7 @@ class Attribute:
         return normalize_term(self.name)
 
 
-@dataclass(frozen=True)
+@record
 class Operation:
     name: str
     params: tuple[str, ...] = ()
@@ -58,7 +58,7 @@ class Operation:
         return operation_term(self.name)
 
 
-@dataclass(frozen=True)
+@record
 class BusinessComponent:
     """One component of a source system.
 
@@ -75,7 +75,8 @@ class BusinessComponent:
     operations: tuple[Operation, ...] = ()
     provides: tuple[str, ...] = ()
     requires: tuple[str, ...] = ()
-    anchors: Mapping[str, str] = field(default_factory=dict)
+    # a dict, compared by == but left out of the hash, so a component hashes
+    anchors: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
@@ -117,7 +118,7 @@ def _component_problems(c: BusinessComponent) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
+@record
 class ComponentSet:
     """Candidate components of one or more source systems.
 

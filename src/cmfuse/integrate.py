@@ -14,13 +14,13 @@ import codecs
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from itertools import combinations, count
 from json.encoder import encode_basestring
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from ._record import field, record
 from .components import BusinessComponent
 from .errors import DocumentError, MergeError
 from .jsonio import (
@@ -91,7 +91,7 @@ def pair_class(a: ComponentOntology, b: ComponentOntology, score: Score) -> str:
     return classify(a.root.term == b.root.term, score.is_one)
 
 
-@dataclass(frozen=True)
+@record
 class Endpoint:
     """One side of a correspondence: a root, or one member of a root."""
 
@@ -115,7 +115,7 @@ class Correspondence(NamedTuple):
     classification: str
 
 
-@dataclass(frozen=True)
+@record
 class Alignment:
     """All pairwise correspondences plus the diagnostics that led there.
 
@@ -129,7 +129,7 @@ class Alignment:
     scores: tuple[PairScore, ...] | None = field(default=None, compare=False, repr=False)
 
     # computed once per alignment; cached outside the fields, so equality,
-    # repr and replace ignore them
+    # repr and _replace ignore them
     @cached_property
     def roots(self) -> tuple[Correspondence, ...]:
         return tuple(c for c in self.correspondences if c.left.member is None)
@@ -229,7 +229,7 @@ def _groups(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
     return list(classes.values())
 
 
-@dataclass(frozen=True)
+@record
 class MergedRoot:
     """One result graph plus the endpoints it was folded from."""
 
@@ -237,7 +237,7 @@ class MergedRoot:
     merged_from: tuple[Endpoint, ...]
 
 
-@dataclass(frozen=True)
+@record
 class RepresentationOntology:
     """Concept graphs of the merge result, with equivalence links."""
 
@@ -245,7 +245,7 @@ class RepresentationOntology:
     equivalences: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
+@record
 class MergedComponent:
     representation: RepresentationOntology
     result: tuple[BusinessComponent, ...]
@@ -353,10 +353,9 @@ def _free(name: str, taken: Callable[[str], bool]) -> str:
 
 
 def _qualify(graph: ComponentOntology, name: str, od: DomainOntology) -> ComponentOntology:
-    return replace(
-        graph,
+    return graph._replace(
         origin=name,
-        root=replace(graph.root, term=normalize_term(name), raw_label=name),
+        root=graph.root._replace(term=normalize_term(name), raw_label=name),
         provides=tuple(_canonical_interfaces(graph.provides, od)),
         requires=tuple(_canonical_interfaces(graph.requires, od)),
     )
@@ -428,8 +427,8 @@ def _merge_members(
             term, raw, common = _canonical_name(
                 group, scorer.od, operation=concept.kind == KIND_OPERATION
             )
-            concept = replace(
-                concept, term=term, raw_label=raw, definitions=_definitions(group), anchor=common
+            concept = concept._replace(
+                term=term, raw_label=raw, definitions=_definitions(group), anchor=common
             )
         if clashes(concept):
             # homonymous representatives, or a member the rebuilt component
@@ -448,7 +447,7 @@ def _merge_members(
 
 def _prefixed(c: Concept, prefix: str) -> Concept:
     raw = f"{prefix}.{c.raw_label}"
-    return replace(c, term=normalize_term(f"{prefix}.{c.term}"), raw_label=raw)
+    return c._replace(term=normalize_term(f"{prefix}.{c.term}"), raw_label=raw)
 
 
 def _canonical_name(
@@ -490,7 +489,7 @@ def _canonical_interfaces(names: Iterable[str], od: DomainOntology) -> list[str]
     return out
 
 
-@dataclass(frozen=True)
+@record
 class AlignmentDocument:
     """Everything a merge needs, as read back from one alignment file."""
 
@@ -610,6 +609,9 @@ _CORRESPONDENCE = obj(
     build=lambda left, right, score, **rest: Correspondence(left, right, score, rest["class"]),
 )
 _CORRESPONDENCES = list_of(_CORRESPONDENCE)
+# the new endpoint and score texts of a batch, which _streamed checks at once
+_ENDPOINTS = list_of(_ENDPOINT)
+_SCORES = list_of(_score)
 
 _GRAPHS = list_of(graph_spec)
 _MODE = one_of((MODE_LITERAL, MODE_BIPARTITE), "must be literal or bipartite")
@@ -749,8 +751,9 @@ def _streamed(chunks: Iterable[str], source: str) -> AlignmentDocument | None:
     The complete items of each chunk are split in one batch at the line
     that opens each of their four fields, so every fourth piece is a left
     field, and so on. The first sight of each field text is checked
-    against the writer's layout, then its endpoint by _ENDPOINT and its
-    score by _score; class field texts are looked up. Each distinct
+    against the writer's layout; then a batch's new endpoints are decoded
+    as one list and checked by _ENDPOINTS, and its new scores likewise by
+    _SCORES; class field texts are looked up. Each distinct
     endpoint becomes one Endpoint, so the correspondence list never
     becomes a JSON tree. The rest of the document is decoded whole and
     checked by the spec walker.
@@ -766,19 +769,28 @@ def _streamed(chunks: Iterable[str], source: str) -> AlignmentDocument | None:
     corrs: list[Correspondence] = []
 
     def first_seen(texts: list[str], seen: dict, match: Callable, spec: Callable) -> None:
-        for text in set(texts).difference(seen):
+        # the new texts' JSON values are decoded and checked as one list
+        new = list(set(texts).difference(seen))
+        if not new:
+            return
+        values = []
+        for text in new:
             if not (m := match(text)):
                 raise ValueError(text)
-            found = check(spec, _DECODER.decode(m[1]), source)
-            seen[text] = distinct.setdefault(found, found)
+            values.append(m[1])
+        found = check(spec, _DECODER.decode(f"[{','.join(values)}]"), source)
+        for text, value in zip(new, found):
+            seen[text] = distinct.setdefault(value, value)
 
     def add(batch: str) -> None:
-        # a batch of whole items, each class text followed by the ending
-        pieces = batch.split(layout.key)
+        # a batch of whole items, each class text followed by the ending;
+        # the key cannot overlap itself, so rsplit cuts where split does,
+        # and its search from the end looks for the rare newline first
+        pieces = batch.rsplit(layout.key)
         fields = pieces[0::4], pieces[1::4], pieces[2::4], pieces[3::4]
-        first_seen(fields[0], lefts, layout.left, _ENDPOINT)
-        first_seen(fields[1], rights, layout.right, _ENDPOINT)
-        first_seen(fields[2], scores, layout.score, _score)
+        first_seen(fields[0], lefts, layout.left, _ENDPOINTS)
+        first_seen(fields[1], rights, layout.right, _ENDPOINTS)
+        first_seen(fields[2], scores, layout.score, _SCORES)
         find = lefts.__getitem__, rights.__getitem__, scores.__getitem__, layout.classes.__getitem__
         # strict: a piece left over is a field without an item
         corrs.extend(map(_correspondence, zip(*map(map, find, fields), strict=True)))

@@ -9,10 +9,10 @@ term listed under two concepts makes those concepts homonyms.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from ._record import record
 from .errors import DocumentError, IntegrationError
 from .jsonio import NON_EMPTY, STRING, check, dump_json, list_of, load_json, maybe, obj, string
 
@@ -61,7 +61,7 @@ def term_stem(term: str) -> str:
     return term
 
 
-@dataclass(frozen=True)
+@record
 class DomainConcept:
     """One concept of the domain model."""
 
@@ -71,7 +71,7 @@ class DomainConcept:
     definitions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ThesaurusEntry:
     """The terms that denote one concept; terms are stored normalized."""
 
@@ -79,12 +79,12 @@ class ThesaurusEntry:
     terms: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Thesaurus:
     entries: tuple[ThesaurusEntry, ...]
 
 
-@dataclass(frozen=True)
+@record
 class AnchorResult:
     """Outcome of resolving a term against the thesaurus.
 

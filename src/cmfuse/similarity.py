@@ -27,10 +27,10 @@ Kuhn-Munkres assignment are left for composite members.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from ._record import record
 from .assignment import max_assignment, max_matching
 from .ontology import ANCHOR_UNIQUE, DomainOntology, RELATION_HOMONYM, anchor, relation
 from .transform import Concept, ComponentOntology
@@ -45,7 +45,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class Score:
     """Exact rational similarity value in [0, 1], kept in lowest terms."""
 
@@ -102,7 +102,7 @@ def parse_score(text: str) -> Score:
     return score
 
 
-@dataclass(frozen=True)
+@record
 class PairScore:
     """One scored pair of graphs: the aggregate and its non-zero cells.
 

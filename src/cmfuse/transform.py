@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .components import Attribute, BusinessComponent, Operation
 from .errors import DocumentError
 from .jsonio import (
@@ -39,7 +38,7 @@ KIND_OPERATION = "operation"
 CONCEPT_KINDS = (KIND_COMPONENT, KIND_ATTRIBUTE, KIND_OPERATION)
 
 
-@dataclass(frozen=True)
+@record
 class Concept:
     """A node of a concept graph: one term plus optional member concepts.
 
@@ -80,7 +79,7 @@ class Concept:
         return not self.members
 
 
-@dataclass(frozen=True)
+@record
 class ComponentOntology:
     """Concept graph of one component, plus carried-through metadata.
 

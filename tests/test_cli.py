@@ -1017,3 +1017,31 @@ class TestInstalledEntryPoints:
         proc = run("validate", str(bad))
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stdout
+
+    def test_module_and_console_script_give_the_same_bytes(self, tmp_path):
+        pytest.importorskip("setuptools")
+        ep = self.declared_console_script(tmp_path)
+        # both launchers start at the one entry function
+        assert ep.value == "cmfuse.cli:entry_point"
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"correspondences": 1}', encoding="utf-8")
+        launchers = (
+            [sys.executable, "-m", "cmfuse"],
+            [sys.executable, "-c", self.WRAPPER, ep.name, ep.value, ep.group],
+        )
+        cases = [
+            (["validate", BIBLIO1, BIBLIO2, DOMAIN], 0),
+            (["merge", str(bad), "-o", "out"], 2),
+            (["pipeline", BIBLIO1, BIBLIO2, "--domain", DOMAIN, "-o", "out", "--fail-on-conflict"], 3),
+        ]
+        for args, code in cases:
+            seen = []
+            for launcher in launchers:
+                shutil.rmtree(tmp_path / "out", ignore_errors=True)
+                proc = subprocess.run(
+                    [*launcher, *args], capture_output=True, cwd=tmp_path, env=self.child_env()
+                )
+                files = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*")}
+                seen.append((proc.returncode, proc.stdout, proc.stderr, files))
+            assert seen[0][0] == code, seen[0][2]
+            assert seen[0] == seen[1]

@@ -15,7 +15,6 @@ import json
 import random
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import replace
 
 import pytest
 
@@ -59,7 +58,7 @@ def _random_alignment(rng: random.Random) -> Alignment:
         # shared endpoint objects, and equal ones that are not the same object
         left, right = (rng.choice(pool) for _ in range(2))
         if rng.random() < 0.3:
-            left = replace(left)
+            left = left._replace()
         den = rng.randrange(1, 13)
         score = Score(rng.randrange(den + 1), den)
         corrs.append(Correspondence(left, right, score, rng.choice(CLASSIFICATIONS)))

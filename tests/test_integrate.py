@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import pickle
 import random
 
@@ -142,7 +141,7 @@ class TestAlign:
         assert repr(alignment) == fields
         fresh = Alignment(alignment.correspondences, alignment.diagnostics)
         assert fresh == alignment
-        changed = dataclasses.replace(alignment, correspondences=roots[:1])
+        changed = alignment._replace(correspondences=roots[:1])
         assert changed.roots == roots[:1] and changed.conflicts == ()
         assert copy.deepcopy(alignment) == alignment
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -265,7 +264,7 @@ def _widened(rng: random.Random, graph: ComponentOntology) -> ComponentOntology:
     if not graph.root.members or rng.random() < 0.8:
         return graph
     wide = atom(graph.root.members[0].term + "x" * 20)
-    return replace(graph, root=replace(graph.root, members=(*graph.root.members, wide)))
+    return graph._replace(root=graph.root._replace(members=(*graph.root.members, wide)))
 
 
 def test_the_report_renders_every_matrix_like_the_reference():
@@ -287,7 +286,7 @@ def test_the_report_renders_every_matrix_like_the_reference():
             for source, size in sizes.items()
             for _ in range(size)
         ]
-        graphs = [replace(g, origin=f"{g.origin}{k}") for k, g in enumerate(graphs)]
+        graphs = [g._replace(origin=f"{g.origin}{k}") for k, g in enumerate(graphs)]
         seen["4+ graphs a side"] += min(sizes.values()) >= 4
         for i, j in cross_pairs(graphs):
             a, b = graphs[i], graphs[j]

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from dataclasses import replace
 
 from cmfuse import (
     MODE_BIPARTITE,
@@ -97,7 +96,7 @@ def test_a_section_ends_in_one_newline(library_graphs, library_ontology):
     # report puts one back, also when the last line ends in newlines
     alignment = align(library_graphs, library_ontology)
     merged = merge(alignment, library_graphs, library_ontology)
-    odd = replace(alignment, diagnostics=("odd\n\n",))
+    odd = alignment._replace(diagnostics=("odd\n\n",))
     report = "".join(
         pipeline_report_pieces(
             library_graphs, library_ontology, odd, merged, ComponentSet("S", merged.result)
