@@ -771,14 +771,10 @@ def _streamed(chunks: Iterable[str], source: str) -> AlignmentDocument | None:
     def first_seen(texts: list[str], seen: dict, match: Callable, spec: Callable) -> None:
         # the new texts' JSON values are decoded and checked as one list
         new = list(set(texts).difference(seen))
-        if not new:
-            return
-        values = []
-        for text in new:
-            if not (m := match(text)):
-                raise ValueError(text)
-            values.append(m[1])
-        found = check(spec, _DECODER.decode(f"[{','.join(values)}]"), source)
+        matches = list(map(match, new))
+        if not all(matches):
+            raise ValueError(new)
+        found = check(spec, _DECODER.decode(f"[{','.join(m[1] for m in matches)}]"), source)
         for text, value in zip(new, found):
             seen[text] = distinct.setdefault(value, value)
 
