@@ -13,7 +13,6 @@ import errno
 import gc
 import os
 import re
-import stat
 import sys
 from functools import partial
 from itertools import islice
@@ -43,13 +42,12 @@ from .integrate import (
     alignment_pieces,
     merge,
     pair_class,
-    parse_alignment,
     representation_from_json,
     representation_pieces,
 )
 from .jsonio import dump_json, load_json
 from .ontology import DomainOntology, domain_ontology_from_json, load_domain_ontology
-from .similarity import MODE_BIPARTITE, MODE_LITERAL, Scorer
+from .similarity import MODE_BIPARTITE, MODE_LITERAL, similarity_matrix
 from .transform import (
     ComponentOntology,
     component_ontology_from_json,
@@ -196,22 +194,23 @@ def _read(path: str) -> str:
         raise IntegrationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
-def _regular(path: str) -> bool:
-    # a regular file can be read twice, unlike a pipe; a path that cannot
-    # be read at all is left to _read to report
-    try:
-        return stat.S_ISREG(os.stat(path).st_mode)
-    except OSError:
-        return False
+def _matched(path: str) -> AlignmentDocument | str:
+    """The alignment document at path when the matcher accepts it, or else
+    the text to decode. Each input is matched once: a regular file in
+    chunks, and read whole only when the matcher rejects it; any other
+    file, such as a pipe, cannot be read twice, so it is read whole and
+    its text matched. A path that cannot be read is left to _read."""
+    if os.path.isfile(path):
+        return _stream_alignment(path) or _read(path)
+    text = _read(path)
+    return _streamed((text,), path) or text
 
 
 def _load_alignment(path: str) -> AlignmentDocument:
-    # each input is matched once: a regular file in chunks, and read whole
-    # for the spec walker only when the matcher rejects it; any other file
-    # is read whole, and parse_alignment matches its text
-    if not _regular(path):
-        return parse_alignment(_read(path), source=path)
-    return _stream_alignment(path) or alignment_from_json(load_json(_read(path), path), source=path)
+    found = _matched(path)
+    if isinstance(found, str):
+        return alignment_from_json(load_json(found, path), source=path)
+    return found
 
 
 def _check_out(out: Path, first: str) -> None:
@@ -272,15 +271,11 @@ _SHAPES = (
 def _validated(path: str) -> tuple[object, str, list[str]]:
     # the document at path, with its kind and counted attribute paths; an
     # alignment is matched once, as _load_alignment matches it
-    if _regular(path):
-        document, text = _stream_alignment(path), None
-    else:
-        text = _read(path)
-        document = _streamed((text,), path)
-    if document is not None:
+    found = _matched(path)
+    if not isinstance(found, str):
         _, kind, _, counted = _ALIGNMENT_SHAPE
-        return document, kind, counted
-    data = load_json(_read(path) if text is None else text, path)
+        return found, kind, counted
+    data = load_json(found, path)
     for markers, kind, read, counted in _SHAPES:
         if isinstance(data, dict) and any(key in data for key in markers):
             return read(data, source=path), kind, counted
@@ -331,8 +326,7 @@ def cmd_sim(args) -> int:
     domain = _load_domain(args.domain)
     left = parse_component_ontology(_read(args.left), source=args.left)
     right = parse_component_ontology(_read(args.right), source=args.right)
-    scorer = Scorer(domain, mode=args.mode, recursive=args.recursive)
-    pair = scorer.score(scorer.node(left.root), scorer.node(right.root))
+    pair = similarity_matrix(left, right, domain, mode=args.mode, recursive=args.recursive)
     if args.format == "json":
         print(dump_json(matrix_to_json(left, right, pair)), end="")
     else:
@@ -369,8 +363,7 @@ def cmd_align(args) -> int:
     out = Path(args.out)
     _check_out(out, "alignment.json")
     graphs, domain, alignment = _aligned_graphs(args)
-    document = alignment_pieces(alignment, graphs, domain, mode=args.mode, recursive=args.recursive)
-    print(_write(out, "alignment.json", document))
+    print(_write(out, "alignment.json", alignment_pieces(alignment, graphs, domain)))
     return _conflict_exit(alignment, args)
 
 
@@ -378,9 +371,7 @@ def cmd_merge(args) -> int:
     out = Path(args.out)
     _check_out(out, "ocm_r.json")
     doc = _load_alignment(args.alignment)
-    merged = merge(
-        doc.alignment, doc.graphs, doc.domain, mode=doc.mode, recursive=doc.recursive
-    )
+    merged = merge(doc.alignment, doc.graphs, doc.domain)
     _write_merge(out, doc.graphs, merged)
     return EXIT_OK
 
@@ -424,9 +415,8 @@ def cmd_pipeline(args) -> int:
     out = Path(args.out)
     _check_out(out, "alignment.json")
     graphs, domain, alignment = _aligned_graphs(args)
-    merged = merge(alignment, graphs, domain, mode=args.mode, recursive=args.recursive)
-    document = alignment_pieces(alignment, graphs, domain, mode=args.mode, recursive=args.recursive)
-    print(_write(out, "alignment.json", document))
+    merged = merge(alignment, graphs, domain)
+    print(_write(out, "alignment.json", alignment_pieces(alignment, graphs, domain)))
     result = _write_merge(out, graphs, merged)
     report = pipeline_report_pieces(graphs, domain, alignment, merged, result)
     print(_write(out, "report.txt", report))

@@ -117,7 +117,9 @@ class Correspondence(NamedTuple):
 
 @record
 class Alignment:
-    """All pairwise correspondences plus the diagnostics that led there.
+    """All pairwise correspondences plus the diagnostics that led there,
+    and the similarity settings the scores were computed under, which a
+    merge of the alignment folds members under.
 
     An alignment that align made also keeps its pair table in scores:
     one PairScore per scored pair, in cross_pairs order. An alignment
@@ -126,6 +128,8 @@ class Alignment:
 
     correspondences: tuple[Correspondence, ...]
     diagnostics: tuple[str, ...] = ()
+    mode: str = MODE_LITERAL
+    recursive: bool = True
     scores: tuple[PairScore, ...] | None = field(default=None, compare=False, repr=False)
 
     # computed once per alignment; cached outside the fields, so equality,
@@ -162,7 +166,8 @@ def align(
     Emits one root correspondence per unordered pair from different
     sources, in input order, plus one member correspondence for every
     matrix cell that scores exactly one. Each pair is scored once; the
-    scores stay on the alignment for the report.
+    scores and the settings stay on the alignment, for the report and
+    the merge.
     """
     scorer = Scorer(od, mode=mode, recursive=recursive)
     roots = [scorer.node(g.root) for g in graphs]
@@ -189,7 +194,7 @@ def align(
                 left, right = member_ends[i][mi], member_ends[j][mj]
                 same = left.member == right.member
                 corrs.append(Correspondence(left, right, cell, classify(same, True)))
-    return Alignment(tuple(corrs), tuple(diagnostics), tuple(scores))
+    return Alignment(tuple(corrs), tuple(diagnostics), mode, recursive, tuple(scores))
 
 
 def detect_naming_conflicts(alignment: Alignment) -> list[Correspondence]:
@@ -252,12 +257,7 @@ class MergedComponent:
 
 
 def merge(
-    alignment: Alignment,
-    graphs: Sequence[ComponentOntology],
-    od: DomainOntology,
-    *,
-    mode: str = MODE_LITERAL,
-    recursive: bool = True,
+    alignment: Alignment, graphs: Sequence[ComponentOntology], od: DomainOntology
 ) -> MergedComponent:
     """Fold synonym classes into single components and qualify conflicts.
 
@@ -271,7 +271,8 @@ def merge(
     come out named alike take that name of their first root instead.
     A qualified name that another result root already has is numbered
     "<source>.<origin>.2", ".3", ... until it is free. Untouched roots
-    pass through unchanged.
+    pass through unchanged. Members are judged the same under the
+    alignment's own settings.
     """
     index: dict[tuple[str, str], int] = {}
     for i, g in enumerate(graphs):
@@ -316,7 +317,7 @@ def merge(
         return class_terms[term] > 1 if rep in names else rep in conflicted or terms[term] > 1
 
     taken = {normalize_term(own[rep]) for rep in classes if not qualified(rep)}
-    scorer = Scorer(od, mode=mode, recursive=recursive)
+    scorer = Scorer(od, mode=alignment.mode, recursive=alignment.recursive)
     roots: list[MergedRoot] = []
     equivalences: list[tuple[str, str]] = []
     for rep, members in classes.items():
@@ -496,17 +497,10 @@ class AlignmentDocument:
     alignment: Alignment
     graphs: tuple[ComponentOntology, ...]
     domain: DomainOntology
-    mode: str = MODE_LITERAL
-    recursive: bool = True
 
 
 def serialize_alignment(
-    alignment: Alignment,
-    graphs: Sequence[ComponentOntology],
-    od: DomainOntology,
-    *,
-    mode: str = MODE_LITERAL,
-    recursive: bool = True,
+    alignment: Alignment, graphs: Sequence[ComponentOntology], od: DomainOntology
 ) -> str:
     """Self-contained alignment document: correspondences, the graphs
     they speak about, the domain ontology needed to merge them, and the
@@ -514,16 +508,11 @@ def serialize_alignment(
 
     The text is joined from alignment_pieces.
     """
-    return "".join(alignment_pieces(alignment, graphs, od, mode=mode, recursive=recursive))
+    return "".join(alignment_pieces(alignment, graphs, od))
 
 
 def alignment_pieces(
-    alignment: Alignment,
-    graphs: Sequence[ComponentOntology],
-    od: DomainOntology,
-    *,
-    mode: str = MODE_LITERAL,
-    recursive: bool = True,
+    alignment: Alignment, graphs: Sequence[ComponentOntology], od: DomainOntology
 ) -> Iterator[str]:
     """The text of serialize_alignment, piece by piece: the two
     correspondence lists, which grow with the square of the graph count,
@@ -535,41 +524,38 @@ def alignment_pieces(
             "correspondences": map(item, alignment.correspondences),
             "conflicts": map(item, alignment.conflicts),
             "diagnostics": alignment.diagnostics,
-            "settings": {"mode": mode, "recursive": recursive},
+            "settings": _SETTINGS.write(alignment),
             "ontologies": _GRAPHS.write(graphs),
             "domain": ONTOLOGY_SPEC.write(od),
         }
     )
 
 
+# one item of a correspondence list, at list-item depth, and one endpoint
+# in it; the writer fills in the JSON texts of the fields, and the reader
+# cuts _ITEM at the lines that open its fields
+_ITEM = '    {\n      "left": %s,\n      "right": %s,\n      "score": %s,\n      "class": %s\n    }'
+_ENDPOINT_ITEM = '{\n        "source": %s,\n        "origin": %s,\n        "member": %s\n      }'
+
+
 def correspondence_items() -> Callable[[Correspondence], str]:
     """Lays out each correspondence as an item of one document's list,
     each endpoint's text made once: align shares one Endpoint per graph
     and per member, and the reader one per distinct triple."""
-    return partial(_correspondence_text, endpoints={})
+    endpoints: dict[int, str] = {}  # each endpoint's text, by its id
 
-
-def _correspondence_text(c: Correspondence, endpoints: dict[int, str]) -> str:
-    # one item of a correspondence list; endpoints caches each endpoint's
-    # text by its id
-    for e in (c.left, c.right):
+    def endpoint(e: Endpoint) -> str:
         if id(e) not in endpoints:
-            endpoints[id(e)] = _endpoint_text(e)
-    return (
-        f'    {{\n      "left": {endpoints[id(c.left)]},\n'
-        f'      "right": {endpoints[id(c.right)]},\n'
-        f'      "score": {encode_basestring(str(c.score))},\n'
-        f'      "class": {encode_basestring(c.classification)}\n    }}'
-    )
+            source, origin = encode_basestring(e.source), encode_basestring(e.origin)
+            member = "null" if e.member is None else encode_basestring(e.member)
+            endpoints[id(e)] = _ENDPOINT_ITEM % (source, origin, member)
+        return endpoints[id(e)]
 
+    def item(c: Correspondence) -> str:
+        score, kind = encode_basestring(str(c.score)), encode_basestring(c.classification)
+        return _ITEM % (endpoint(c.left), endpoint(c.right), score, kind)
 
-def _endpoint_text(e: Endpoint) -> str:
-    member = "null" if e.member is None else encode_basestring(e.member)
-    return (
-        f'{{\n        "source": {encode_basestring(e.source)},\n'
-        f'        "origin": {encode_basestring(e.origin)},\n'
-        f'        "member": {member}\n      }}'
-    )
+    return item
 
 
 def _score(value, path, problems):
@@ -615,8 +601,10 @@ _SCORES = list_of(_score)
 
 _GRAPHS = list_of(graph_spec)
 _MODE = one_of((MODE_LITERAL, MODE_BIPARTITE), "must be literal or bipartite")
+# read into an Alignment's fields of those names, and written from them
+_SETTINGS = obj({"mode": _MODE, "recursive": BOOLEAN})
 _ALIGNMENT_FIELDS = {
-    "settings": maybe(obj({"mode": _MODE, "recursive": BOOLEAN})),
+    "settings": maybe(_SETTINGS),
     "correspondences": _CORRESPONDENCES,
     "conflicts": None,  # derived from the correspondences
     "diagnostics": STRINGS,
@@ -628,8 +616,8 @@ _ALIGNMENT_REQUIRED = "correspondences " + _REST_REQUIRED
 
 
 def _document(correspondences, diagnostics, ontologies, domain, settings=None) -> AlignmentDocument:
-    alignment = Alignment(correspondences, tuple(diagnostics))
-    return AlignmentDocument(alignment, ontologies, domain, **(settings or {}))
+    alignment = Alignment(correspondences, tuple(diagnostics), **(settings or {}))
+    return AlignmentDocument(alignment, ontologies, domain)
 
 
 _ALIGNMENT_KEYS = obj(dict.fromkeys(_ALIGNMENT_FIELDS), required=_ALIGNMENT_REQUIRED)
@@ -691,34 +679,24 @@ class _Layout(NamedTuple):
 
 @cache
 def _layout() -> _Layout:
-    # the writer's own text for a correspondence whose fields are markers,
-    # cut at the lines that open its four fields and at the markers' JSON
-    # texts, so the layout is stated once; made at first use, so commands
-    # that read no alignment never compile it
-    end = Endpoint("\0source", "\0origin", "\0member")
-    endpoint = _endpoint_text(end)
-    # a score marker stands where the writer takes str(score)
-    item = _correspondence_text(Correspondence(end, end, "\0score", "\0class"), {})
-    at = item.index(encode_basestring("left"))
-    key = item[item.rindex("\n", 0, at) : at + 1]
-    head, left, right, score, kind = item.split(key)
-    endpoint_pattern = re.escape(endpoint)
-    for name, pattern in {"source": _STRING, "origin": _STRING, "member": f"(?:null|{_STRING})"}.items():
-        endpoint_pattern = endpoint_pattern.replace(re.escape(encode_basestring("\0" + name)), pattern)
-
-    def matcher(text: str, marker: str, pattern: str) -> Callable:
-        before, _, after = text.partition(marker)
-        return re.compile(f"{re.escape(before)}({pattern}){re.escape(after)}").fullmatch
-
+    # the writer's own templates, _ITEM cut at the lines that open its four
+    # fields and each field's pattern put where the writer puts its text,
+    # so the layout is stated once; made at first use, so commands that
+    # read no alignment never compile it (re.escape leaves %s as it is)
+    at = _ITEM.index('"left"')
+    key = _ITEM[_ITEM.rindex("\n", 0, at) : at + 1]
+    head, left, right, score, kind = _ITEM.split(key)
+    member = f"(?:null|{_STRING})"
+    endpoint = f"({re.escape(_ENDPOINT_ITEM) % (_STRING, _STRING, member)})"
     # items are framed as dump_pieces frames a streamed list
-    before, _, after = kind.partition(encode_basestring("\0class"))
+    _, after = kind.split("%s")
     ending = after + ",\n" + head
     return _Layout(
         key,
-        matcher(left, endpoint, endpoint_pattern),
-        matcher(right, endpoint, endpoint_pattern),
-        matcher(score, encode_basestring("\0score"), _STRING),
-        {before + encode_basestring(c) + ending: c for c in CLASSIFICATIONS},
+        re.compile(re.escape(left) % endpoint).fullmatch,
+        re.compile(re.escape(right) % endpoint).fullmatch,
+        re.compile(re.escape(score) % f"({_STRING})").fullmatch,
+        {kind % encode_basestring(c) + ",\n" + head: c for c in CLASSIFICATIONS},
         "[\n" + head + key,
         ending,
         after + "\n  ],",

@@ -125,10 +125,12 @@ def _columns(terms, widths) -> tuple[str, str, str, list[str]]:
     )
 
 
-def _class_text(classification: str, color: bool) -> str:
+def _class_text(classification: str, color: bool, width: int = 0) -> str:
+    # padded before it is painted, so that color codes take no column
+    text = classification.ljust(width)
     if classification == CLASS_HOMONYM_CONFLICT:
-        return _paint(classification, _RED, color)
-    return classification
+        return _paint(text, _RED, color)
+    return text
 
 
 def matrix_to_json(left: ComponentOntology, right: ComponentOntology, pair: PairScore) -> dict:
@@ -159,8 +161,8 @@ def _alignment_lines(alignment: Alignment, color: bool) -> Iterator[str]:
             yield "\n"
         yield title + "\n"
         for c in corrs:
-            cls = _class_text(c.classification, color)
-            yield f"  {cls:<18} {c.left.path} ~ {c.right.path} (score {c.score})\n"
+            cls = _class_text(c.classification, color, 18)
+            yield f"  {cls} {c.left.path} ~ {c.right.path} (score {c.score})\n"
         if not corrs:
             yield "  (none)\n"
     members = [c for c in alignment.correspondences if c.left.member is not None]

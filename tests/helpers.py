@@ -163,12 +163,12 @@ def merged_root_to_json(r) -> dict:
     return {**graph_to_json(r.ontology), "merged_from": [e.path for e in r.merged_from]}
 
 
-def alignment_to_json(alignment, graphs, od, *, mode="literal", recursive=True) -> dict:
+def alignment_to_json(alignment, graphs, od) -> dict:
     return {
         "correspondences": [correspondence_to_json(c) for c in alignment.correspondences],
         "conflicts": [correspondence_to_json(c) for c in alignment.conflicts],
         "diagnostics": list(alignment.diagnostics),
-        "settings": {"mode": mode, "recursive": recursive},
+        "settings": {"mode": alignment.mode, "recursive": alignment.recursive},
         "ontologies": [graph_to_json(g) for g in graphs],
         "domain": domain_ontology_to_json(od),
     }

@@ -281,9 +281,7 @@ class TestPropertySuite:
         for _ in range(500):
             od, graphs, expected_count = _merge_universe(rng)
             mode = rng.choice((MODE_LITERAL, MODE_BIPARTITE))
-            merged = merge(
-                align(graphs, od, mode=mode), graphs, od, mode=mode
-            )
+            merged = merge(align(graphs, od, mode=mode), graphs, od)
             assert len(merged.result) == expected_count
             folded = sorted(
                 e.path for r in merged.representation.roots for e in r.merged_from
@@ -291,9 +289,7 @@ class TestPropertySuite:
             assert folded == sorted(g.path for g in graphs)
 
             second_graphs = [r.ontology for r in merged.representation.roots]
-            again = merge(
-                align(second_graphs, od, mode=mode), second_graphs, od, mode=mode
-            )
+            again = merge(align(second_graphs, od, mode=mode), second_graphs, od)
             assert again.result == merged.result
         _passed("merge conserves inputs and is idempotent (500 cases)")
 
@@ -306,11 +302,11 @@ class TestPropertySuite:
             set_a, set_b = random_source_pair(rng, pool)
             graphs = [to_ontology(c, od) for c in (*set_a.components, *set_b.components)]
             for mode in (MODE_LITERAL, MODE_BIPARTITE):
-                merged = merge(align(graphs, od, mode=mode), graphs, od, mode=mode)
+                merged = merge(align(graphs, od, mode=mode), graphs, od)
                 folded = sorted(e.path for r in merged.representation.roots for e in r.merged_from)
                 assert folded == sorted(g.path for g in graphs)
                 roots = [r.ontology for r in merged.representation.roots]
-                again = merge(align(roots, od, mode=mode), roots, od, mode=mode)
+                again = merge(align(roots, od, mode=mode), roots, od)
                 assert again.result == merged.result
         _passed("merge properties hold on random pipeline inputs (1000 cases, both modes)")
 
@@ -365,8 +361,8 @@ class TestPropertySuite:
             representation = parse_representation(representation_text)
             assert serialize_representation(representation) == representation_text
             doc = parse_alignment(alignment_text)
-            assert doc.mode == mode
-            again = serialize_alignment(doc.alignment, doc.graphs, doc.domain, mode=mode)
+            assert doc.alignment.mode == mode
+            again = serialize_alignment(doc.alignment, doc.graphs, doc.domain)
             assert again == alignment_text
             result = parse_component_set(result_text)
             assert serialize_component_set(result) == result_text

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -380,7 +381,7 @@ class TestAlign:
         doc = parse_alignment(aligned.read_text(encoding="utf-8"))
         assert len(doc.alignment.correspondences) == 10
         assert len(doc.graphs) == 4
-        assert doc.mode == "literal" and doc.recursive is True
+        assert doc.alignment.mode == "literal" and doc.alignment.recursive is True
 
     def test_conflict_count_on_stderr(self, tmp_path, capsys):
         main(["align", BIBLIO1, BIBLIO2, "--domain", DOMAIN, "-o", str(tmp_path)])
@@ -420,8 +421,8 @@ class TestAlign:
         doc = parse_alignment(
             (tmp_path / "alignment.json").read_text(encoding="utf-8")
         )
-        assert doc.mode == "bipartite"
-        assert doc.recursive is False
+        assert doc.alignment.mode == "bipartite"
+        assert doc.alignment.recursive is False
 
 
 class TestMerge:
@@ -918,6 +919,23 @@ class TestColor:
         monkeypatch.setenv("CMFUSE_COLOR", "0")
         main(["sim", left, right, "--domain", DOMAIN])
         assert "\x1b[" not in capsys.readouterr().out
+
+    def test_color_takes_no_column(self, transformed, aligned, capsys, monkeypatch):
+        # stdout in color, with its escape codes taken out, is the plain
+        # stdout byte for byte: a painted name is padded as a plain one
+        sims = [
+            ["sim", str(transformed / f"Biblio1.{a}.ocm.json"), str(transformed / f"Biblio2.{b}.ocm.json")]
+            for a, b in (("Personne", "Lecteur"), ("Publication", "Publication"))
+        ]
+        for argv in [["report", str(aligned)], *([*sim, "--domain", DOMAIN] for sim in sims)]:
+            outputs = []
+            for color in ("1", "0"):
+                monkeypatch.setenv("CMFUSE_COLOR", color)
+                assert main(argv) == 0
+                outputs.append(capsys.readouterr().out)
+            colored, plain = outputs
+            assert "\x1b[" in colored and "\x1b[" not in plain
+            assert re.sub("\x1b\\[[0-9;]*m", "", colored) == plain
 
     def test_files_are_never_colored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CMFUSE_COLOR", "1")

@@ -144,8 +144,9 @@ def test_alignment_writer_equals_dump_json(library_graphs, library_ontology):
         alignment = _random_alignment(rng)
         graphs, od = rng.choice([(library_graphs, library_ontology), ([], EMPTY_ONTOLOGY)])
         settings = {"mode": rng.choice(["literal", "bipartite"]), "recursive": rng.random() < 0.5}
-        expected = reference_dump_json(alignment_to_json(alignment, graphs, od, **settings))
-        assert serialize_alignment(alignment, graphs, od, **settings) == expected
+        alignment = alignment._replace(**settings)
+        expected = reference_dump_json(alignment_to_json(alignment, graphs, od))
+        assert serialize_alignment(alignment, graphs, od) == expected
         empty_lists += not alignment.correspondences
         conflict_lists += bool(alignment.conflicts)
     assert empty_lists >= 20 and conflict_lists >= 20
@@ -195,8 +196,7 @@ def _outcome(read, document):
         doc = read(document, source=SOURCE)
     except DocumentError as exc:
         return exc.source, exc.diagnostics
-    settings = {"mode": doc.mode, "recursive": doc.recursive}
-    return doc.alignment, serialize_alignment(doc.alignment, doc.graphs, doc.domain, **settings)
+    return doc.alignment, serialize_alignment(doc.alignment, doc.graphs, doc.domain)
 
 
 def _matched(text: str) -> bool:

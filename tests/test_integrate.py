@@ -351,7 +351,7 @@ class TestMerge:
                     sets[system] = union(sets[system], ComponentSet(system, (extra,)))
             graphs = [to_ontology(c, od) for c in union(sets["A"], sets["B"]).components]
             mode = rng.choice((MODE_LITERAL, MODE_BIPARTITE))
-            merged = merge(align(graphs, od, mode=mode), graphs, od, mode=mode)
+            merged = merge(align(graphs, od, mode=mode), graphs, od)
             text = serialize_component_set(ComponentSet("A+B", merged.result))
             terms = [c.term for c in parse_component_set(text).components]
             assert len(set(terms)) == len(terms)
@@ -412,20 +412,57 @@ class TestMergeIsTotal:
 
 class TestAlignmentDocument:
     def test_round_trip(self, library_graphs, library_ontology):
-        alignment = align(library_graphs, library_ontology, diagnostics=["d1"])
-        text = serialize_alignment(
-            alignment,
+        alignment = align(
             library_graphs,
             library_ontology,
             mode="bipartite",
             recursive=False,
+            diagnostics=["d1"],
         )
+        text = serialize_alignment(alignment, library_graphs, library_ontology)
         doc = parse_alignment(text)
         assert doc.alignment == alignment
         assert doc.graphs == tuple(library_graphs)
         assert doc.domain == library_ontology
-        assert doc.mode == "bipartite"
-        assert doc.recursive is False
+        assert doc.alignment.mode == "bipartite"
+        assert doc.alignment.recursive is False
+
+    def test_settings_round_trip(self, library_graphs, library_ontology):
+        # the settings an alignment was scored under are read back with it,
+        # and a merge of what was read folds members under them
+        settings = [(m, r) for m in (MODE_LITERAL, MODE_BIPARTITE) for r in (True, False)]
+        rng = random.Random(7002)
+        cases = [(library_graphs, library_ontology)]
+        for _ in range(40):
+            od, pool = random_domain(rng)
+            set_a, set_b = random_source_pair(rng, pool)
+            cases.append(([to_ontology(c, od) for c in union(set_a, set_b).components], od))
+        for graphs, od in cases:
+            for mode, recursive in settings:
+                self._round_trip(align(graphs, od, mode=mode, recursive=recursive), graphs, od)
+        # one equivalent pair whose nested members are the same under literal
+        # recursive scoring alone, so each merge shows the settings it read
+        od = quick_ontology({"K": ["x", "y1", "y2"]})
+        nested = [[atom("x", anchor="K")], [atom("y1", anchor="K"), atom("y2", anchor="K")]]
+        graphs = [
+            _graph(source, "R", [Concept("m", "m", KIND_ATTRIBUTE, members=members)])
+            for source, members in zip(("A", "B"), nested)
+        ]
+        corrs = (Correspondence(Endpoint("A", "R"), Endpoint("B", "R"), Score(1), CLASS_EQUIVALENT),)
+        kept = []
+        for mode, recursive in settings:
+            merged = self._round_trip(Alignment(corrs, mode=mode, recursive=recursive), graphs, od)
+            kept.append([m.term for r in merged.representation.roots for m in r.ontology.root.members])
+        assert kept == [["m"], ["m", "b.r.m"], ["m", "b.r.m"], ["m", "b.r.m"]]
+
+    @staticmethod
+    def _round_trip(alignment, graphs, od):
+        back = parse_alignment(serialize_alignment(alignment, graphs, od)).alignment
+        assert back == alignment
+        assert (back.mode, back.recursive) == (alignment.mode, alignment.recursive)
+        merged = merge(back, graphs, od)
+        assert merged == merge(alignment, graphs, od)
+        return merged
 
     def test_settings_default_when_absent(self, library_graphs, library_ontology):
         alignment = align(library_graphs, library_ontology)
@@ -436,8 +473,8 @@ class TestAlignmentDocument:
         )
         assert "settings" not in stripped
         doc = parse_alignment(stripped)
-        assert doc.mode == "literal"
-        assert doc.recursive is True
+        assert doc.alignment.mode == "literal"
+        assert doc.alignment.recursive is True
 
     def test_bad_score_rejected(self, library_graphs, library_ontology):
         alignment = align(library_graphs, library_ontology)

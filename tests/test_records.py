@@ -180,6 +180,8 @@ def _values(cls, rng) -> dict:
         return dict(
             correspondences=_some(rng, corrs),
             diagnostics=pick([(), ("odd",)]),
+            mode=pick(["literal", "bipartite"]),
+            recursive=pick([True, False]),
             scores=pick([None, (PairScore(Score(1)),)]),
         )
     if cls is MergedRoot:
@@ -203,8 +205,6 @@ def _values(cls, rng) -> dict:
             alignment=Alignment(**_values(Alignment, rng)),
             graphs=_some(rng, [ComponentOntology(**_values(ComponentOntology, rng))]),
             domain=pick(_DOMAINS),
-            mode=pick(["literal", "bipartite"]),
-            recursive=pick([True, False]),
         )
     raise AssertionError(cls)
 

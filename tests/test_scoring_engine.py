@@ -196,7 +196,7 @@ def _reference_links(self, concepts, owners):
 
 
 def _merged(alignment, graphs, od, mode, recursive):
-    return merge(alignment, graphs, od, mode=mode, recursive=recursive)
+    return merge(alignment._replace(mode=mode, recursive=recursive), graphs, od)
 
 
 def _check_align_and_merge(graphs, od, monkeypatch):
@@ -367,7 +367,7 @@ def test_the_pipeline_report_never_scores_again(mode, monkeypatch):
     monkeypatch.setattr(Scorer, "score", counted)
     alignment = align(graphs, od, mode=mode)
     assert len(calls) == len(alignment.roots) > 0
-    merged = merge(alignment, graphs, od, mode=mode)
+    merged = merge(alignment, graphs, od)
     calls.clear()
     report = "".join(
         pipeline_report_pieces(graphs, od, alignment, merged, ComponentSet("S", merged.result))

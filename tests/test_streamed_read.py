@@ -45,7 +45,7 @@ from test_fast_io import _random_alignment
 def _summary(doc) -> tuple:
     # AlignmentDocument compares its domain by identity
     domain = serialize_domain_ontology(doc.domain)
-    return doc.alignment, doc.graphs, domain, doc.mode, doc.recursive
+    return doc.alignment, doc.graphs, domain
 
 
 def _reference(path: str):
@@ -68,7 +68,7 @@ def _documents(rng: random.Random, library_graphs, library_ontology) -> list[str
     for _ in range(40):
         graphs, od = rng.choice([(library_graphs, library_ontology), ([], EMPTY_ONTOLOGY)])
         settings = {"mode": rng.choice(["literal", "bipartite"]), "recursive": rng.random() < 0.5}
-        texts.append(serialize_alignment(_random_alignment(rng), graphs, od, **settings))
+        texts.append(serialize_alignment(_random_alignment(rng)._replace(**settings), graphs, od))
     return texts
 
 

@@ -34,7 +34,7 @@ def _pipeline(set_a: ComponentSet, set_b: ComponentSet, od, mode: str):
     diagnostics = list(check_layering(merged_set))
     graphs = [to_ontology(c, od, diagnostics=diagnostics) for c in merged_set.components]
     alignment = align(graphs, od, mode=mode, diagnostics=diagnostics)
-    merged = merge(alignment, graphs, od, mode=mode)
+    merged = merge(alignment, graphs, od)
     result = ComponentSet(f"{set_a.system}+{set_b.system}", merged.result)
     return graphs, alignment, merged, result
 
@@ -55,7 +55,7 @@ def test_written_artifacts_equal_the_api_strings(tmp_path):
         inputs = [str(paths[0]), str(paths[1]), "--domain", str(paths[2])]
         for mode in (MODE_LITERAL, MODE_BIPARTITE):
             graphs, alignment, merged, result = _pipeline(set_a, set_b, od, mode)
-            document = serialize_alignment(alignment, graphs, od, mode=mode).encode("utf-8")
+            document = serialize_alignment(alignment, graphs, od).encode("utf-8")
             for command in ("align", "pipeline"):
                 out = tmp_path / f"{case}-{mode}-{command}"
                 assert main([command, *inputs, "-o", str(out), "--mode", mode]) == 0
