@@ -71,7 +71,6 @@ from .similarity import (
     MODE_LITERAL,
     ONE,
     PairScore,
-    Score,
     VERDICT_NOT_SYNONYM,
     VERDICT_SYNONYM,
     ZERO,

@@ -10,6 +10,7 @@ from .jsonio import (
     NON_EMPTY,
     STRING,
     STRINGS,
+    at,
     check,
     dump_json,
     list_of,
@@ -185,6 +186,13 @@ def component_set_from_json(data, *, source: str = "<component-set>") -> Compone
     return check(_set_spec(system if isinstance(system, str) else ""), data, source)
 
 
+def _system(value, path, problems):
+    # the source of every component, which a path "<source>/<origin>" ends at the first "/"
+    if isinstance(value, str) and "/" in value:
+        problems.append(at(path, "must not hold '/'"))
+    return NON_EMPTY(value, path, problems)
+
+
 def _set_spec(system: str) -> Callable:
     # the schema of a component set whose components all come from system;
     # it writes any set, whatever its components' sources
@@ -194,7 +202,7 @@ def _set_spec(system: str) -> Callable:
 
     components = obj(_COMPONENT_FIELDS, required="name kind attributes operations", build=component)
     return obj(
-        {"system": NON_EMPTY, "components": maybe(list_of(components))},
+        {"system": _system, "components": maybe(list_of(components))},
         required="system components",
         build=ComponentSet,
     )

@@ -14,6 +14,7 @@ import codecs
 import json
 import re
 from collections import Counter
+from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import combinations, count
 from json.encoder import encode_basestring
@@ -25,6 +26,11 @@ from .components import BusinessComponent
 from .errors import DocumentError, MergeError
 from .jsonio import (
     BOOLEAN,
+    ITEMS_CLOSE,
+    ITEMS_NEXT,
+    ITEMS_OPEN,
+    NEXT_KEY,
+    NO_ITEMS,
     NON_EMPTY,
     STRINGS,
     at,
@@ -48,7 +54,7 @@ from .ontology import (
     normalize_term,
     term_stem,
 )
-from .similarity import MODE_BIPARTITE, MODE_LITERAL, PairScore, Score, Scorer, parse_score
+from .similarity import MODE_BIPARTITE, MODE_LITERAL, PairScore, Scorer, parse_score
 from .transform import (
     KIND_COMPONENT,
     KIND_OPERATION,
@@ -86,9 +92,9 @@ def classify(names_equal: bool, synonym: bool) -> str:
     return CLASS_HOMONYM_CONFLICT if names_equal else CLASS_DISTINCT
 
 
-def pair_class(a: ComponentOntology, b: ComponentOntology, score: Score) -> str:
+def pair_class(a: ComponentOntology, b: ComponentOntology, score: Fraction) -> str:
     """The class of a pair of graphs whose aggregate is score."""
-    return classify(a.root.term == b.root.term, score.is_one)
+    return classify(a.root.term == b.root.term, score == 1)
 
 
 @record
@@ -106,12 +112,12 @@ class Endpoint:
 
 
 class Correspondence(NamedTuple):
-    """One scored pair of endpoints and its class; a tuple, so that the
-    reader builds one at C speed."""
+    """One scored pair of endpoints, its score a Fraction in [0, 1], and
+    its class; a tuple, so that the reader builds one at C speed."""
 
     left: Endpoint
     right: Endpoint
-    score: Score
+    score: Fraction
     classification: str
 
 
@@ -178,19 +184,12 @@ def align(
     corrs: list[Correspondence] = []
     scores: list[PairScore] = []
     for i, j in cross_pairs(graphs):
-        a, b = graphs[i], graphs[j]
         pair = scorer.score(roots[i], roots[j])
         scores.append(pair)
-        corrs.append(
-            Correspondence(
-                ends[i],
-                ends[j],
-                pair.aggregate,
-                pair_class(a, b, pair.aggregate),
-            )
-        )
+        cls = pair_class(graphs[i], graphs[j], pair.aggregate)
+        corrs.append(Correspondence(ends[i], ends[j], pair.aggregate, cls))
         for mi, mj, cell in pair.cells:
-            if cell.is_one:
+            if cell == 1:
                 left, right = member_ends[i][mi], member_ends[j][mj]
                 same = left.member == right.member
                 corrs.append(Correspondence(left, right, cell, classify(same, True)))
@@ -656,8 +655,8 @@ def alignment_from_json(data, *, source: str = "<alignment>") -> AlignmentDocume
 
 
 _CHUNK = 1 << 16  # bytes that _stream_alignment reads, and characters _streamed takes, at a time
-# how alignment_pieces opens the document
-_HEAD = '{\n  "correspondences": '
+# how alignment_pieces opens the document: the head of its first field
+_HEAD = next(dump_pieces({"correspondences": None}))
 # a JSON string; its escapes are checked when the text is decoded
 _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 # decodes the endpoint and score texts, without json.loads's keyword checks
@@ -689,17 +688,17 @@ def _layout() -> _Layout:
     member = f"(?:null|{_STRING})"
     endpoint = f"({re.escape(_ENDPOINT_ITEM) % (_STRING, _STRING, member)})"
     # items are framed as dump_pieces frames a streamed list
-    _, after = kind.split("%s")
-    ending = after + ",\n" + head
+    before, after = kind.split("%s")
+    ending = after + ITEMS_NEXT + head
     return _Layout(
         key,
         re.compile(re.escape(left) % endpoint).fullmatch,
         re.compile(re.escape(right) % endpoint).fullmatch,
         re.compile(re.escape(score) % f"({_STRING})").fullmatch,
-        {kind % encode_basestring(c) + ",\n" + head: c for c in CLASSIFICATIONS},
-        "[\n" + head + key,
+        {before + encode_basestring(c) + ending: c for c in CLASSIFICATIONS},
+        ITEMS_OPEN + head + key,
         ending,
-        after + "\n  ],",
+        after + ITEMS_CLOSE + NEXT_KEY,
     )
 
 
@@ -742,8 +741,8 @@ def _streamed(chunks: Iterable[str], source: str) -> AlignmentDocument | None:
     layout = _layout()
     lefts: dict[str, Endpoint] = {}  # by field text
     rights: dict[str, Endpoint] = {}
-    scores: dict[str, Score] = {}
-    distinct: dict = {}  # one Endpoint per decoded triple, one Score per value
+    scores: dict[str, Fraction] = {}
+    distinct: dict = {}  # one Endpoint per decoded triple, one Fraction per value
     corrs: list[Correspondence] = []
 
     def first_seen(texts: list[str], seen: dict, match: Callable, spec: Callable) -> None:
@@ -778,8 +777,8 @@ def _streamed(chunks: Iterable[str], source: str) -> AlignmentDocument | None:
             if len(text) >= len(_HEAD) + len(layout.opening):
                 break
         # the list ends as dump_pieces ends it, and the document goes on
-        if text.startswith(_HEAD + "[],"):
-            pos = len(_HEAD) + len("[],")
+        if text.startswith(_HEAD + NO_ITEMS + NEXT_KEY):
+            pos = len(_HEAD) + len(NO_ITEMS + NEXT_KEY)
         elif text.startswith(_HEAD + layout.opening):
             pos = len(_HEAD) + len(layout.opening)
             while True:

@@ -61,6 +61,13 @@ def dump_json(obj: Any) -> str:
     return "".join(out)
 
 
+# how dump_pieces frames a document: before its first key and between two
+# fields; and a streamed list: before its first item, between two items,
+# after the last one, and without items. Readers cut a text at these.
+FIRST_KEY, NEXT_KEY = "{\n  ", ",\n  "
+ITEMS_OPEN, ITEMS_NEXT, ITEMS_CLOSE, NO_ITEMS = "[\n", ",\n", "\n  ]", "[]"
+
+
 def dump_pieces(fields: dict) -> Iterator[str]:
     """The text of dump_json(fields), one field at a time.
 
@@ -68,21 +75,21 @@ def dump_pieces(fields: dict) -> Iterator[str]:
     texts already laid out at list-item depth, written one at a time, so
     a list that grows with the square of the input is never held whole.
     """
-    separator = "{\n  "
+    separator = FIRST_KEY
     for key, value in fields.items():
         yield f"{separator}{encode_basestring(key)}: "
         if isinstance(value, Iterator):
-            opening = "[\n"
+            opening = ITEMS_OPEN
             for item in value:
                 yield opening + item
-                opening = ",\n"
-            yield "[]" if opening == "[\n" else "\n  ]"
+                opening = ITEMS_NEXT
+            yield NO_ITEMS if opening == ITEMS_OPEN else ITEMS_CLOSE
         else:
             out: list[str] = []
             _write(value, "\n  ", out)
             yield "".join(out)
-        separator = ",\n  "
-    yield "{}\n" if separator == "{\n  " else "\n}\n"
+        separator = NEXT_KEY
+    yield "{}\n" if separator == FIRST_KEY else "\n}\n"
 
 
 def _write(obj: Any, indent: str, out: list[str]) -> None:

@@ -101,11 +101,11 @@ class _Matrices:
         else:
             # no right member: each row is its term alone
             body = "\n".join(t.rstrip() for t in column)
-        score = pair.aggregate
-        tail = self.tails.get((score.num, score.den, classification))
+        key = pair.aggregate.numerator, pair.aggregate.denominator, classification
+        tail = self.tails.get(key)
         if tail is None:
-            tail = self.tails[score.num, score.den, classification] = (
-                f"\n\naggregate: {score}\n"
+            tail = self.tails[key] = (
+                f"\n\naggregate: {pair.aggregate!s}\n"
                 f"verdict:   {_verdict_text(pair.verdict, self.color)}\n"
                 f"class:     {_class_text(classification, self.color)}\n"
             )
@@ -162,7 +162,7 @@ def _alignment_lines(alignment: Alignment, color: bool) -> Iterator[str]:
         yield title + "\n"
         for c in corrs:
             cls = _class_text(c.classification, color, 18)
-            yield f"  {cls} {c.left.path} ~ {c.right.path} (score {c.score})\n"
+            yield f"  {cls} {c.left.path} ~ {c.right.path} (score {c.score!s})\n"
         if not corrs:
             yield "  (none)\n"
     members = [c for c in alignment.correspondences if c.left.member is not None]

@@ -9,9 +9,9 @@ concepts anchored to homonymous domain concepts score zero, and only
 when the ontology has no verdict does the comparison fall back to
 member recursion and finally to the syntactic layer.
 
-Scores are exact rationals. The synonym verdict is equality to exactly
-one, which floats cannot promise, so Score never leaves the rational
-domain.
+Scores are fractions.Fraction values in [0, 1]: the synonym verdict is
+equality to exactly one, which floats cannot promise. A document holds a
+score as str() writes it, and parse_score reads back only that text.
 
 One engine, Scorer, does all the scoring. It resolves each concept's
 effective anchor once, when it first sees the concept. Two atomic
@@ -26,7 +26,6 @@ Kuhn-Munkres assignment are left for composite members.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -41,63 +40,23 @@ MODE_BIPARTITE = "bipartite"
 VERDICT_SYNONYM = "synonym"
 VERDICT_NOT_SYNONYM = "not_synonym"
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
-@record
-class Score:
-    """Exact rational similarity value in [0, 1], kept in lowest terms."""
-
-    num: int
-    den: int = 1
-
-    def __post_init__(self):
-        if self.den <= 0:
-            raise ValueError("denominator must be positive")
-        if not 0 <= self.num <= self.den:
-            raise ValueError(f"similarity {self.num}/{self.den} out of range")
-        g = math.gcd(self.num, self.den)
-        if g > 1:
-            object.__setattr__(self, "num", self.num // g)
-            object.__setattr__(self, "den", self.den // g)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> Score:
-        return cls(value.numerator, value.denominator)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    @property
-    def is_one(self) -> bool:
-        return self.num == self.den
-
-    def __str__(self) -> str:
-        if self.num == 0:
-            return "0"
-        if self.num == self.den:
-            return "1"
-        return f"{self.num}/{self.den}"
-
-
-ZERO = Score(0)
-ONE = Score(1)
-
-
-def parse_score(text: str) -> Score:
+def parse_score(text: str) -> Fraction:
     """Parse the serialized form: "0", "1", or "num/den" in lowest terms.
 
-    Only the text str(Score) writes is read; any other spelling of a
-    rational, such as "2/4", "01" or "1/1", is rejected.
+    Only the text str() of a score writes is read; any other spelling of
+    a rational, such as "2/4", "01" or "1/1", is rejected, and so is a
+    value outside [0, 1].
     """
     num, slash, den = text.partition("/")
     try:
-        score = Score(int(num), int(den) if slash else 1)
-    except ValueError:
+        score = Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad score {text!r}") from None
-    if str(score) != text:
+    if not 0 <= score <= 1 or str(score) != text:
         raise ValueError(f"bad score {text!r}")
     return score
 
@@ -107,16 +66,16 @@ class PairScore:
     """One scored pair of graphs: the aggregate and its non-zero cells.
 
     cells holds (row, column, score) triples in row-major order; every
-    other cell of the member matrix is zero.
+    other cell of the member matrix is zero. Each score is a Fraction.
     """
 
-    aggregate: Score
-    cells: tuple[tuple[int, int, Score], ...] = ()
+    aggregate: Fraction
+    cells: tuple[tuple[int, int, Fraction], ...] = ()
 
     @property
     def verdict(self) -> str:
         """Synonym exactly when the aggregate is one."""
-        return VERDICT_SYNONYM if self.aggregate.is_one else VERDICT_NOT_SYNONYM
+        return VERDICT_SYNONYM if self.aggregate == 1 else VERDICT_NOT_SYNONYM
 
 
 _ZERO_PAIR = PairScore(ZERO)
@@ -137,10 +96,6 @@ class _Node:
         self.anchor = anchor
         self.members = members
         self.index = _Index(members) if members else None
-
-    @property
-    def is_atomic(self) -> bool:
-        return not self.members
 
     def filed_keys(self) -> tuple[tuple[str, str, str], ...]:
         if self.anchor is None:
@@ -207,7 +162,7 @@ class Scorer:
         if left.members and right.members:
             return self._members(left.index, right.index)
         if not left.members and not right.members:
-            return PairScore(Score.from_fraction(self.cell(left, right)))
+            return PairScore(self.cell(left, right))
         return _ZERO_PAIR
 
     def cell(self, x: _Node, y: _Node) -> Fraction:
@@ -220,17 +175,17 @@ class Scorer:
         and anything still open falls back to the syntactic layer.
         """
         if x.kind != y.kind:
-            return _F0
+            return ZERO
         if x.anchor is not None and y.anchor is not None:
             if x.anchor == y.anchor:
-                return _F1
+                return ONE
             if not x.members and not y.members:
-                return _F0
+                return ZERO
             if relation(x.anchor, y.anchor, self.od) == RELATION_HOMONYM:
-                return _F0
+                return ZERO
         if self.recursive and x.members and y.members:
-            return self._members(x.index, y.index).aggregate.fraction
-        return _syntactic(x, y)
+            return self._members(x.index, y.index).aggregate
+        return syntactic_similarity(x, y)
 
     def _members(self, left: _Index, right: _Index) -> PairScore:
         arity = max(len(left.nodes), len(right.nodes))
@@ -247,21 +202,16 @@ class Scorer:
         else:
             value = max_matching(rows)
         cells = tuple((i, j, ONE) for i, row in enumerate(rows) for j in row)
-        return PairScore(Score(value, arity), cells)
+        return PairScore(Fraction(value, arity), cells)
 
     def _composite(self, left: _Index, right: _Index, arity: int) -> PairScore:
         cells = [[self.cell(x, y) for y in right.nodes] for x in left.nodes]
         if self.mode == MODE_LITERAL:
-            value = min(_F1, sum(v for row in cells for v in row) / arity)
+            value = min(ONE, sum(v for row in cells for v in row) / arity)
         else:
             value = max_assignment(cells)[0] / arity
-        nonzero = tuple(
-            (i, j, Score.from_fraction(v))
-            for i, row in enumerate(cells)
-            for j, v in enumerate(row)
-            if v
-        )
-        return PairScore(Score.from_fraction(value), nonzero)
+        nonzero = tuple((i, j, v) for i, row in enumerate(cells) for j, v in enumerate(row) if v)
+        return PairScore(value, nonzero)
 
     def links(self, concepts: Sequence[Concept], owners: Sequence[int]) -> Iterator[tuple[int, int]]:
         """Pairs of concepts from different owners that join synonyms.
@@ -292,25 +242,21 @@ class Scorer:
         for i, n in enumerate(nodes):
             if n.members:
                 for j, other in enumerate(nodes):
-                    if owners[j] != owners[i] and self.cell(n, other) == _F1:
+                    if owners[j] != owners[i] and self.cell(n, other) == 1:
                         yield i, j
 
 
-def syntactic_similarity(c1: Concept, c2: Concept) -> Score:
-    """Term-level similarity; the ontology plays no part."""
-    return Score.from_fraction(_syntactic(c1, c2))
-
-
-def _syntactic(c1, c2) -> Fraction:
-    # on concepts or resolved nodes alike: anchors play no part
+def syntactic_similarity(c1: Concept, c2: Concept) -> Fraction:
+    """Term-level similarity; the ontology plays no part. The engine
+    calls it on its resolved nodes alike."""
     if c1.kind != c2.kind:
-        return _F0
-    if c1.is_atomic and c2.is_atomic:
-        return _F1 if c1.term == c2.term else _F0
+        return ZERO
+    if not c1.members and not c2.members:
+        return ONE if c1.term == c2.term else ZERO
     m1 = c1.members or (c1,)
     m2 = c2.members or (c2,)
-    total = sum(_syntactic(a, b) for a in m1 for b in m2)
-    return min(_F1, total / max(len(m1), len(m2)))
+    total = sum(syntactic_similarity(a, b) for a in m1 for b in m2)
+    return min(ONE, total / max(len(m1), len(m2)))
 
 
 def semantic_similarity(
@@ -320,10 +266,10 @@ def semantic_similarity(
     *,
     mode: str = MODE_LITERAL,
     recursive: bool = True,
-) -> Score:
+) -> Fraction:
     """Ontology-aware similarity of two concepts; see Scorer.cell."""
     scorer = Scorer(od, mode=mode, recursive=recursive)
-    return Score.from_fraction(scorer.cell(scorer.node(c1), scorer.node(c2)))
+    return scorer.cell(scorer.node(c1), scorer.node(c2))
 
 
 def similarity_matrix(
@@ -334,11 +280,7 @@ def similarity_matrix(
     mode: str = MODE_LITERAL,
     recursive: bool = True,
 ) -> PairScore:
-    """Score every member pair of two graphs and aggregate the verdict.
-
-    Two empty-membered graphs are judged by their roots alone; an empty
-    side against a non-empty one scores zero.
-    """
+    """Score the members of two graphs and aggregate them; see Scorer.score."""
     scorer = Scorer(od, mode=mode, recursive=recursive)
     return scorer.score(scorer.node(a.root), scorer.node(b.root))
 
@@ -349,7 +291,7 @@ def bipartite_score(
     od: DomainOntology,
     *,
     recursive: bool = True,
-) -> Score:
+) -> Fraction:
     """Best one-to-one member matching divided by the larger arity.
 
     Differs from the literal aggregate only when some member is

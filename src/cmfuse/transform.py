@@ -100,6 +100,9 @@ class ComponentOntology:
         problems = []
         if not self.source:
             problems.append("source must be non-empty")
+        elif "/" in self.source:
+            # a path "<source>/<origin>" is read back as ending its source at the first '/'
+            problems.append("source must not hold '/'")
         if not self.origin:
             problems.append("origin must be non-empty")
         if self.root.kind != KIND_COMPONENT:

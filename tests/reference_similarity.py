@@ -24,7 +24,6 @@ from cmfuse import (
     ComponentOntology,
     Concept,
     DomainOntology,
-    Score,
     anchor,
     classify,
     relation,
@@ -41,12 +40,12 @@ class DenseMatrix:
 
     left_members: tuple[str, ...]
     right_members: tuple[str, ...]
-    cells: tuple[tuple[Score, ...], ...]
-    aggregate: Score
+    cells: tuple[tuple[Fraction, ...], ...]
+    aggregate: Fraction
     verdict: str
 
     @property
-    def nonzero(self) -> tuple[tuple[int, int, Score], ...]:
+    def nonzero(self) -> tuple[tuple[int, int, Fraction], ...]:
         """The (row, column, score) triples of the non-zero cells, row-major."""
         return tuple(
             (i, j, cell)
@@ -128,13 +127,12 @@ def similarity_matrix(
         aggregate = _semantic(a.root, b.root, od, mode, recursive)
     else:
         aggregate = _F0
-    score = Score.from_fraction(aggregate)
     return DenseMatrix(
         left_members=tuple(c.term for c in m1),
         right_members=tuple(c.term for c in m2),
-        cells=tuple(tuple(Score.from_fraction(v) for v in row) for row in cells),
-        aggregate=score,
-        verdict=VERDICT_SYNONYM if score.is_one else VERDICT_NOT_SYNONYM,
+        cells=tuple(tuple(row) for row in cells),
+        aggregate=aggregate,
+        verdict=VERDICT_SYNONYM if aggregate == 1 else VERDICT_NOT_SYNONYM,
     )
 
 

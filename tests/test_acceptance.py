@@ -11,13 +11,14 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from cmfuse import (
+    ComponentOntology,
     MODE_BIPARTITE,
     MODE_LITERAL,
     ONE,
-    Score,
     VERDICT_NOT_SYNONYM,
     VERDICT_SYNONYM,
     align,
@@ -29,6 +30,7 @@ from cmfuse import (
     parse_component_ontology,
     parse_component_set,
     parse_representation,
+    parse_score,
     semantic_similarity,
     serialize_alignment,
     serialize_component_ontology,
@@ -51,6 +53,7 @@ from helpers import (
     random_component_set,
     random_concept,
     random_domain,
+    random_nested_concept,
     random_source_pair,
 )
 
@@ -71,7 +74,7 @@ def test_client_pair_scores_exactly_one_half():
     left = to_ontology(first, EMPTY_ONTOLOGY)
     right = to_ontology(second, EMPTY_ONTOLOGY)
 
-    half = Score(1, 2)
+    half = Fraction(1, 2)
     assert syntactic_similarity(left.root, right.root) == half
     assert semantic_similarity(left.root, right.root, EMPTY_ONTOLOGY) == half
 
@@ -215,18 +218,49 @@ class TestPropertySuite:
         _passed("similarity is symmetric (500 cases)")
 
     def test_scores_stay_in_the_unit_interval(self):
+        """Every score is a Fraction in [0, 1] that reads back from its
+        text: concept pairs, then every aggregate, cell and correspondence
+        of align, on random source pairs with nested graphs beside them,
+        in both modes."""
+        seen = Counter()
+
+        def check(score):
+            assert type(score) is Fraction
+            assert 0 <= score <= 1
+            assert parse_score(str(score)) == score
+            seen["fractional" if score.denominator > 1 else str(score)] += 1
+
         rng = random.Random(3002)
         for _ in range(500):
             od, pool = random_domain(rng)
             a = random_concept(rng, pool)
             b = random_concept(rng, pool)
-            for score in (
-                syntactic_similarity(a, b),
-                semantic_similarity(a, b, od),
-                semantic_similarity(a, b, od, mode=MODE_BIPARTITE),
-            ):
-                assert 0 <= score.fraction <= 1
-        _passed("scores stay in [0, 1] (500 cases)")
+            check(syntactic_similarity(a, b))
+            check(semantic_similarity(a, b, od))
+            check(semantic_similarity(a, b, od, mode=MODE_BIPARTITE))
+        rng = random.Random(3010)
+        for _ in range(100):
+            od, pool = random_domain(rng)
+            concept_ids = [c.id for c in od.concepts]
+            set_a, set_b = random_source_pair(rng, pool)
+            graphs = [to_ontology(c, od) for c in (*set_a.components, *set_b.components)]
+            graphs += [
+                ComponentOntology(source, f"N{k}", random_nested_concept(rng, pool, concept_ids))
+                for source in "AB"
+                for k in range(2)
+            ]
+            for mode in (MODE_LITERAL, MODE_BIPARTITE):
+                alignment = align(graphs, od, mode=mode)
+                for pair in alignment.scores:
+                    check(pair.aggregate)
+                    for _, _, cell in pair.cells:
+                        check(cell)
+                        seen["cell"] += 1
+                for corr in alignment.correspondences:
+                    check(corr.score)
+        # the cells, and the scores strictly between 0 and 1, are many
+        assert min(seen["cell"], seen["fractional"], seen["0"], seen["1"]) >= 500, seen
+        _passed("scores stay in [0, 1] and read back (500 concept pairs, 100 alignments)")
 
     def test_semantic_collapses_to_syntactic_when_nothing_anchors(self):
         rng = random.Random(3003)
@@ -258,7 +292,7 @@ class TestPropertySuite:
             if a.is_atomic or b.is_atomic:
                 continue
             weights = [
-                [semantic_similarity(x, y, od).fraction for y in b.members]
+                [semantic_similarity(x, y, od) for y in b.members]
                 for x in a.members
             ]
             best = Fraction(0)
@@ -271,7 +305,7 @@ class TestPropertySuite:
                         Fraction(0),
                     )
                     best = max(best, total)
-            expected = Score.from_fraction(best / max(rows, cols))
+            expected = best / max(rows, cols)
             assert bipartite_score(a, b, od) == expected
             cases += 1
         _passed("bipartite score equals exhaustive matching (500 cases)")

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from importlib.metadata import Distribution
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from cmfuse import (
     Alignment,
     Correspondence,
     Endpoint,
-    Score,
     parse_alignment,
     parse_component_ontology,
     parse_component_set,
@@ -235,6 +235,14 @@ class TestValidate:
             f"error: {bad}: roots[1]: missing required key 'merged_from'",
             f"error: {bad}: equivalences[0]: must be a pair of strings",
         ]
+
+    def test_rejects_a_graph_whose_source_holds_a_slash(self, transformed, tmp_path, capsys):
+        graph = json.loads((transformed / "Biblio1.Personne.ocm.json").read_text(encoding="utf-8"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**graph, "source": "Biblio/1"}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().out == f"error: {bad}: source must not hold '/'\n"
 
     def test_golden_stdout(self, transformed, tmp_path, capsys):
         # every document shape and every kind of failure in one run; the
@@ -525,7 +533,7 @@ class TestReport:
     def large_alignment(tmp_path) -> Path:
         # a report of more lines than several blocks hold
         corrs = tuple(
-            Correspondence(Endpoint("S1", f"C{i}"), Endpoint("S2", f"D{i % 7}", f"m{i}"), Score(1), CLASS_DISTINCT)
+            Correspondence(Endpoint("S1", f"C{i}"), Endpoint("S2", f"D{i % 7}", f"m{i}"), Fraction(1), CLASS_DISTINCT)
             for i in range(5 * _BLOCK)
         )
         path = tmp_path / "alignment.json"
@@ -589,6 +597,26 @@ class TestPipeline:
         assert "pair similarity" in report
         assert "result set 'Biblio1+Biblio2': 3 components" in report
         assert "\x1b[" not in report
+
+    def test_a_slash_in_a_system_fails_before_anything_is_written(self, tmp_path, capsys):
+        # "Sys/A" + "/Client" would be written as the path "Sys/A/Client",
+        # which ocm_r.json reads back as source "Sys", origin "A/Client"
+        client = {"name": "Client", "kind": "entity", "attributes": [], "operations": []}
+        inputs = {
+            "a.json": {"system": "Sys/A", "components": [client]},
+            "b.json": {"system": "SysB", "components": [client]},
+            "domain.json": {
+                "concepts": [{"id": "C", "label": "client"}],
+                "thesaurus": [{"concept": "C", "terms": ["client"]}],
+            },
+        }
+        for name, document in inputs.items():
+            (tmp_path / name).write_text(json.dumps(document), encoding="utf-8")
+        a, b, d = (str(tmp_path / name) for name in inputs)
+        out = tmp_path / "out"
+        assert main(["pipeline", a, b, "--domain", d, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"cmfuse: error: {a}: system: must not hold '/'\n"
+        assert not out.exists()
 
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -883,7 +911,7 @@ class TestExitCodes:
 
     def test_a_reader_that_stops_reading_is_not_an_error(self, tmp_path):
         corrs = tuple(
-            Correspondence(Endpoint("S1", f"C{i}"), Endpoint("S2", f"D{i}"), Score(0), CLASS_DISTINCT)
+            Correspondence(Endpoint("S1", f"C{i}"), Endpoint("S2", f"D{i}"), Fraction(0), CLASS_DISTINCT)
             for i in range(5000)
         )
         path = tmp_path / "alignment.json"

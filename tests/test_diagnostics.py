@@ -101,6 +101,8 @@ ROWS = [
     # an invalid system leaves every component without a source
     ("set-system", "set", edit(SET, system=""),
      ["system: must be a non-empty string", "components[0]: source must be non-empty"]),
+    # a path "<source>/<origin>" ends its source at the first "/"
+    ("set-system-slash", "set", edit(SET, system="Sys/A"), ["system: must not hold '/'"]),
     ("set-components-type", "set", edit(SET, components={}), ["components: must be a list"]),
     ("set-null-is-absent", "set", edit(SET, components=None, extra=1), ["unknown key 'extra'"]),
     ("set-component-type", "set", edit(SET, components=[1, "x"]),
@@ -249,6 +251,7 @@ ROWS = [
      ["source: must be a non-empty string"]),
     ("graph-names", "graph", edit(GRAPH, source=1, origin=""),
      ["source: must be a non-empty string", "origin: must be a non-empty string"]),
+    ("graph-source-slash", "graph", edit(GRAPH, source="A/B"), ["source must not hold '/'"]),
     ("graph-metadata-type", "graph", edit(GRAPH, metadata=[]), ["metadata: must be an object"]),
     ("graph-metadata-fields", "graph",
      edit(GRAPH, metadata={"kind": 3, "provides": "p", "requires": ["a", 1], "extra": 0}),
@@ -366,6 +369,9 @@ ROWS = [
          "the root concept must have the component kind",
          "ontologies[4].metadata.kind: must be a string",
      ]),
+    ("alignment-ontology-source-slash", "alignment",
+     edit(ALIGNMENT, ontologies=[GRAPH, edit(GRAPH, source="B/C", origin="Usager")]),
+     ["source must not hold '/'"]),
     ("alignment-graph-root-then-metadata", "alignment",
      edit(ALIGNMENT, ontologies=[edit(GRAPH, metadata={"kind": 1}, root=edit(ROOT, term=" "))]),
      ["ontologies[0].root.term: must be a non-empty string", "ontologies[0].metadata.kind: must be a string"]),

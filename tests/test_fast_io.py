@@ -15,6 +15,7 @@ import json
 import random
 from collections import Counter
 from collections.abc import Iterator
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +26,6 @@ from cmfuse import (
     Endpoint,
     MergedRoot,
     RepresentationOntology,
-    Score,
     align,
     parse_alignment,
     serialize_alignment,
@@ -60,7 +60,7 @@ def _random_alignment(rng: random.Random) -> Alignment:
         if rng.random() < 0.3:
             left = left._replace()
         den = rng.randrange(1, 13)
-        score = Score(rng.randrange(den + 1), den)
+        score = Fraction(rng.randrange(den + 1), den)
         corrs.append(Correspondence(left, right, score, rng.choice(CLASSIFICATIONS)))
     return Alignment(tuple(corrs), tuple(_text(rng) for _ in range(rng.randrange(3))))
 
@@ -260,7 +260,7 @@ def test_reader_equals_the_spec_walker(library_graphs, library_ontology):
 
 @pytest.mark.parametrize("text", ["1/2", "2/4", "01", "0/1", "1\n", "\u0661"])
 def test_reader_parses_each_score_text_like_the_walker(text):
-    # both paths read only the canonical spelling str(Score) writes, and
+    # both paths read only the canonical spelling str() of a score writes, and
     # reject every other spelling of a rational with the same diagnostic
     data = {
         "correspondences": [

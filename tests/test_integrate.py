@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +26,6 @@ from cmfuse import (
     DocumentError,
     Endpoint,
     MergeError,
-    Score,
     align,
     classify,
     detect_naming_conflicts,
@@ -32,6 +33,7 @@ from cmfuse import (
     normalize_term,
     parse_alignment,
     parse_component_set,
+    parse_representation,
     serialize_alignment,
     serialize_component_set,
     serialize_representation,
@@ -70,12 +72,12 @@ class TestCorrespondence:
         # one is kept per correspondence of an alignment, so it has no
         # __dict__; a named tuple, so that the reader builds it without a
         # Python call
-        c = Correspondence(Endpoint("S", "C"), Endpoint("T", "D", "nom"), Score(1, 2), CLASS_DISTINCT)
+        c = Correspondence(Endpoint("S", "C"), Endpoint("T", "D", "nom"), Fraction(1, 2), CLASS_DISTINCT)
         assert not hasattr(c, "__dict__")
         # AttributeError is also the base of a frozen dataclass's error
         with pytest.raises(AttributeError):
-            c.score = Score(1)
-        same = Correspondence(Endpoint("S", "C"), Endpoint("T", "D", "nom"), Score(1, 2), CLASS_DISTINCT)
+            c.score = Fraction(1)
+        same = Correspondence(Endpoint("S", "C"), Endpoint("T", "D", "nom"), Fraction(1, 2), CLASS_DISTINCT)
         assert c == same and hash(c) == hash(same)
         assert pickle.loads(pickle.dumps(c)) == c == copy.copy(c) == copy.deepcopy(c)
         other = c._replace(classification=CLASS_EQUIVALENT)
@@ -89,10 +91,10 @@ class TestAlign:
         assert len(roots) == 4
         by_pair = {(c.left.origin, c.right.origin): c for c in roots}
         personne = by_pair[("Personne", "Lecteur")]
-        assert personne.score == Score(1)
+        assert personne.score == Fraction(1)
         assert personne.classification == CLASS_SYNONYM_PAIR
         clash = by_pair[("Publication", "Publication")]
-        assert clash.score == Score(2, 3)
+        assert clash.score == Fraction(2, 3)
         assert clash.classification == CLASS_HOMONYM_CONFLICT
         assert by_pair[("Personne", "Publication")].classification == CLASS_DISTINCT
         assert by_pair[("Publication", "Lecteur")].classification == CLASS_DISTINCT
@@ -111,7 +113,7 @@ class TestAlign:
         assert pairs[
             ("Biblio1/Publication/titre", "Biblio2/Publication/titre")
         ] == CLASS_EQUIVALENT
-        assert all(c.score == Score(1) for c in members)
+        assert all(c.score == Fraction(1) for c in members)
 
     def test_same_source_pairs_are_skipped(self, library_graphs, library_ontology):
         alignment = align(library_graphs, library_ontology)
@@ -448,7 +450,7 @@ class TestAlignmentDocument:
             _graph(source, "R", [Concept("m", "m", KIND_ATTRIBUTE, members=members)])
             for source, members in zip(("A", "B"), nested)
         ]
-        corrs = (Correspondence(Endpoint("A", "R"), Endpoint("B", "R"), Score(1), CLASS_EQUIVALENT),)
+        corrs = (Correspondence(Endpoint("A", "R"), Endpoint("B", "R"), Fraction(1), CLASS_EQUIVALENT),)
         kept = []
         for mode, recursive in settings:
             merged = self._round_trip(Alignment(corrs, mode=mode, recursive=recursive), graphs, od)
@@ -515,3 +517,12 @@ class TestRepresentationDocument:
             "Biblio2/Lecteur",
         ]
         assert ["Biblio1/Personne", "Biblio2/Lecteur"] in data["equivalences"]
+
+    def test_a_root_source_with_a_slash_is_rejected(self, library_graphs, library_ontology):
+        # its merged_from paths would read back with another source and origin
+        merged = merge_fixture(library_graphs, library_ontology)
+        data = json.loads(serialize_representation(merged.representation))
+        data["roots"][0]["source"] = "Biblio/1"
+        with pytest.raises(DocumentError) as err:
+            parse_representation(json.dumps(data))
+        assert err.value.diagnostics == ["source must not hold '/'"]

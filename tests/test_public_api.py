@@ -16,7 +16,7 @@ PUBLIC = [
     "Endpoint", "IntegrationError", "KINDS", "KIND_ATTRIBUTE", "KIND_COMPONENT",
     "KIND_OPERATION", "MODE_BIPARTITE", "MODE_LITERAL", "MergeError", "MergedComponent",
     "MergedRoot", "ONE", "OPERATION_MARKER", "Operation", "PairScore", "RELATION_HOMONYM",
-    "RELATION_SAME", "RELATION_UNRELATED", "RepresentationOntology", "Score", "Thesaurus",
+    "RELATION_SAME", "RELATION_UNRELATED", "RepresentationOntology", "Thesaurus",
     "ThesaurusEntry", "VERDICT_NOT_SYNONYM",
     "VERDICT_SYNONYM", "ZERO", "align", "anchor", "bipartite_score", "check_layering",
     "classify", "component_ontology_from_json", "component_ontology_to_json",

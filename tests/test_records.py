@@ -18,6 +18,7 @@ import random
 import re
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -40,7 +41,6 @@ from cmfuse import (
     Operation,
     PairScore,
     RepresentationOntology,
-    Score,
     Thesaurus,
     ThesaurusEntry,
 )
@@ -55,7 +55,6 @@ RECORDS = [
     ThesaurusEntry,
     Thesaurus,
     AnchorResult,
-    Score,
     PairScore,
     Concept,
     ComponentOntology,
@@ -95,7 +94,7 @@ def _some(rng, items):
 
 def _score(rng):
     den = rng.randrange(1, 5)
-    return Score(rng.randrange(den + 1), den)
+    return Fraction(rng.randrange(den + 1), den)
 
 
 def _atoms():
@@ -146,12 +145,8 @@ def _values(cls, rng) -> dict:
         kinds = [("none", ()), ("unique", ("c1",)), ("unique", ("c2",))]
         kinds.append(("ambiguous", ("c1", "c2")))
         return dict(zip(("kind", "concepts"), pick(kinds)))
-    if cls is Score:
-        # sometimes not in lowest terms
-        score, factor = _score(rng), pick([1, 2])
-        return dict(num=score.num * factor, den=score.den * factor)
     if cls is PairScore:
-        cells = [(), ((0, 1, Score(1)),), ((0, 0, Score(1, 2)),)]
+        cells = [(), ((0, 1, Fraction(1)),), ((0, 0, Fraction(1, 2)),)]
         return dict(aggregate=_score(rng), cells=pick(cells))
     if cls is Concept:
         kind = pick(["component", "attribute"])
@@ -176,13 +171,13 @@ def _values(cls, rng) -> dict:
         return dict(source=pick("ST"), origin=pick("CD"), member=pick([None, "m"]))
     if cls is Alignment:
         ends = [Endpoint("S", "C"), Endpoint("T", "C"), Endpoint("T", "D", "m")]
-        corrs = [Correspondence(ends[0], end, Score(1), "equivalent") for end in ends[1:]]
+        corrs = [Correspondence(ends[0], end, Fraction(1), "equivalent") for end in ends[1:]]
         return dict(
             correspondences=_some(rng, corrs),
             diagnostics=pick([(), ("odd",)]),
             mode=pick(["literal", "bipartite"]),
             recursive=pick([True, False]),
-            scores=pick([None, (PairScore(Score(1)),)]),
+            scores=pick([None, (PairScore(Fraction(1)),)]),
         )
     if cls is MergedRoot:
         return dict(
@@ -226,12 +221,14 @@ _REJECTED = {
     ],
     ComponentSet: [dict(system="", components=[BusinessComponent("C", "entity", "S")] * 2)],
     AnchorResult: [dict(kind="odd"), dict(kind="ambiguous", concepts=("c1",)), dict(kind="unique")],
-    Score: [dict(num=3, den=2), dict(num=0, den=0), dict(num=-1)],
     Concept: [
         dict(term="", raw_label="", kind="odd"),
         dict(term="a", raw_label="a", kind="component", members=[Concept("r", "r", "component")]),
     ],
-    ComponentOntology: [dict(source="", origin="", root=Concept("a", "a", "attribute"))],
+    ComponentOntology: [
+        dict(source="", origin="", root=Concept("a", "a", "attribute")),
+        dict(source="S/T", origin="C", root=Concept("c", "C", "component")),
+    ],
 }
 
 
@@ -253,7 +250,7 @@ def test_the_records_are_the_classes_decorated_with_record():
     for module in {sys.modules[cls.__module__] for cls in RECORDS}:
         found.update(re.findall(r"^@record\nclass (\w+)", inspect.getsource(module), re.M))
     assert found == {cls.__name__ for cls in RECORDS}
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 17
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -362,7 +359,7 @@ def test_cached_properties_live_outside_the_fields():
     assert end.path == "S/C/m" and end.path is end.path
     assert repr(end) == "Endpoint(source='S', origin='C', member='m')"
     assert end._replace(member=None).path == "S/C"
-    alignment = Alignment((Correspondence(Endpoint("S", "C"), end, Score(1), "equivalent"),))
+    alignment = Alignment((Correspondence(Endpoint("S", "C"), end, Fraction(1), "equivalent"),))
     assert alignment.roots == alignment.correspondences
     assert pickle.loads(pickle.dumps(alignment)) == alignment
 

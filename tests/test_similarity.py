@@ -1,4 +1,4 @@
-"""Score arithmetic plus the syntactic and semantic comparison layers."""
+"""Score texts plus the syntactic and semantic comparison layers."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from cmfuse import (
     VERDICT_NOT_SYNONYM,
     VERDICT_SYNONYM,
     ZERO,
-    Score,
     bipartite_score,
     parse_score,
     semantic_similarity,
@@ -41,26 +40,27 @@ from helpers import (
 
 class TestScore:
     def test_reduced_to_lowest_terms(self):
-        assert Score(2, 4) == Score(1, 2)
-        assert Score(6, 9) == Score(2, 3)
+        # a score is written reduced, and only its reduced text is read
+        assert str(Fraction(2, 4)) == "1/2"
+        assert parse_score("2/3") == Fraction(6, 9)
+        for text in ("2/4", "6/9"):
+            with pytest.raises(ValueError):
+                parse_score(text)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            Score(3, 2)
-        with pytest.raises(ValueError):
-            Score(-1, 2)
-        with pytest.raises(ValueError):
-            Score(1, 0)
+        for text in ("3/2", "-1/2", "1/0"):
+            with pytest.raises(ValueError, match="bad score"):
+                parse_score(text)
 
     def test_string_forms(self):
         assert str(ZERO) == "0"
         assert str(ONE) == "1"
-        assert str(Score(0, 7)) == "0"
-        assert str(Score(5, 5)) == "1"
-        assert str(Score(2, 3)) == "2/3"
+        assert str(Fraction(0, 7)) == "0"
+        assert str(Fraction(5, 5)) == "1"
+        assert str(Fraction(2, 3)) == "2/3"
 
     def test_parse_round_trip(self):
-        for s in (ZERO, ONE, Score(1, 2), Score(7, 12)):
+        for s in (ZERO, ONE, Fraction(1, 2), Fraction(7, 12)):
             assert parse_score(str(s)) == s
 
     def test_parse_rejects_junk(self):
@@ -69,9 +69,17 @@ class TestScore:
                 parse_score(text)
 
     def test_fraction_bridge(self):
-        assert Score.from_fraction(Fraction(3, 6)) == Score(1, 2)
-        assert Score(1, 2).fraction == Fraction(1, 2)
-        assert ONE.is_one and not Score(1, 2).is_one
+        # every public score is a Fraction itself, ready for arithmetic
+        left = root("c", members=(atom("a"), atom("b")))
+        right = root("c", members=(atom("a"),))
+        for score in (
+            syntactic_similarity(left, right),
+            semantic_similarity(left, right, EMPTY_ONTOLOGY),
+            bipartite_score(left, right, EMPTY_ONTOLOGY),
+            parse_score("1/2"),
+        ):
+            assert type(score) is Fraction and score == Fraction(3, 6)
+            assert score + score == ONE
 
 
 class TestSyntactic:
@@ -86,12 +94,12 @@ class TestSyntactic:
     def test_shared_attribute_over_two(self):
         left = root("client", members=(atom("nom"), atom("âge")))
         right = root("client", members=(atom("nom"), atom("prénom")))
-        assert syntactic_similarity(left, right) == Score(1, 2)
+        assert syntactic_similarity(left, right) == Fraction(1, 2)
 
     def test_larger_arity_divides(self):
         left = root("c", members=(atom("a"), atom("b"), atom("x")))
         right = root("c", members=(atom("a"),))
-        assert syntactic_similarity(left, right) == Score(1, 3)
+        assert syntactic_similarity(left, right) == Fraction(1, 3)
 
     def test_composite_against_atomic_wraps_singleton(self):
         composite = root("c", members=(atom("a"), atom("b")))
@@ -139,7 +147,7 @@ class TestSemantic:
         left = to_ontology(first, EMPTY_ONTOLOGY)
         right = to_ontology(second, EMPTY_ONTOLOGY)
         score = semantic_similarity(left.root, right.root, EMPTY_ONTOLOGY)
-        assert score == syntactic_similarity(left.root, right.root) == Score(1, 2)
+        assert score == syntactic_similarity(left.root, right.root) == Fraction(1, 2)
 
     def test_composite_recursion_sees_member_synonyms(self):
         od = quick_ontology({"ACT": ["lire()", "consulter()"]})
@@ -193,8 +201,8 @@ class TestModes:
         od = quick_ontology({"ACT": ["lire()", "consulter()"]})
         left, right = self._pair(od)
         score = semantic_similarity(left, right, od, mode=MODE_BIPARTITE)
-        assert score == Score(1, 2)
-        assert bipartite_score(left, right, od) == Score(1, 2)
+        assert score == Fraction(1, 2)
+        assert bipartite_score(left, right, od) == Fraction(1, 2)
 
     def test_bipartite_score_of_two_kinds_is_zero(self):
         # the same members under a component and under an attribute
@@ -210,7 +218,7 @@ class TestModes:
         left = root("c", members=(atom("nom"), atom("âge")))
         right = root("c", members=(atom("nom"), atom("prénom")))
         for mode in (MODE_LITERAL, MODE_BIPARTITE):
-            assert semantic_similarity(left, right, od, mode=mode) == Score(1, 2)
+            assert semantic_similarity(left, right, od, mode=mode) == Fraction(1, 2)
 
     def test_unknown_mode_rejected(self):
         left = root("c", members=(atom("a"), atom("b")))
@@ -237,7 +245,7 @@ class TestMatrix:
         assert [m.term for m in right.root.members] == ["nom", "prénom"]
         matrix = similarity_matrix(left, right, EMPTY_ONTOLOGY)
         assert matrix.cells == ((0, 0, ONE),)
-        assert matrix.aggregate == Score(1, 2)
+        assert matrix.aggregate == Fraction(1, 2)
         assert matrix.verdict == VERDICT_NOT_SYNONYM
 
     def test_both_memberless_judged_by_roots(self):
@@ -282,7 +290,7 @@ class TestProperties:
                 semantic_similarity(a, b, od),
                 semantic_similarity(a, b, od, mode=MODE_BIPARTITE),
             ):
-                assert 0 <= score.fraction <= 1
+                assert 0 <= score <= 1
 
     def test_semantic_equals_syntactic_without_ontology(self):
         rng = random.Random(9)
@@ -315,7 +323,4 @@ class TestProperties:
                 for x in a.members
             ]
             value, _ = max_assignment(cells)
-            expected = Score.from_fraction(
-                value / max(len(a.members), len(b.members))
-            )
-            assert bipartite_score(a, b, od) == expected
+            assert bipartite_score(a, b, od) == value / max(len(a.members), len(b.members))

@@ -99,7 +99,8 @@ def _concept(rng: random.Random, kind: str, label: str, depth: int) -> Concept:
 
 def _graph(rng: random.Random, seen: Counter) -> ComponentOntology:
     graph = ComponentOntology(
-        source="S" + _text(rng),
+        # a source ends at the first "/" of a path, so it holds none
+        source="S" + _text(rng).replace("/", ""),
         origin="O" + _text(rng),
         root=_concept(rng, KIND_COMPONENT, "r" + _text(rng), rng.randrange(3)),
         kind=rng.choice(KINDS + ("", "widget")),

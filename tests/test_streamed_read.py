@@ -16,6 +16,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,6 @@ from cmfuse import (
     DocumentError,
     Endpoint,
     IntegrationError,
-    Score,
     align,
     serialize_alignment,
     serialize_domain_ontology,
@@ -152,7 +152,7 @@ def test_streamed_reads_equal_the_whole_text_reads(library_graphs, library_ontol
 
 def test_one_endpoint_for_an_escaped_and_a_plain_text(tmp_path):
     corrs = tuple(
-        Correspondence(Endpoint("S1", "é"), Endpoint("S2", origin), Score(0), CLASS_DISTINCT)
+        Correspondence(Endpoint("S1", "é"), Endpoint("S2", origin), Fraction(0), CLASS_DISTINCT)
         for origin in ("x", "y")
     )
     text = serialize_alignment(Alignment(corrs), [], EMPTY_ONTOLOGY)
@@ -197,7 +197,7 @@ def test_items_and_characters_across_chunk_boundaries(
     texts.append(
         serialize_alignment(
             Alignment(
-                (Correspondence(Endpoint("😀", "中文\n"), Endpoint("é", "x", " "), Score(1, 3), CLASS_DISTINCT),)
+                (Correspondence(Endpoint("😀", "中文\n"), Endpoint("é", "x", " "), Fraction(1, 3), CLASS_DISTINCT),)
             ),
             [],
             EMPTY_ONTOLOGY,
@@ -244,7 +244,7 @@ def _hostile(rng: random.Random) -> list[tuple[str, bool]]:
             for _ in range(4)
         ]
         corrs = tuple(
-            Correspondence(rng.choice(ends), rng.choice(ends), Score(rng.randrange(3), 2), rng.choice(CLASSIFICATIONS))
+            Correspondence(rng.choice(ends), rng.choice(ends), Fraction(rng.randrange(3), 2), rng.choice(CLASSIFICATIONS))
             for _ in range(rng.randrange(1, 8))
         )
         text = serialize_alignment(Alignment(corrs, (rng.choice(HOSTILE),)), [], EMPTY_ONTOLOGY)
@@ -301,7 +301,7 @@ def test_only_the_writers_layout_is_streamed(monkeypatch, old, new):
     # last word
     monkeypatch.setattr(integrate, "_CHUNK", 64)
     end = Endpoint("S1", "A")
-    corrs = (Correspondence(end, end, Score(0), CLASS_DISTINCT),) * 2
+    corrs = (Correspondence(end, end, Fraction(0), CLASS_DISTINCT),) * 2
     text = serialize_alignment(Alignment(corrs), [], EMPTY_ONTOLOGY)
     before, _, after = text.rpartition(old)
     changed = before + new + after
@@ -321,7 +321,7 @@ def test_reading_holds_a_small_part_of_the_file(tmp_path, monkeypatch):
         for o in range(40)
     ]
     corrs = tuple(
-        Correspondence(rng.choice(ends[:40]), rng.choice(ends[40:]), Score(rng.randrange(4), 3), CLASS_DISTINCT)
+        Correspondence(rng.choice(ends[:40]), rng.choice(ends[40:]), Fraction(rng.randrange(4), 3), CLASS_DISTINCT)
         for _ in range(12000)
     )
     path = tmp_path / "alignment.json"
