@@ -74,7 +74,6 @@ from .similarity import (
     VERDICT_NOT_SYNONYM,
     VERDICT_SYNONYM,
     ZERO,
-    bipartite_score,
     parse_score,
     semantic_similarity,
     similarity_matrix,

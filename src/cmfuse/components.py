@@ -135,6 +135,8 @@ class ComponentSet:
         problems = []
         if not self.system:
             problems.append("system must be non-empty")
+        elif "/" in self.system:
+            problems.append("system must not hold '/'")
         seen: dict[tuple[str, str], int] = {}
         for i, c in enumerate(self.components):
             k = seen.setdefault((c.source, c.term), i)

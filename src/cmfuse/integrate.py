@@ -267,7 +267,8 @@ def merge(
     the same way and interfaces rewritten to canonical names. A root on
     a homonym conflict, or one named like any other result root, keeps
     its members but is renamed "<source>.<origin>"; merged classes that
-    come out named alike take that name of their first root instead.
+    come out named alike take that name of their root with the smallest
+    (source, origin) instead, whatever the input order.
     A qualified name that another result root already has is numbered
     "<source>.<origin>.2", ".3", ... until it is free. Untouched roots
     pass through unchanged. Members are judged the same under the
@@ -320,14 +321,15 @@ def merge(
     roots: list[MergedRoot] = []
     equivalences: list[tuple[str, str]] = []
     for rep, members in classes.items():
-        first, name, renamed = members[0], own[rep], qualified(rep)
+        name, renamed = own[rep], qualified(rep)
         if renamed:
-            name = _free(f"{first.source}.{first.origin}", lambda n: normalize_term(n) in taken)
+            least = min(members, key=lambda g: (g.source, g.origin))
+            name = _free(f"{least.source}.{least.origin}", lambda n: normalize_term(n) in taken)
             taken.add(normalize_term(name))
         if rep in names:
             merged = _merge_class(members, name, names[rep][2], scorer, equivalences)
         else:
-            merged = _qualify(first, name, od) if renamed else first
+            merged = _qualify(members[0], name, od) if renamed else members[0]
         roots.append(MergedRoot(merged, tuple(Endpoint(g.source, g.origin) for g in members)))
     return MergedComponent(
         representation=RepresentationOntology(tuple(roots), tuple(equivalences)),

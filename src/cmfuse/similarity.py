@@ -86,16 +86,22 @@ _ANCHOR, _TERM, _BARE = "anchor", "term", "bare"
 
 
 class _Node:
-    """A concept with its effective anchor resolved, members indexed."""
+    """A concept with its effective anchor resolved, members filed under their keys."""
 
-    __slots__ = ("kind", "term", "anchor", "members", "index")
+    __slots__ = ("kind", "term", "anchor", "members", "atomic", "probes", "keys", "filed")
 
     def __init__(self, kind: str, term: str, anchor: str | None, members: tuple[_Node, ...]):
         self.kind = kind
         self.term = term
         self.anchor = anchor
         self.members = members
-        self.index = _Index(members) if members else None
+        self.atomic = all(not m.members for m in members)
+        self.probes = [m.probe_keys() for m in members]
+        self.keys = frozenset(key for probes in self.probes for key in probes)
+        self.filed: dict[tuple, list[int]] = {}
+        for j, m in enumerate(members):
+            for key in m.filed_keys():
+                self.filed.setdefault(key, []).append(j)
 
     def filed_keys(self) -> tuple[tuple[str, str, str], ...]:
         if self.anchor is None:
@@ -107,22 +113,6 @@ class _Node:
         if self.anchor is None:
             return ((_TERM, self.kind, self.term),)
         return (_ANCHOR, self.kind, self.anchor), (_BARE, self.kind, self.term)
-
-
-class _Index:
-    """The member nodes of one concept, filed under their keys."""
-
-    __slots__ = ("nodes", "atomic", "probes", "keys", "filed")
-
-    def __init__(self, nodes: tuple[_Node, ...]):
-        self.nodes = nodes
-        self.atomic = all(not n.members for n in nodes)
-        self.probes = [n.probe_keys() for n in nodes]
-        self.keys = frozenset(key for probes in self.probes for key in probes)
-        self.filed: dict[tuple, list[int]] = {}
-        for j, n in enumerate(nodes):
-            for key in n.filed_keys():
-                self.filed.setdefault(key, []).append(j)
 
 
 class Scorer:
@@ -160,7 +150,7 @@ class Scorer:
         against one with members scores zero.
         """
         if left.members and right.members:
-            return self._members(left.index, right.index)
+            return self._members(left, right)
         if not left.members and not right.members:
             return PairScore(self.cell(left, right))
         return _ZERO_PAIR
@@ -184,11 +174,11 @@ class Scorer:
             if relation(x.anchor, y.anchor, self.od) == RELATION_HOMONYM:
                 return ZERO
         if self.recursive and x.members and y.members:
-            return self._members(x.index, y.index).aggregate
+            return self._members(x, y).aggregate
         return syntactic_similarity(x, y)
 
-    def _members(self, left: _Index, right: _Index) -> PairScore:
-        arity = max(len(left.nodes), len(right.nodes))
+    def _members(self, left: _Node, right: _Node) -> PairScore:
+        arity = max(len(left.members), len(right.members))
         if not (left.atomic and right.atomic):
             return self._composite(left, right, arity)
         if left.keys.isdisjoint(right.filed):
@@ -204,8 +194,8 @@ class Scorer:
         cells = tuple((i, j, ONE) for i, row in enumerate(rows) for j in row)
         return PairScore(Fraction(value, arity), cells)
 
-    def _composite(self, left: _Index, right: _Index, arity: int) -> PairScore:
-        cells = [[self.cell(x, y) for y in right.nodes] for x in left.nodes]
+    def _composite(self, left: _Node, right: _Node, arity: int) -> PairScore:
+        cells = [[self.cell(x, y) for y in right.members] for x in left.members]
         if self.mode == MODE_LITERAL:
             value = min(ONE, sum(v for row in cells for v in row) / arity)
         else:
@@ -284,23 +274,3 @@ def similarity_matrix(
     scorer = Scorer(od, mode=mode, recursive=recursive)
     return scorer.score(scorer.node(a.root), scorer.node(b.root))
 
-
-def bipartite_score(
-    c1: Concept,
-    c2: Concept,
-    od: DomainOntology,
-    *,
-    recursive: bool = True,
-) -> Fraction:
-    """Best one-to-one member matching divided by the larger arity.
-
-    Differs from the literal aggregate only when some member is
-    synonymous with two or more members across the pair; a one-to-one
-    matching counts each member once where the literal sum counts every
-    synonymous cell. An atomic concept stands for its own single member.
-    """
-    if c1.kind != c2.kind:
-        return ZERO
-    scorer = Scorer(od, mode=MODE_BIPARTITE, recursive=recursive)
-    x, y = scorer.node(c1), scorer.node(c2)
-    return scorer._members(x.index or _Index((x,)), y.index or _Index((y,))).aggregate

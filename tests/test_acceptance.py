@@ -22,7 +22,6 @@ from cmfuse import (
     VERDICT_NOT_SYNONYM,
     VERDICT_SYNONYM,
     align,
-    bipartite_score,
     classify,
     load_domain_ontology,
     merge,
@@ -43,6 +42,7 @@ from cmfuse import (
     to_ontology,
 )
 from cmfuse.cli import main
+from cmfuse.similarity import Scorer
 
 from conftest import FIXTURES
 from helpers import (
@@ -306,7 +306,8 @@ class TestPropertySuite:
                     )
                     best = max(best, total)
             expected = best / max(rows, cols)
-            assert bipartite_score(a, b, od) == expected
+            scorer = Scorer(od, mode=MODE_BIPARTITE)
+            assert scorer.score(scorer.node(a), scorer.node(b)).aggregate == expected
             cases += 1
         _passed("bipartite score equals exhaustive matching (500 cases)")
 

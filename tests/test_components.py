@@ -152,6 +152,13 @@ class TestInvariantsOnConstruction:
         with pytest.raises(DocumentError, match="duplicate component"):
             ComponentSet(system="S", components=(a, b))
 
+    def test_set_rejects_a_slash_in_its_system(self):
+        # a path "<source>/<origin>" ends its source at the first "/", so
+        # such a set would serialize to a document its reader rejects
+        client = component("Client", source="Sys/A")
+        with pytest.raises(DocumentError, match="<component-set>: system must not hold '/'"):
+            ComponentSet("Sys/A", [client])
+
 
 class TestSerialization:
     def test_parse_serialize_identity(self, biblio1):

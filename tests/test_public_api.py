@@ -18,7 +18,7 @@ PUBLIC = [
     "MergedRoot", "ONE", "OPERATION_MARKER", "Operation", "PairScore", "RELATION_HOMONYM",
     "RELATION_SAME", "RELATION_UNRELATED", "RepresentationOntology", "Thesaurus",
     "ThesaurusEntry", "VERDICT_NOT_SYNONYM",
-    "VERDICT_SYNONYM", "ZERO", "align", "anchor", "bipartite_score", "check_layering",
+    "VERDICT_SYNONYM", "ZERO", "align", "anchor", "check_layering",
     "classify", "component_ontology_from_json", "component_ontology_to_json",
     "detect_naming_conflicts", "load_domain_ontology", "merge", "normalize_term",
     "operation_term", "parse_alignment", "parse_component_ontology", "parse_component_set",

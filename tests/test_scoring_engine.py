@@ -30,7 +30,6 @@ from cmfuse import (
     RepresentationOntology,
     VERDICT_SYNONYM,
     align,
-    bipartite_score,
     classify,
     load_domain_ontology,
     merge,
@@ -122,21 +121,27 @@ def test_every_cell_and_aggregate_equals_the_reference():
 
 
 def test_bipartite_score_equals_the_reference_matching():
+    # two composite roots, scored on their members alone in bipartite mode
     rng = random.Random(5002)
+    cases = 0
     for _ in range(400):
         od, pool = random_domain(rng)
         concept_ids = [c.id for c in od.concepts]
         a = random_nested_concept(rng, pool, concept_ids)
         b = random_nested_concept(rng, pool, concept_ids)
+        if a.is_atomic or b.is_atomic:
+            continue
+        cases += 1
         for recursive in (True, False):
-            m1, m2 = a.members or (a,), b.members or (b,)
             cells = [
-                [reference._semantic(x, y, od, MODE_BIPARTITE, recursive) for y in m2]
-                for x in m1
+                [reference._semantic(x, y, od, MODE_BIPARTITE, recursive) for y in b.members]
+                for x in a.members
             ]
             value, _ = max_assignment(cells)
-            expected = value / max(len(m1), len(m2))
-            assert bipartite_score(a, b, od, recursive=recursive) == expected
+            expected = value / max(len(a.members), len(b.members))
+            scorer = Scorer(od, mode=MODE_BIPARTITE, recursive=recursive)
+            assert scorer.score(scorer.node(a), scorer.node(b)).aggregate == expected
+    assert cases == 257
 
 
 def test_integer_matching_equals_the_rational_assignment():
@@ -215,6 +220,26 @@ def test_align_and_merge_equal_the_reference_on_random_sources(monkeypatch):
         set_a, set_b = random_source_pair(rng, pool)
         graphs = [to_ontology(c, od) for c in union(set_a, set_b).components]
         _check_align_and_merge(graphs, od, monkeypatch)
+
+
+def test_recursion_changes_nothing_on_component_sets():
+    # to_ontology makes only atomic members, and recursion only reaches
+    # composite ones: the setting is recorded for a merge, and that is all
+    rng = random.Random(5007)
+    with_cells = 0
+    for _ in range(300):
+        od, pool = random_domain(rng)
+        set_a, set_b = random_source_pair(rng, pool)
+        graphs = [to_ontology(c, od) for c in union(set_a, set_b).components]
+        for mode in (MODE_LITERAL, MODE_BIPARTITE):
+            flat = align(graphs, od, mode=mode, recursive=False)
+            deep = align(graphs, od, mode=mode, recursive=True)
+            assert flat.scores == deep.scores
+            assert flat.correspondences == deep.correspondences
+            assert merge(flat, graphs, od) == merge(deep, graphs, od)
+            with_cells += any(pair.cells for pair in deep.scores)
+    # of 600 cases
+    assert with_cells >= 200, with_cells
 
 
 def test_align_and_merge_equal_the_reference_on_nested_graphs(monkeypatch):

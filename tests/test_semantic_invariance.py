@@ -5,8 +5,7 @@ Changes that leave the meaning of the inputs alone leave the merge
 partition alone: the set of merged_from sets of the result roots.
 
 - Listing source B before source A leaves the partition and the sorted
-  result names unchanged; a merged class that merge names by its first
-  root's path is counted by its roots instead.
+  result names unchanged.
 - Reversing each source's component order leaves the partition
   unchanged.
 - Renaming an attribute or an operation to another term that anchors
@@ -18,9 +17,6 @@ Not invariant, by design:
 - renaming a root can turn equivalent into synonym_pair, or a homonym
   conflict into distinct, since a class reads the names; so only
   members are renamed here;
-- when two merged classes come out named alike, merge names each by
-  the path of its first root, and which root is first follows the input
-  order;
 - an operation's term carries the call marker, so a synonym of an
   operation is a term whose operation_term anchors to the concept, not
   the bare thesaurus term.
@@ -75,15 +71,7 @@ def _partition(merged) -> set[frozenset[str]]:
 
 
 def _names(merged) -> list[str]:
-    # the sorted result names, a merged class named by its first root's
-    # path counted by its roots
-    names = []
-    for root in merged.representation.roots:
-        first, name = root.merged_from[0], root.ontology.root.raw_label
-        if len(root.merged_from) > 1 and name.startswith(f"{first.source}.{first.origin}"):
-            name = " + ".join(sorted(e.path for e in root.merged_from))
-        names.append(name)
-    return sorted(names)
+    return sorted(root.ontology.root.raw_label for root in merged.representation.roots)
 
 
 def _has_cells(alignment) -> bool:

@@ -8,16 +8,13 @@ from fractions import Fraction
 import pytest
 
 from cmfuse import (
-    KIND_ATTRIBUTE,
     KIND_OPERATION,
-    Concept,
     MODE_BIPARTITE,
     MODE_LITERAL,
     ONE,
     VERDICT_NOT_SYNONYM,
     VERDICT_SYNONYM,
     ZERO,
-    bipartite_score,
     parse_score,
     semantic_similarity,
     similarity_matrix,
@@ -25,6 +22,7 @@ from cmfuse import (
     to_ontology,
 )
 from cmfuse.assignment import max_assignment
+from cmfuse.similarity import Scorer
 
 from helpers import (
     EMPTY_ONTOLOGY,
@@ -36,6 +34,12 @@ from helpers import (
     random_domain,
     root,
 )
+
+
+def _bipartite(a, b, od):
+    """The bipartite aggregate of two composite concepts' members."""
+    scorer = Scorer(od, mode=MODE_BIPARTITE)
+    return scorer.score(scorer.node(a), scorer.node(b)).aggregate
 
 
 class TestScore:
@@ -75,7 +79,7 @@ class TestScore:
         for score in (
             syntactic_similarity(left, right),
             semantic_similarity(left, right, EMPTY_ONTOLOGY),
-            bipartite_score(left, right, EMPTY_ONTOLOGY),
+            _bipartite(left, right, EMPTY_ONTOLOGY),
             parse_score("1/2"),
         ):
             assert type(score) is Fraction and score == Fraction(3, 6)
@@ -202,16 +206,7 @@ class TestModes:
         left, right = self._pair(od)
         score = semantic_similarity(left, right, od, mode=MODE_BIPARTITE)
         assert score == Fraction(1, 2)
-        assert bipartite_score(left, right, od) == Fraction(1, 2)
-
-    def test_bipartite_score_of_two_kinds_is_zero(self):
-        # the same members under a component and under an attribute
-        members = (atom("nom"), atom("lire()", KIND_OPERATION))
-        composite = root("c", members=members)
-        attribute = Concept(term="c", raw_label="c", kind=KIND_ATTRIBUTE, members=members)
-        assert bipartite_score(composite, composite, EMPTY_ONTOLOGY) == ONE
-        assert bipartite_score(composite, attribute, EMPTY_ONTOLOGY) == ZERO
-        assert bipartite_score(attribute, composite, EMPTY_ONTOLOGY) == ZERO
+        assert _bipartite(left, right, od) == Fraction(1, 2)
 
     def test_modes_agree_on_synonym_free_members(self):
         od = quick_ontology({"A": ["nom"], "B": ["âge"]})
@@ -312,15 +307,18 @@ class TestProperties:
         from reference_similarity import _semantic
 
         rng = random.Random(11)
+        cases = 0
         for _ in range(500):
             od, pool = random_domain(rng)
             a = random_concept(rng, pool)
             b = random_concept(rng, pool)
             if a.is_atomic or b.is_atomic:
                 continue
+            cases += 1
             cells = [
                 [_semantic(x, y, od, MODE_BIPARTITE, True) for y in b.members]
                 for x in a.members
             ]
             value, _ = max_assignment(cells)
-            assert bipartite_score(a, b, od) == value / max(len(a.members), len(b.members))
+            assert _bipartite(a, b, od) == value / max(len(a.members), len(b.members))
+        assert cases == 326
