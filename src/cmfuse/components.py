@@ -76,7 +76,7 @@ class BusinessComponent:
     operations: tuple[Operation, ...] = ()
     provides: tuple[str, ...] = ()
     requires: tuple[str, ...] = ()
-    # a dict, compared by == but left out of the hash, so a component hashes
+    # keys stored normalized; a dict, compared by == but left out of the hash, so a component hashes
     anchors: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
@@ -84,7 +84,7 @@ class BusinessComponent:
         object.__setattr__(self, "operations", tuple(self.operations))
         object.__setattr__(self, "provides", tuple(self.provides))
         object.__setattr__(self, "requires", tuple(self.requires))
-        object.__setattr__(self, "anchors", dict(self.anchors))
+        object.__setattr__(self, "anchors", {normalize_term(k): v for k, v in self.anchors.items()})
         problems = _component_problems(self)
         if problems:
             raise DocumentError("<component>", problems)
@@ -198,9 +198,8 @@ def _system(value, path, problems):
 def _set_spec(system: str) -> Callable:
     # the schema of a component set whose components all come from system;
     # it writes any set, whatever its components' sources
-    def component(anchors=None, **fields):
-        hints = {normalize_term(k): v for k, v in (anchors or {}).items()}
-        return BusinessComponent(source=system, anchors=hints, **fields)
+    def component(**fields):
+        return BusinessComponent(source=system, **fields)
 
     components = obj(_COMPONENT_FIELDS, required="name kind attributes operations", build=component)
     return obj(

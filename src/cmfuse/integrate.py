@@ -52,6 +52,7 @@ from .ontology import (
     DomainOntology,
     anchor,
     normalize_term,
+    operation_term,
     term_stem,
 )
 from .similarity import MODE_BIPARTITE, MODE_LITERAL, PairScore, Scorer, parse_score
@@ -357,7 +358,7 @@ def _free(name: str, taken: Callable[[str], bool]) -> str:
 def _qualify(graph: ComponentOntology, name: str, od: DomainOntology) -> ComponentOntology:
     return graph._replace(
         origin=name,
-        root=graph.root._replace(term=normalize_term(name), raw_label=name),
+        root=graph.root._replace(term=name, raw_label=name),
         provides=tuple(_canonical_interfaces(graph.provides, od)),
         requires=tuple(_canonical_interfaces(graph.requires, od)),
     )
@@ -378,7 +379,7 @@ def _merge_class(
     sources = list(dict.fromkeys(g.source for g in members))
 
     root = Concept(
-        term=normalize_term(raw_name),
+        term=raw_name,
         raw_label=raw_name,
         kind=KIND_COMPONENT,
         definitions=_definitions(g.root for g in members),
@@ -449,7 +450,7 @@ def _merge_members(
 
 def _prefixed(c: Concept, prefix: str) -> Concept:
     raw = f"{prefix}.{c.raw_label}"
-    return c._replace(term=normalize_term(f"{prefix}.{c.term}"), raw_label=raw)
+    return c._replace(term=f"{prefix}.{c.term}", raw_label=raw)
 
 
 def _canonical_name(
@@ -467,9 +468,7 @@ def _canonical_name(
         first = min(concepts, key=lambda c: c.term)
         return first.term, first.raw_label, None
     raw = min(od.label(a) for a in anchors)
-    term = normalize_term(raw)
-    if operation and not term.endswith(OPERATION_MARKER):
-        term += OPERATION_MARKER
+    term = operation_term(raw) if operation else normalize_term(raw)
     return term, raw, next(iter(anchors)) if len(anchors) == 1 else None
 
 
@@ -484,8 +483,8 @@ def _canonical_interfaces(names: Iterable[str], od: DomainOntology) -> list[str]
         term = normalize_term(name)
         found = anchor(term, od)
         if found.kind == ANCHOR_UNIQUE:
-            concept = Concept(term, name, KIND_COMPONENT, anchor=found.concepts[0])
-            term, _, _ = _canonical_name([concept], od, operation=term.endswith(OPERATION_MARKER))
+            raw = od.label(found.concepts[0])
+            term = operation_term(raw) if term.endswith(OPERATION_MARKER) else normalize_term(raw)
         if term not in out:
             out.append(term)
     return out

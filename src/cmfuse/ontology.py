@@ -78,6 +78,9 @@ class ThesaurusEntry:
     concept: str
     terms: tuple[str, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(map(normalize_term, self.terms)))
+
 
 @record
 class Thesaurus:
@@ -143,8 +146,7 @@ class DomainOntology:
                 problems.append(f"thesaurus entry for unknown concept '{entry.concept}'")
                 continue
             bucket = merged[entry.concept]
-            for raw in entry.terms:
-                term = normalize_term(raw)
+            for term in entry.terms:
                 if not term:
                     problems.append(f"thesaurus entry '{entry.concept}': empty term")
                 elif term in bucket:
@@ -163,7 +165,7 @@ class DomainOntology:
 
         self.concepts = concepts
         self.thesaurus = Thesaurus(
-            tuple(ThesaurusEntry(c.id, tuple(merged[c.id])) for c in concepts)
+            tuple(ThesaurusEntry(c.id, merged[c.id]) for c in concepts)
         )
         self._by_id = by_id
         self._terms_of = {cid: frozenset(terms) for cid, terms in merged.items()}

@@ -40,7 +40,7 @@ CONCEPT_KINDS = (KIND_COMPONENT, KIND_ATTRIBUTE, KIND_OPERATION)
 
 @record
 class Concept:
-    """A node of a concept graph: one term plus optional member concepts.
+    """A node of a concept graph: one normalized term plus optional member concepts.
 
     A concept with no members is atomic. The component kind may only
     appear at the root of a graph; members carry the attribute or
@@ -56,6 +56,7 @@ class Concept:
     anchor: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "term", normalize_term(self.term))
         object.__setattr__(self, "definitions", tuple(self.definitions))
         object.__setattr__(self, "members", tuple(self.members))
         problems = []
@@ -142,14 +143,13 @@ def to_ontology(
         for kind, group in declared
         for m in group
     ]
-    root_term = normalize_term(component.name)
     root = Concept(
-        root_term,
+        component.term,
         component.name,
         KIND_COMPONENT,
         definitions=(component.doc,) if component.doc else (),
         members=tuple(members),
-        anchor=_resolve_anchor(root_term, hints, used, domain, sink, ctx),
+        anchor=_resolve_anchor(component.term, hints, used, domain, sink, ctx),
     )
     for key in hints:
         if key not in used:
@@ -240,7 +240,7 @@ _CONCEPT = obj(
         "members": maybe(list_of(ref(lambda: _CONCEPT))),
     },
     required="term raw_label kind members",
-    build=lambda term, **fields: Concept(normalize_term(term), **fields),
+    build=Concept,
 )
 _NAMES = list_of(TERM)
 

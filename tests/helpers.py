@@ -19,7 +19,6 @@ from cmfuse import (
     Operation,
     ThesaurusEntry,
     detect_naming_conflicts,
-    normalize_term,
 )
 
 
@@ -35,12 +34,12 @@ def reference_normalize_term(raw: str) -> str:
 
 
 def atom(term: str, kind: str = KIND_ATTRIBUTE, anchor: str | None = None) -> Concept:
-    return Concept(term=normalize_term(term), raw_label=term, kind=kind, anchor=anchor)
+    return Concept(term=term, raw_label=term, kind=kind, anchor=anchor)
 
 
 def root(term: str, members=(), anchor: str | None = None) -> Concept:
     return Concept(
-        term=normalize_term(term),
+        term=term,
         raw_label=term,
         kind=KIND_COMPONENT,
         members=tuple(members),
@@ -330,14 +329,13 @@ def random_members(
     for stem in rng.sample(pool, rng.randrange(0, 5)):
         kind = rng.choice((KIND_ATTRIBUTE, KIND_OPERATION))
         label = stem + ("()" if kind == KIND_OPERATION else "")
-        term = normalize_term(label)
         nested = (
             random_members(rng, pool, concept_ids, depth - 1)
             if depth > 0 and rng.random() < 0.4
             else ()
         )
         anchor = random_anchor(rng, concept_ids)
-        members.append(Concept(term, label, kind, members=nested, anchor=anchor))
+        members.append(Concept(label, label, kind, members=nested, anchor=anchor))
     return tuple(members)
 
 

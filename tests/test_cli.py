@@ -830,6 +830,7 @@ class TestExitCodes:
             [sys.executable, "-m", "cmfuse", command, *inputs, "-o", str(out)],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             env=TestInstalledEntryPoints.child_env(),
         )
         assert proc.returncode == 2
@@ -1024,6 +1025,7 @@ class TestInstalledEntryPoints:
             cwd=project,
             capture_output=True,
             text=True,
+            encoding="utf-8",
         )
         assert proc.returncode == 0, proc.stderr
         dist = Distribution.at(egg_base / "cmfuse.egg-info")
@@ -1036,6 +1038,7 @@ class TestInstalledEntryPoints:
             [sys.executable, "-m", "cmfuse", "validate", BIBLIO1],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             env=self.child_env(),
         )
         assert proc.returncode == 0
@@ -1052,6 +1055,7 @@ class TestInstalledEntryPoints:
                 [sys.executable, "-c", self.WRAPPER, ep.name, ep.value, ep.group, *args],
                 capture_output=True,
                 text=True,
+                encoding="utf-8",
                 cwd=tmp_path,
                 env=self.child_env(),
             )

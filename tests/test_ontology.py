@@ -99,6 +99,11 @@ class TestLoading:
         with pytest.raises(DocumentError, match="parent 'GHOST' does not exist"):
             load_domain_ontology(doc)
 
+    def test_empty_concept_id_rejected(self):
+        # the document readers reject an empty id first; only code reaches this check
+        with pytest.raises(DocumentError, match="concept with empty id"):
+            DomainOntology([DomainConcept("", "x")])
+
     def test_duplicate_concept_id_rejected(self):
         doc = (
             '{"concepts": [{"id": "A", "label": "a"}, {"id": "A", "label": "b"}],'

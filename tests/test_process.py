@@ -33,7 +33,9 @@ def _env() -> dict:
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=_env())
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, encoding="utf-8", env=_env()
+    )
 
 
 @pytest.fixture

@@ -385,8 +385,16 @@ class TestHashableComponents:
         assert hash(plain) == hash(anchored)
         assert len({plain, anchored, plain._replace()}) == 2
 
+    def test_hints_that_differ_only_in_spelling_are_equal(self):
+        plain = BusinessComponent("C", "entity", "S", attributes=[Attribute("Nom")])
+        assert plain._replace(anchors={"Nom ": "c1"}) == plain._replace(anchors={"nom": "c1"})
+
     def test_components_and_sets_go_into_a_set(self, biblio1, biblio2):
         components = {*biblio1.components, *biblio2.components, *biblio1.components}
         assert len(components) == len(biblio1.components) + len(biblio2.components)
         again = ComponentSet(biblio1.system, list(biblio1.components))
         assert {biblio1, biblio2, again} == {biblio1, biblio2}
+
+
+def test_thesaurus_entry_stores_its_terms_normalized():
+    assert ThesaurusEntry("c", ("Nom ",)).terms == ("nom",)

@@ -11,6 +11,9 @@ partition alone: the set of merged_from sets of the result roots.
 - Renaming an attribute or an operation to another term that anchors
   uniquely to the same domain concept leaves every root score, every
   root class and the partition unchanged.
+- Keying an attribute's anchor hint by a respelling of its name (upper
+  case, capitalized, padded) gives the same graphs, diagnostics, root
+  classes and partition as the component-set document of the same sets.
 
 Not invariant, by design:
 
@@ -39,6 +42,8 @@ from cmfuse import (
     anchor,
     merge,
     operation_term,
+    parse_component_set,
+    serialize_component_set,
     to_ontology,
 )
 
@@ -182,3 +187,51 @@ def test_renaming_a_member_to_a_synonym_changes_no_score_no_class():
             )
         cases += 1
     assert min(seen.values()) >= 30, seen
+
+
+def _respelled(rng: random.Random, name: str) -> str:
+    return rng.choice((name.upper(), name.capitalize(), f"  {name} "))
+
+
+def _hinted(cs: ComponentSet, rng: random.Random, concept_ids: list[str]) -> ComponentSet:
+    # about half the attributes get a hint toward a random concept, keyed
+    # by a respelling of the attribute's name
+    components = tuple(
+        c._replace(
+            anchors={
+                _respelled(rng, a.name): rng.choice(concept_ids)
+                for a in c.attributes
+                if rng.random() < 0.5
+            }
+        )
+        for c in cs.components
+    )
+    return ComponentSet(cs.system, components)
+
+
+def _graphs(sets, od):
+    diagnostics: list[str] = []
+    graphs = [to_ontology(c, od, diagnostics=diagnostics) for cs in sets for c in cs.components]
+    return graphs, diagnostics
+
+
+def test_respelled_anchor_hints_pin_as_they_do_after_a_file_round_trip():
+    # a hint key is matched as a member term whatever its spelling, so
+    # sets built in code mean what their component-set documents mean
+    rng = random.Random(7004)
+    hinted = 0
+    for _ in range(400):
+        od, pool = _domain(rng)
+        concept_ids = [c.id for c in od.concepts]
+        sets = [_hinted(cs, rng, concept_ids) for cs in random_source_pair(rng, pool)]
+        read = [parse_component_set(serialize_component_set(cs)) for cs in sets]
+        hinted += any(c.anchors for cs in sets for c in cs.components)
+        assert _graphs(read, od) == _graphs(sets, od)
+        for mode in MODES:
+            alignment, merged = _run(sets, od, mode)
+            again, remerged = _run(read, od, mode)
+            assert [c.classification for c in again.roots] == [
+                c.classification for c in alignment.roots
+            ]
+            assert _partition(remerged) == _partition(merged)
+    assert hinted >= 300, hinted

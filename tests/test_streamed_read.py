@@ -179,6 +179,7 @@ def test_a_pipe_is_read_once(library_graphs, library_ontology, tmp_path):
             input=stdin,
             capture_output=True,
             text=True,
+            encoding="utf-8",
             timeout=60,
             env=dict(os.environ, PYTHONPATH=str(Path(cmfuse.__file__).parent.parent)),
         )

@@ -129,6 +129,7 @@ def _cmfuse(*argv) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "cmfuse", *argv],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=60,
         env=dict(os.environ, PYTHONPATH=str(Path(cmfuse.__file__).parent.parent)),
     )

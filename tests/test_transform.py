@@ -10,6 +10,9 @@ from cmfuse import (
     KIND_ATTRIBUTE,
     KIND_COMPONENT,
     KIND_OPERATION,
+    Attribute,
+    BusinessComponent,
+    Concept,
     DocumentError,
     component_ontology_from_json,
     component_ontology_to_json,
@@ -19,7 +22,7 @@ from cmfuse import (
     to_ontology,
 )
 
-from helpers import atom, component, root
+from helpers import atom, component, quick_ontology, root
 
 
 class TestToOntology:
@@ -99,6 +102,17 @@ class TestToOntology:
         graph = to_ontology(c, library_ontology)
         assert graph.root.members[0].anchor == "ACT-READ"
 
+    def test_respelled_hint_pins_its_member(self):
+        # the hint key matches the member term as it would read back from a file
+        od = quick_ontology({"c1": ["nom"], "c2": ["appellation"]})
+        c = BusinessComponent(
+            "Client", "entity", "A", attributes=(Attribute("Nom"),), anchors={"Nom": "c2"}
+        )
+        diagnostics: list[str] = []
+        graph = to_ontology(c, od, diagnostics=diagnostics)
+        assert graph.root.members[0].anchor == "c2"
+        assert diagnostics == []
+
     def test_unanchorable_term_stays_bare(self, biblio1, library_ontology):
         graph = to_ontology(biblio1.components[0], library_ontology)
         nom = graph.root.members[2]
@@ -153,6 +167,14 @@ class TestConceptInvariants:
         # an attribute "solde" and an operation "solde()" carry distinct terms
         r = root("compte", members=(atom("solde"), atom("solde()", KIND_OPERATION)))
         assert len(r.members) == 2
+
+    def test_term_is_stored_normalized(self):
+        concept = Concept("Nom", "Nom", KIND_ATTRIBUTE)
+        assert concept.term == "nom" and concept.raw_label == "Nom"
+
+    def test_whitespace_only_term_rejected(self):
+        with pytest.raises(DocumentError, match="term must be non-empty"):
+            Concept("  ", "  ", KIND_ATTRIBUTE)
 
     def test_atomicity(self):
         leaf = atom("nom")
