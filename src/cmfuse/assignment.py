@@ -1,9 +1,11 @@
-"""Exact maximum-weight assignment over rational weights.
+"""Maximum matchings of member cells, and the exact rational assignment.
 
-Kuhn-Munkres with row/column potentials, run on negated weights so the
-usual minimization form applies. All arithmetic stays in Fraction, so a
-weight of exactly one survives untouched and verdicts that hinge on
-exact equality are safe.
+max_matching is what the scoring engine's bipartite mode runs: every
+member cell scores zero or one, so the best one-to-one pairing is an
+integer maximum matching over the hit cells. max_assignment, Kuhn-Munkres
+with row/column potentials over Fraction weights, is the general
+maximum-weight assignment. cmfuse does not call it: it is the exact
+reference that max_matching is checked against.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def max_matching(rows: Sequence[Sequence[int]]) -> int:
     potentials.
     """
     owner: dict[int, int] = {}  # column -> matched row
-    return sum(_augment(start, rows, owner) for start in range(len(rows)))
+    return sum(_augment(start, rows, owner) for start in range(len(rows)) if rows[start])
 
 
 def _augment(start: int, rows: Sequence[Sequence[int]], owner: dict[int, int]) -> bool:

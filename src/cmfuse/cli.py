@@ -84,7 +84,7 @@ def _add_similarity_flags(parser: argparse.ArgumentParser):
         "--no-recursive-semantics",
         dest="recursive",
         action="store_false",
-        help="stop semantic recursion into members; undecided pairs fall back to syntactic scores",
+        help="record recursive: false in the alignment's settings; it changes no score",
     )
     parser.add_argument(
         "--fail-on-conflict",
@@ -326,7 +326,7 @@ def cmd_sim(args) -> int:
     domain = _load_domain(args.domain)
     left = parse_component_ontology(_read(args.left), source=args.left)
     right = parse_component_ontology(_read(args.right), source=args.right)
-    pair = similarity_matrix(left, right, domain, mode=args.mode, recursive=args.recursive)
+    pair = similarity_matrix(left, right, domain, mode=args.mode)
     if args.format == "json":
         print(dump_json(matrix_to_json(left, right, pair)), end="")
     else:

@@ -55,7 +55,7 @@ from .ontology import (
     operation_term,
     term_stem,
 )
-from .similarity import MODE_BIPARTITE, MODE_LITERAL, PairScore, Scorer, parse_score
+from .similarity import MODE_BIPARTITE, MODE_LITERAL, ONE, PairScore, Scorer, parse_score
 from .transform import (
     KIND_COMPONENT,
     KIND_OPERATION,
@@ -125,8 +125,9 @@ class Correspondence(NamedTuple):
 @record
 class Alignment:
     """All pairwise correspondences plus the diagnostics that led there,
-    and the similarity settings the scores were computed under, which a
-    merge of the alignment folds members under.
+    and the similarity settings the scores were computed under. The
+    recursion setting is only recorded: concept graphs are flat, so it
+    changes no score.
 
     An alignment that align made also keeps its pair table in scores:
     one PairScore per scored pair, in cross_pairs order. An alignment
@@ -172,11 +173,11 @@ def align(
 
     Emits one root correspondence per unordered pair from different
     sources, in input order, plus one member correspondence for every
-    matrix cell that scores exactly one. Each pair is scored once; the
-    scores and the settings stay on the alignment, for the report and
-    the merge.
+    member cell that scores one. Each pair is scored once; the scores
+    stay on the alignment for the report, and the settings for the
+    document.
     """
-    scorer = Scorer(od, mode=mode, recursive=recursive)
+    scorer = Scorer(od, mode=mode)
     roots = [scorer.node(g.root) for g in graphs]
     # one Endpoint per graph and per member, shared by every correspondence
     # that names it, so the writers' caches hold each once
@@ -189,11 +190,10 @@ def align(
         scores.append(pair)
         cls = pair_class(graphs[i], graphs[j], pair.aggregate)
         corrs.append(Correspondence(ends[i], ends[j], pair.aggregate, cls))
-        for mi, mj, cell in pair.cells:
-            if cell == 1:
-                left, right = member_ends[i][mi], member_ends[j][mj]
-                same = left.member == right.member
-                corrs.append(Correspondence(left, right, cell, classify(same, True)))
+        for mi, mj in pair.cells:
+            left, right = member_ends[i][mi], member_ends[j][mj]
+            same = left.member == right.member
+            corrs.append(Correspondence(left, right, ONE, classify(same, True)))
     return Alignment(tuple(corrs), tuple(diagnostics), mode, recursive, tuple(scores))
 
 
@@ -272,8 +272,8 @@ def merge(
     (source, origin) instead, whatever the input order.
     A qualified name that another result root already has is numbered
     "<source>.<origin>.2", ".3", ... until it is free. Untouched roots
-    pass through unchanged. Members are judged the same under the
-    alignment's own settings.
+    pass through unchanged. Members are judged the same when their
+    cell scores one, which no scoring setting changes.
     """
     index: dict[tuple[str, str], int] = {}
     for i, g in enumerate(graphs):
@@ -318,7 +318,7 @@ def merge(
         return class_terms[term] > 1 if rep in names else rep in conflicted or terms[term] > 1
 
     taken = {normalize_term(own[rep]) for rep in classes if not qualified(rep)}
-    scorer = Scorer(od, mode=alignment.mode, recursive=alignment.recursive)
+    scorer = Scorer(od)
     roots: list[MergedRoot] = []
     equivalences: list[tuple[str, str]] = []
     for rep, members in classes.items():

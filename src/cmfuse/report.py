@@ -54,9 +54,9 @@ class _Matrices:
     column per first-column width, each right graph's columns and its
     all-zero row, and the lines under the table per aggregate and class.
 
-    Every cell outside pair.cells reads 0, so a pair without cells is
-    one join, and a pair with cells builds only its hit rows. A cell
-    text wider than its column widens that column for its pair alone.
+    A cell in pair.cells reads 1 and every other cell 0, so a pair
+    without cells is one join, and a pair with cells builds only its
+    hit rows. Each column is as wide as its term.
     """
 
     def __init__(self, graphs: Sequence[ComponentOntology], color: bool):
@@ -76,22 +76,15 @@ class _Matrices:
             column = self.left[i, first] = [t.ljust(first) for t in self.terms[i]]
         right = self.right.get(j)
         if right is None:
-            widths = list(map(len, self.terms[j]))
-            right = self.right[j] = (widths, *_columns(self.terms[j], widths))
-        widths, header, rule, zero, zeros = right
+            right = self.right[j] = _columns(self.terms[j])
+        header, rule, zero, zeros, ones = right
         if pair.cells:
-            texts = [(row, col, str(score)) for row, col, score in pair.cells]
-            if any(len(text) > widths[col] for _, col, text in texts):
-                widths = widths.copy()
-                for _, col, text in texts:
-                    widths[col] = max(widths[col], len(text))
-                header, rule, zero, zeros = _columns(self.terms[j], widths)
             ends = [zero] * len(column)
             # the cells are in row-major order
-            for row, hits in groupby(texts, itemgetter(0)):
+            for row, hits in groupby(pair.cells, itemgetter(0)):
                 cells = zeros.copy()
-                for _, col, text in hits:
-                    cells[col] = " | " + text.ljust(widths[col])
+                for _, col in hits:
+                    cells[col] = ones[col]
                 ends[row] = "".join(cells).rstrip()
             body = "\n".join(map(str.__add__, column, ends))
         elif not column:
@@ -113,15 +106,16 @@ class _Matrices:
         return f"{head}\n{'-' * first}{rule}\n{body}{tail}"
 
 
-def _columns(terms, widths) -> tuple[str, str, str, list[str]]:
+def _columns(terms) -> tuple[str, str, str, list[str], list[str]]:
     # what follows the first column in the header, the rule and an all-zero
-    # row, stripped, and that row's cells
-    zeros = [" | " + "0".ljust(w) for w in widths]
+    # row, stripped, then that row's cells and each column's hit cell
+    zeros = [" | " + "0".ljust(len(term)) for term in terms]
     return (
-        "".join(f" | {term.ljust(w)}" for term, w in zip(terms, widths)),
-        "".join("-+-" + "-" * w for w in widths),
+        "".join(f" | {term}" for term in terms),
+        "".join("-+-" + "-" * len(term) for term in terms),
         "".join(zeros).rstrip(),
         zeros,
+        [" | " + "1".ljust(len(term)) for term in terms],
     )
 
 
@@ -135,8 +129,8 @@ def _class_text(classification: str, color: bool, width: int = 0) -> str:
 
 def matrix_to_json(left: ComponentOntology, right: ComponentOntology, pair: PairScore) -> dict:
     rows = [["0"] * len(right.root.members) for _ in left.root.members]
-    for i, j, score in pair.cells:
-        rows[i][j] = str(score)
+    for i, j in pair.cells:
+        rows[i][j] = "1"
     return {
         "left": {"source": left.source, "origin": left.origin},
         "right": {"source": right.source, "origin": right.origin},

@@ -1,27 +1,24 @@
 """Syntactic and semantic similarity between concepts, with exact scores.
 
-Two layers of comparison share one shape. The syntactic layer only sees
+Concept graphs are flat: a graph's root holds atomic members, and two
+graphs are compared on those members. The syntactic layer only sees
 normalized terms: atomic concepts match when term and kind agree, and
-composite concepts average the pairwise member scores over the larger
-arity, clamped at one. The semantic layer asks the domain ontology
-first: two concepts anchored to the same domain concept score one, two
-concepts anchored to homonymous domain concepts score zero, and only
-when the ontology has no verdict does the comparison fall back to
-member recursion and finally to the syntactic layer.
+two roots average their pairwise member scores over the larger arity,
+clamped at one. The semantic layer asks the domain ontology first: two
+atomic concepts of one kind score one exactly when both effective
+anchors exist and are equal, or an anchor is missing and the terms are
+equal; otherwise they score zero. With no ontology the layers agree.
 
 Scores are fractions.Fraction values in [0, 1]: the synonym verdict is
 equality to exactly one, which floats cannot promise. A document holds a
 score as str() writes it, and parse_score reads back only that text.
 
 One engine, Scorer, does all the scoring. It resolves each concept's
-effective anchor once, when it first sees the concept. Two atomic
-concepts of one kind score one exactly when both anchors exist and are
-equal, or an anchor is missing and the terms are equal; otherwise they
-score zero. So the members of two concepts that are all atomic are
-scored by looking their hit cells up in a keyed index, as an integer
-count (literal mode) or an integer maximum matching (bipartite mode),
-with one rational per pair. Fraction recursion and the exact
-Kuhn-Munkres assignment are left for composite members.
+effective anchor once, when it first sees the concept, and files each
+member under keys, so that the hit cells of two member sets are looked
+up in a keyed index. A pair's value is the count of its hit cells
+(literal mode) or an integer maximum matching over them (bipartite
+mode), with one rational per pair.
 """
 
 from __future__ import annotations
@@ -30,8 +27,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ._record import record
-from .assignment import max_assignment, max_matching
-from .ontology import ANCHOR_UNIQUE, DomainOntology, RELATION_HOMONYM, anchor, relation
+from .assignment import max_matching
+from .ontology import ANCHOR_UNIQUE, DomainOntology, anchor
 from .transform import Concept, ComponentOntology
 
 MODE_LITERAL = "literal"
@@ -63,14 +60,14 @@ def parse_score(text: str) -> Fraction:
 
 @record
 class PairScore:
-    """One scored pair of graphs: the aggregate and its non-zero cells.
+    """One scored pair of graphs: the aggregate and its hit cells.
 
-    cells holds (row, column, score) triples in row-major order; every
-    other cell of the member matrix is zero. Each score is a Fraction.
+    cells holds the (row, column) pairs of the member cells that score
+    one, in row-major order; every other cell of the member matrix is zero.
     """
 
     aggregate: Fraction
-    cells: tuple[tuple[int, int, Fraction], ...] = ()
+    cells: tuple[tuple[int, int], ...] = ()
 
     @property
     def verdict(self) -> str:
@@ -88,14 +85,13 @@ _ANCHOR, _TERM, _BARE = "anchor", "term", "bare"
 class _Node:
     """A concept with its effective anchor resolved, members filed under their keys."""
 
-    __slots__ = ("kind", "term", "anchor", "members", "atomic", "probes", "keys", "filed")
+    __slots__ = ("kind", "term", "anchor", "members", "probes", "keys", "filed")
 
     def __init__(self, kind: str, term: str, anchor: str | None, members: tuple[_Node, ...]):
         self.kind = kind
         self.term = term
         self.anchor = anchor
         self.members = members
-        self.atomic = all(not m.members for m in members)
         self.probes = [m.probe_keys() for m in members]
         self.keys = frozenset(key for probes in self.probes for key in probes)
         self.filed: dict[tuple, list[int]] = {}
@@ -116,19 +112,18 @@ class _Node:
 
 
 class Scorer:
-    """The scoring engine: exact semantic similarity under one setting.
+    """The scoring engine: exact semantic similarity in one mode.
 
     node() resolves a concept once; score() scores two graph roots,
-    cell() two concepts, and links() finds the synonymous members that
-    a merge folds together.
+    cell() two atomic concepts, and links() finds the synonymous members
+    that a merge folds together.
     """
 
-    def __init__(self, od: DomainOntology, *, mode: str = MODE_LITERAL, recursive: bool = True):
+    def __init__(self, od: DomainOntology, *, mode: str = MODE_LITERAL):
         if mode not in (MODE_LITERAL, MODE_BIPARTITE):
             raise ValueError(f"unknown mode {mode!r}")
         self.od = od
         self.mode = mode
-        self.recursive = recursive
 
     def node(self, c: Concept) -> _Node:
         """The concept with its effective anchor, and its members', resolved.
@@ -146,79 +141,45 @@ class Scorer:
     def score(self, left: _Node, right: _Node) -> PairScore:
         """Score the members of two graph roots and aggregate them.
 
-        Two memberless roots are judged by themselves; a memberless root
-        against one with members scores zero.
+        Two memberless roots are judged as atomic concepts; a memberless
+        root against one with members scores zero.
         """
-        if left.members and right.members:
-            return self._members(left, right)
         if not left.members and not right.members:
             return PairScore(self.cell(left, right))
-        return _ZERO_PAIR
-
-    def cell(self, x: _Node, y: _Node) -> Fraction:
-        """Ontology-aware similarity of two resolved concepts.
-
-        Anchored concepts are judged by their domain concepts: same
-        concept scores one, homonymous concepts score zero, unrelated
-        atomic concepts score zero. Composite pairs the ontology leaves
-        undecided recurse over members (unless recursion is disabled),
-        and anything still open falls back to the syntactic layer.
-        """
-        if x.kind != y.kind:
-            return ZERO
-        if x.anchor is not None and y.anchor is not None:
-            if x.anchor == y.anchor:
-                return ONE
-            if not x.members and not y.members:
-                return ZERO
-            if relation(x.anchor, y.anchor, self.od) == RELATION_HOMONYM:
-                return ZERO
-        if self.recursive and x.members and y.members:
-            return self._members(x, y).aggregate
-        return syntactic_similarity(x, y)
-
-    def _members(self, left: _Node, right: _Node) -> PairScore:
-        arity = max(len(left.members), len(right.members))
-        if not (left.atomic and right.atomic):
-            return self._composite(left, right, arity)
-        if left.keys.isdisjoint(right.filed):
+        if not (left.members and right.members) or left.keys.isdisjoint(right.filed):
             return _ZERO_PAIR
         rows = []
         for probes in left.probes:
             hits = [j for key in probes for j in right.filed.get(key, ())]
             rows.append(sorted(hits) if len(hits) > 1 else hits)
+        arity = max(len(left.members), len(right.members))
         if self.mode == MODE_LITERAL:
             value = min(sum(map(len, rows)), arity)
         else:
             value = max_matching(rows)
-        cells = tuple((i, j, ONE) for i, row in enumerate(rows) for j in row)
+        cells = tuple((i, j) for i, row in enumerate(rows) for j in row)
         return PairScore(Fraction(value, arity), cells)
 
-    def _composite(self, left: _Node, right: _Node, arity: int) -> PairScore:
-        cells = [[self.cell(x, y) for y in right.members] for x in left.members]
-        if self.mode == MODE_LITERAL:
-            value = min(ONE, sum(v for row in cells for v in row) / arity)
-        else:
-            value = max_assignment(cells)[0] / arity
-        nonzero = tuple((i, j, v) for i, row in enumerate(cells) for j, v in enumerate(row) if v)
-        return PairScore(value, nonzero)
+    def cell(self, x: _Node, y: _Node) -> Fraction:
+        """Ontology-aware similarity of two resolved atomic concepts, one
+        or zero: one exactly when a probe key of x is a filed key of y,
+        which is the rule the module states."""
+        return ZERO if set(x.probe_keys()).isdisjoint(y.filed_keys()) else ONE
 
     def links(self, concepts: Sequence[Concept], owners: Sequence[int]) -> Iterator[tuple[int, int]]:
         """Pairs of concepts from different owners that join synonyms.
 
         Joining the pairs yielded gives the same classes as joining every
-        pair of concepts from different owners that scores exactly one.
-        Atomic concepts that share a key are chained once per key;
-        composite ones are scored against every concept of another
-        owner. The concepts of one owner must differ in (kind, term), as
+        pair of concepts from different owners whose cell is one. Concepts
+        that share a key are chained once per key. The concepts must be
+        atomic, and those of one owner must differ in (kind, term), as
         the members of one concept do.
         """
         nodes = [self.node(c) for c in concepts]
         buckets: dict[tuple, list[int]] = {}
         for i, n in enumerate(nodes):
-            if not n.members:
-                for key in n.filed_keys():
-                    buckets.setdefault(key, []).append(i)
+            for key in n.filed_keys():
+                buckets.setdefault(key, []).append(i)
         for key, ids in buckets.items():
             if key[0] == _ANCHOR:
                 # one anchor: every pair from two owners scores one
@@ -229,48 +190,35 @@ class Scorer:
                 joined = key[0] == _TERM and any(nodes[i].anchor is None for i in ids)
             if joined:
                 yield from zip(ids, ids[1:])
-        for i, n in enumerate(nodes):
-            if n.members:
-                for j, other in enumerate(nodes):
-                    if owners[j] != owners[i] and self.cell(n, other) == 1:
-                        yield i, j
 
 
 def syntactic_similarity(c1: Concept, c2: Concept) -> Fraction:
-    """Term-level similarity; the ontology plays no part. The engine
-    calls it on its resolved nodes alike."""
-    if c1.kind != c2.kind:
+    """Term-level similarity; the ontology plays no part. Two concepts
+    without members match when kind and term agree; two roots with
+    members count their matching member pairs over the larger member
+    count, clamped at one; a root without members against one with
+    members scores zero."""
+    if c1.kind != c2.kind or bool(c1.members) != bool(c2.members):
         return ZERO
-    if not c1.members and not c2.members:
+    if not c1.members:
         return ONE if c1.term == c2.term else ZERO
-    m1 = c1.members or (c1,)
-    m2 = c2.members or (c2,)
-    total = sum(syntactic_similarity(a, b) for a in m1 for b in m2)
-    return min(ONE, total / max(len(m1), len(m2)))
+    arity = max(len(c1.members), len(c2.members))
+    hits = sum((a.kind, a.term) == (b.kind, b.term) for a in c1.members for b in c2.members)
+    return Fraction(min(hits, arity), arity)
 
 
 def semantic_similarity(
-    c1: Concept,
-    c2: Concept,
-    od: DomainOntology,
-    *,
-    mode: str = MODE_LITERAL,
-    recursive: bool = True,
+    c1: Concept, c2: Concept, od: DomainOntology, *, mode: str = MODE_LITERAL
 ) -> Fraction:
-    """Ontology-aware similarity of two concepts; see Scorer.cell."""
-    scorer = Scorer(od, mode=mode, recursive=recursive)
-    return scorer.cell(scorer.node(c1), scorer.node(c2))
+    """Ontology-aware similarity of two concepts: the aggregate that
+    similarity_matrix gives for two graphs with these roots."""
+    scorer = Scorer(od, mode=mode)
+    return scorer.score(scorer.node(c1), scorer.node(c2)).aggregate
 
 
 def similarity_matrix(
-    a: ComponentOntology,
-    b: ComponentOntology,
-    od: DomainOntology,
-    *,
-    mode: str = MODE_LITERAL,
-    recursive: bool = True,
+    a: ComponentOntology, b: ComponentOntology, od: DomainOntology, *, mode: str = MODE_LITERAL
 ) -> PairScore:
     """Score the members of two graphs and aggregate them; see Scorer.score."""
-    scorer = Scorer(od, mode=mode, recursive=recursive)
+    scorer = Scorer(od, mode=mode)
     return scorer.score(scorer.node(a.root), scorer.node(b.root))
-

@@ -42,7 +42,8 @@ CONCEPT_KINDS = (KIND_COMPONENT, KIND_ATTRIBUTE, KIND_OPERATION)
 class Concept:
     """A node of a concept graph: one normalized term plus optional member concepts.
 
-    A concept with no members is atomic. The component kind may only
+    A concept with no members is atomic. Concept graphs are flat: a
+    member has no members of its own. The component kind may only
     appear at the root of a graph; members carry the attribute or
     operation kind, and member terms are pairwise distinct per kind
     under one parent.
@@ -68,6 +69,8 @@ class Concept:
         for m in self.members:
             if m.kind == KIND_COMPONENT:
                 problems.append("the component kind may only appear at the root")
+            if m.members:
+                problems.append(f"member '{m.term}' has members; concept graphs are flat")
             key = (m.kind, m.term)
             if key in seen:
                 problems.append(f"duplicate member term '{m.term}' ({m.kind})")

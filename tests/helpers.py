@@ -317,10 +317,10 @@ def random_anchor(rng: random.Random, concept_ids: list[str]) -> str | None:
     return "GONE"
 
 
-def random_members(
-    rng: random.Random, pool: list[str], concept_ids: list[str], depth: int
-) -> tuple[Concept, ...]:
-    """Up to four members; while depth > 0 a member may have members of its own.
+def random_anchored_concept(
+    rng: random.Random, pool: list[str], concept_ids: list[str]
+) -> Concept:
+    """A root with up to four atomic members, with explicit and stale anchors.
 
     Members differ in their stems, so a merge can rebuild a component
     from them.
@@ -329,19 +329,5 @@ def random_members(
     for stem in rng.sample(pool, rng.randrange(0, 5)):
         kind = rng.choice((KIND_ATTRIBUTE, KIND_OPERATION))
         label = stem + ("()" if kind == KIND_OPERATION else "")
-        nested = (
-            random_members(rng, pool, concept_ids, depth - 1)
-            if depth > 0 and rng.random() < 0.4
-            else ()
-        )
-        anchor = random_anchor(rng, concept_ids)
-        members.append(Concept(label, label, kind, members=nested, anchor=anchor))
-    return tuple(members)
-
-
-def random_nested_concept(
-    rng: random.Random, pool: list[str], concept_ids: list[str]
-) -> Concept:
-    """A root two member levels deep, with explicit and stale anchors."""
-    members = random_members(rng, pool, concept_ids, depth=1)
+        members.append(Concept(label, label, kind, anchor=random_anchor(rng, concept_ids)))
     return root(rng.choice(pool), members=members, anchor=random_anchor(rng, concept_ids))

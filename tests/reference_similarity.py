@@ -1,10 +1,10 @@
 """The plain reference that the scoring engine is proven against.
 
-These are the cell-by-cell Fraction recursion and the dense similarity
-matrix that cmfuse scored with before its scoring engine existed, and
-the dense member table the report rendered them with, kept unchanged so
-the differential tests can compare every aggregate, every cell and
-every rendered table. Nothing outside the tests uses them.
+These are the cell-by-cell rule for two atomic concepts and the dense
+similarity matrix that cmfuse scored flat concept graphs with before its
+scoring engine existed, and the dense member table the report rendered
+them with, kept so the differential tests can compare every aggregate,
+every cell and every rendered table. Nothing outside the tests uses them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from cmfuse import (
     ANCHOR_UNIQUE,
     MODE_BIPARTITE,
     MODE_LITERAL,
-    RELATION_HOMONYM,
     RELATION_SAME,
     VERDICT_NOT_SYNONYM,
     VERDICT_SYNONYM,
@@ -45,44 +44,26 @@ class DenseMatrix:
     verdict: str
 
     @property
-    def nonzero(self) -> tuple[tuple[int, int, Fraction], ...]:
-        """The (row, column, score) triples of the non-zero cells, row-major."""
+    def nonzero(self) -> tuple[tuple[int, int], ...]:
+        """The (row, column) pairs of the non-zero cells, row-major."""
         return tuple(
-            (i, j, cell)
+            (i, j)
             for i, row in enumerate(self.cells)
             for j, cell in enumerate(row)
             if cell != ZERO
         )
 
 
-def _syntactic(c1: Concept, c2: Concept) -> Fraction:
-    if c1.kind != c2.kind:
-        return _F0
-    if c1.is_atomic and c2.is_atomic:
-        return _F1 if c1.term == c2.term else _F0
-    m1 = c1.members or (c1,)
-    m2 = c2.members or (c2,)
-    total = sum(_syntactic(a, b) for a in m1 for b in m2)
-    return min(_F1, total / max(len(m1), len(m2)))
-
-
-def _semantic(c1, c2, od, mode, recursive) -> Fraction:
+def cell(c1: Concept, c2: Concept, od: DomainOntology) -> Fraction:
+    """Two atomic concepts: kinds must agree; two effective anchors decide
+    by their relation, and otherwise the terms do."""
     if c1.kind != c2.kind:
         return _F0
     a1 = _effective_anchor(c1, od)
     a2 = _effective_anchor(c2, od)
     if a1 is not None and a2 is not None:
-        rel = relation(a1, a2, od)
-        if rel == RELATION_SAME:
-            return _F1
-        if rel == RELATION_HOMONYM:
-            return _F0
-        if c1.is_atomic and c2.is_atomic:
-            return _F0
-    if recursive and not c1.is_atomic and not c2.is_atomic:
-        cells = [[_semantic(a, b, od, mode, recursive) for b in c2.members] for a in c1.members]
-        return _aggregate(cells, len(c1.members), len(c2.members), mode)
-    return _syntactic(c1, c2)
+        return _F1 if relation(a1, a2, od) == RELATION_SAME else _F0
+    return _F1 if c1.term == c2.term else _F0
 
 
 def _effective_anchor(c: Concept, od: DomainOntology) -> str | None:
@@ -105,31 +86,31 @@ def _aggregate(cells, n1: int, n2: int, mode: str) -> Fraction:
     return value / arity
 
 
-def similarity_matrix(
-    a: ComponentOntology,
-    b: ComponentOntology,
-    od: DomainOntology,
-    *,
-    mode: str = MODE_LITERAL,
-    recursive: bool = True,
-) -> DenseMatrix:
-    """Score every member pair of two graphs and aggregate the verdict.
+def semantic(c1: Concept, c2: Concept, od: DomainOntology, mode: str = MODE_LITERAL) -> Fraction:
+    """The aggregate of two roots, or the cell of two memberless concepts."""
+    return _dense(c1, c2, od, mode)[1]
 
-    Two empty-membered graphs are judged by their roots alone; an empty
-    side against a non-empty one scores zero.
-    """
-    m1 = a.root.members
-    m2 = b.root.members
-    cells = [[_semantic(x, y, od, mode, recursive) for y in m2] for x in m1]
+
+def _dense(c1: Concept, c2: Concept, od: DomainOntology, mode: str):
+    # every member cell, and the aggregate: two memberless concepts are
+    # judged as atomic ones, and an empty side against a non-empty one is 0
+    m1, m2 = c1.members, c2.members
+    cells = [[cell(x, y, od) for y in m2] for x in m1]
     if m1 and m2:
-        aggregate = _aggregate(cells, len(m1), len(m2), mode)
-    elif not m1 and not m2:
-        aggregate = _semantic(a.root, b.root, od, mode, recursive)
-    else:
-        aggregate = _F0
+        return cells, _aggregate(cells, len(m1), len(m2), mode)
+    if not m1 and not m2:
+        return cells, cell(c1, c2, od)
+    return cells, _F0
+
+
+def similarity_matrix(
+    a: ComponentOntology, b: ComponentOntology, od: DomainOntology, *, mode: str = MODE_LITERAL
+) -> DenseMatrix:
+    """Score every member pair of two graphs and aggregate the verdict."""
+    cells, aggregate = _dense(a.root, b.root, od, mode)
     return DenseMatrix(
-        left_members=tuple(c.term for c in m1),
-        right_members=tuple(c.term for c in m2),
+        left_members=tuple(c.term for c in a.root.members),
+        right_members=tuple(c.term for c in b.root.members),
         cells=tuple(tuple(row) for row in cells),
         aggregate=aggregate,
         verdict=VERDICT_SYNONYM if aggregate == 1 else VERDICT_NOT_SYNONYM,

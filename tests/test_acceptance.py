@@ -50,10 +50,10 @@ from helpers import (
     client_pair,
     component,
     quick_ontology,
+    random_anchored_concept,
     random_component_set,
     random_concept,
     random_domain,
-    random_nested_concept,
     random_source_pair,
 )
 
@@ -107,8 +107,8 @@ def test_library_member_matrix_reproduction():
     assert right_terms == ["numéro lecteur", "prénom", "nom", "lire()"]
     matrix = similarity_matrix(personne, lecteur, domain)
     # the non-zero cells, row-major: exactly the diagonal, each one
-    assert matrix.cells == tuple((i, i, ONE) for i in range(4))
-    assert matrix.cells[3] == (3, 3, ONE)  # consulter() ~ lire(), via the thesaurus
+    assert matrix.cells == tuple((i, i) for i in range(4))
+    assert matrix.cells[3] == (3, 3)  # consulter() ~ lire(), via the thesaurus
     assert matrix.aggregate == ONE
     assert matrix.verdict == VERDICT_SYNONYM
 
@@ -219,9 +219,9 @@ class TestPropertySuite:
 
     def test_scores_stay_in_the_unit_interval(self):
         """Every score is a Fraction in [0, 1] that reads back from its
-        text: concept pairs, then every aggregate, cell and correspondence
-        of align, on random source pairs with nested graphs beside them,
-        in both modes."""
+        text: concept pairs, then every aggregate and correspondence of
+        align, on random source pairs with hand-built anchored graphs beside
+        them, in both modes; every member cell is a member correspondence."""
         seen = Counter()
 
         def check(score):
@@ -245,7 +245,7 @@ class TestPropertySuite:
             set_a, set_b = random_source_pair(rng, pool)
             graphs = [to_ontology(c, od) for c in (*set_a.components, *set_b.components)]
             graphs += [
-                ComponentOntology(source, f"N{k}", random_nested_concept(rng, pool, concept_ids))
+                ComponentOntology(source, f"N{k}", random_anchored_concept(rng, pool, concept_ids))
                 for source in "AB"
                 for k in range(2)
             ]
@@ -253,11 +253,12 @@ class TestPropertySuite:
                 alignment = align(graphs, od, mode=mode)
                 for pair in alignment.scores:
                     check(pair.aggregate)
-                    for _, _, cell in pair.cells:
-                        check(cell)
-                        seen["cell"] += 1
+                    seen["cell"] += len(pair.cells)
                 for corr in alignment.correspondences:
                     check(corr.score)
+                members = [c for c in alignment.correspondences if c.left.member is not None]
+                assert len(members) == sum(len(pair.cells) for pair in alignment.scores)
+                assert all(c.score == 1 for c in members)
         # the cells, and the scores strictly between 0 and 1, are many
         assert min(seen["cell"], seen["fractional"], seen["0"], seen["1"]) >= 500, seen
         _passed("scores stay in [0, 1] and read back (500 concept pairs, 100 alignments)")

@@ -122,7 +122,15 @@ class TestValidate:
     @pytest.mark.parametrize(
         "depth,code,line",
         [
-            (100, 0, "ok: {}: concept graph, 1 members"),
+            # concept graphs are flat: the deepest concept whose member has
+            # members is reported, at its path
+            pytest.param(
+                100,
+                2,
+                "error: {}: root" + ".members[0]" * 98 + ": member 'm98' has members;"
+                " concept graphs are flat",
+                id="100-2-flat",
+            ),
             (600, 2, "error: {}: nesting too deep to read"),
         ],
     )
@@ -862,6 +870,43 @@ class TestExitCodes:
         if command == "validate":
             # the next file is still checked
             assert captured.out == f"error: {message}\nok: {BIBLIO1}: component set, 2 components\n"
+        else:
+            assert captured.err == f"cmfuse: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,shape",
+        [("validate", "graph"), ("sim", "graph"), ("validate", "alignment"), ("merge", "alignment"),
+         ("report", "alignment"), ("validate", "representation")],
+    )
+    def test_a_member_with_members_is_two(self, transformed, aligned, tmp_path, capsys, command, shape):
+        # concept graphs are flat, in every document that holds them
+        if shape == "graph":
+            data = json.loads(sorted(transformed.glob("*.ocm.json"))[0].read_text(encoding="utf-8"))
+            graph, where = data, "root"
+        elif shape == "alignment":
+            data = json.loads(aligned.read_text(encoding="utf-8"))
+            graph, where = data["ontologies"][0], "ontologies[0].root"
+        else:
+            assert main(["merge", str(aligned), "-o", str(tmp_path)]) == 0
+            capsys.readouterr()
+            data = json.loads((tmp_path / "ocm_r.json").read_text(encoding="utf-8"))
+            graph, where = data["roots"][0], "roots[0].root"
+        member = graph["root"]["members"][0]
+        member["members"] = [{"term": "rue", "raw_label": "rue", "kind": "attribute", "members": []}]
+        bad = tmp_path / "nested.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        argv = {
+            "validate": [str(bad)],
+            "sim": [str(bad), str(bad), "--domain", DOMAIN],
+            "merge": [str(bad), "-o", str(tmp_path / "out")],
+            "report": [str(bad)],
+        }[command]
+        assert main([command, *argv]) == 2
+        message = f"{bad}: {where}: member '{member['term']}' has members; concept graphs are flat"
+        captured = capsys.readouterr()
+        if command == "validate":
+            assert captured.out == f"error: {message}\n"
         else:
             assert captured.err == f"cmfuse: error: {message}\n"
         assert not (tmp_path / "out").exists()

@@ -2,7 +2,7 @@
 
 One row per malformed document: the reader, the document and the full
 ``DocumentError.diagnostics`` list it must produce. The rows cover every
-message form of the four readers, including the places where a reader
+message form of the readers, including the places where a reader
 stops early or holds a diagnostic back.
 """
 
@@ -19,6 +19,7 @@ from cmfuse import (
     parse_alignment,
     parse_component_ontology,
     parse_component_set,
+    parse_representation,
 )
 
 READERS = {
@@ -26,6 +27,7 @@ READERS = {
     "ontology": load_domain_ontology,
     "graph": parse_component_ontology,
     "alignment": parse_alignment,
+    "representation": parse_representation,
 }
 
 COMPONENT = {
@@ -44,6 +46,10 @@ ONTOLOGY = {
 MEMBER = {"term": "nom", "raw_label": "nom", "kind": "attribute", "members": []}
 ROOT = {"term": "lecteur", "raw_label": "Lecteur", "kind": "component", "members": [MEMBER]}
 GRAPH = {"source": "A", "origin": "Lecteur", "root": ROOT}
+# concept graphs are flat: a member that has members is reported at its parent
+ADRESSE = {**MEMBER, "term": "adresse", "raw_label": "Adresse", "members": [{**MEMBER, "term": "rue"}]}
+NESTED = {**GRAPH, "root": {**ROOT, "members": [MEMBER, ADRESSE]}}
+FLAT = "member 'adresse' has members; concept graphs are flat"
 
 ENDPOINT = {"source": "A", "origin": "Lecteur", "member": None}
 CORRESPONDENCE = {
@@ -60,6 +66,8 @@ ALIGNMENT = {
     "ontologies": [GRAPH, {**GRAPH, "source": "B", "origin": "Usager"}],
     "domain": ONTOLOGY,
 }
+
+REPRESENTATION = {"roots": [{**GRAPH, "merged_from": ["A/Lecteur"]}], "equivalences": []}
 
 MUST_BE_CLASS = "must be one of equivalent, synonym_pair, homonym_conflict, distinct"
 MUST_BE_KIND = "must be one of component, attribute, operation"
@@ -286,6 +294,7 @@ ROWS = [
          "root.members[1]: missing required key 'raw_label'",
          f"root.members[1].members[0].kind: {MUST_BE_KIND}",
      ]),
+    ("graph-member-with-members", "graph", NESTED, [f"root: {FLAT}"]),
     ("graph-concept-invariants", "graph",
      root(members=[MEMBER, {**MEMBER, "raw_label": "Nom"}, {**MEMBER, "kind": "component"}]),
      [
@@ -296,6 +305,9 @@ ROWS = [
      ["the root concept must have the component kind"]),
     # ---- alignments
     ("alignment-top-level", "alignment", "[1]", ["top level must be an object"]),
+    ("alignment-member-with-members", "alignment",
+     edit(ALIGNMENT, ontologies=[GRAPH, {**NESTED, "source": "B", "origin": "Usager"}]),
+     [f"ontologies[1].root: {FLAT}"]),
     # key problems at the top level stop the parse
     ("alignment-top-keys-stop", "alignment",
      edit(ALIGNMENT, domain=DROP, extra=1, settings=[], diagnostics=3),
@@ -397,6 +409,10 @@ ROWS = [
          "ontologies[0]: must be an object",
          "domain: thesaurus[0]: must be an object",
      ]),
+    # ---- representations
+    ("representation-member-with-members", "representation",
+     edit(REPRESENTATION, roots=[{**NESTED, "merged_from": ["A/Lecteur"]}]),
+     [f"roots[0].root: {FLAT}"]),
 ]
 
 
@@ -414,6 +430,7 @@ def test_diagnostics(reader, document, expected):
 
 @pytest.mark.parametrize("reader,document", [
     ("set", SET), ("ontology", ONTOLOGY), ("graph", GRAPH), ("alignment", ALIGNMENT),
+    ("representation", REPRESENTATION),
 ])
 def test_base_documents_are_valid(reader, document):
     READERS[reader](_text(document), source="doc.json")

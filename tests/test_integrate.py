@@ -24,8 +24,11 @@ from cmfuse import (
     Concept,
     Correspondence,
     DocumentError,
+    DomainConcept,
+    DomainOntology,
     Endpoint,
     MergeError,
+    ThesaurusEntry,
     align,
     classify,
     detect_naming_conflicts,
@@ -207,6 +210,23 @@ class TestMerge:
             merge(Alignment(()), [graph], quick_ontology({}))
         assert caught.value.source == "A/X (merged from A/X)"
         assert caught.value.diagnostics == ["name must be non-empty"]
+
+    def test_a_clashing_member_is_prefixed_by_its_first_graph(self, tmp_path, capsys):
+        # two member classes take the same domain label; the second one is
+        # qualified by the origin of the first graph it holds a member of
+        od = DomainOntology(
+            [DomainConcept("K1", "Nom"), DomainConcept("K2", "Nom")],
+            [ThesaurusEntry("K1", ("x1", "y1")), ThesaurusEntry("K2", ("x2", "y2"))],
+        )
+        graphs = [
+            to_ontology(component("Fiche", attrs=attrs, source=source), od)
+            for source, attrs in (("A", ["x1", "x2"]), ("B", ["y1", "y2"]))
+        ]
+        alignment = align(graphs, od)
+        assert [c.classification for c in alignment.roots] == [CLASS_EQUIVALENT]
+        result = _merge_through_the_cli(tmp_path, capsys, alignment, graphs, od)
+        [fiche] = result.components
+        assert (fiche.name, [a.name for a in fiche.attributes]) == ("Fiche", ["Nom", "A.Fiche.Nom"])
 
     def test_conflicted_roots_are_qualified(self, library_graphs, library_ontology):
         merged = merge_fixture(library_graphs, library_ontology)
@@ -431,7 +451,7 @@ class TestAlignmentDocument:
 
     def test_settings_round_trip(self, library_graphs, library_ontology):
         # the settings an alignment was scored under are read back with it,
-        # and a merge of what was read folds members under them
+        # and a merge of what was read equals the merge of what was written
         settings = [(m, r) for m in (MODE_LITERAL, MODE_BIPARTITE) for r in (True, False)]
         rng = random.Random(7002)
         cases = [(library_graphs, library_ontology)]
@@ -442,20 +462,6 @@ class TestAlignmentDocument:
         for graphs, od in cases:
             for mode, recursive in settings:
                 self._round_trip(align(graphs, od, mode=mode, recursive=recursive), graphs, od)
-        # one equivalent pair whose nested members are the same under literal
-        # recursive scoring alone, so each merge shows the settings it read
-        od = quick_ontology({"K": ["x", "y1", "y2"]})
-        nested = [[atom("x", anchor="K")], [atom("y1", anchor="K"), atom("y2", anchor="K")]]
-        graphs = [
-            _graph(source, "R", [Concept("m", "m", KIND_ATTRIBUTE, members=members)])
-            for source, members in zip(("A", "B"), nested)
-        ]
-        corrs = (Correspondence(Endpoint("A", "R"), Endpoint("B", "R"), Fraction(1), CLASS_EQUIVALENT),)
-        kept = []
-        for mode, recursive in settings:
-            merged = self._round_trip(Alignment(corrs, mode=mode, recursive=recursive), graphs, od)
-            kept.append([m.term for r in merged.representation.roots for m in r.ontology.root.members])
-        assert kept == [["m"], ["m", "b.r.m"], ["m", "b.r.m"], ["m", "b.r.m"]]
 
     @staticmethod
     def _round_trip(alignment, graphs, od):

@@ -1,7 +1,7 @@
 """The scoring engine against the plain reference kept in the tests.
 
 Every aggregate and every cell the engine produces must equal what the
-cell-by-cell Fraction recursion of reference_similarity gives, and
+cell-by-cell rule and the dense matrix of reference_similarity give, and
 align, merge and the pipeline report built on the engine must equal the
 ones driven by that reference.
 """
@@ -24,7 +24,6 @@ from cmfuse import (
     ComponentOntology,
     ComponentSet,
     Correspondence,
-    DocumentError,
     Endpoint,
     MergedComponent,
     RepresentationOntology,
@@ -49,9 +48,9 @@ from conftest import FIXTURES
 from helpers import (
     EMPTY_ONTOLOGY,
     atom,
+    random_anchored_concept,
     random_concept,
     random_domain,
-    random_nested_concept,
     random_source_pair,
     root,
 )
@@ -59,11 +58,7 @@ from helpers import (
 # the report's matrices do not depend on the merge
 NOTHING_MERGED = MergedComponent(RepresentationOntology((), ()), ())
 
-SETTINGS = [
-    (mode, recursive)
-    for mode in (MODE_LITERAL, MODE_BIPARTITE)
-    for recursive in (True, False)
-]
+MODES = (MODE_LITERAL, MODE_BIPARTITE)
 
 
 def _graph(source: str, concept) -> ComponentOntology:
@@ -73,7 +68,7 @@ def _graph(source: str, concept) -> ComponentOntology:
 def _random_graph(rng: random.Random, pool, concept_ids, source: str) -> ComponentOntology:
     roll = rng.random()
     if roll < 0.4:
-        concept = random_nested_concept(rng, pool, concept_ids)
+        concept = random_anchored_concept(rng, pool, concept_ids)
     elif roll < 0.9:
         concept = random_concept(rng, pool)
     else:
@@ -92,7 +87,7 @@ def _has_homonym(od) -> bool:
 
 def test_every_cell_and_aggregate_equals_the_reference():
     rng = random.Random(5001)
-    seen = {"homonym": 0, "nested": 0, "stale": 0, "pinned": 0, "one empty": 0, "both empty": 0}
+    seen = {"homonym": 0, "stale": 0, "pinned": 0, "one empty": 0, "both empty": 0}
     for _ in range(600):
         od, pool = random_domain(rng)
         concept_ids = [c.id for c in od.concepts]
@@ -100,48 +95,42 @@ def test_every_cell_and_aggregate_equals_the_reference():
         b = _random_graph(rng, pool, concept_ids, "B")
         concepts = [a.root, b.root, *a.root.members, *b.root.members]
         seen["homonym"] += _has_homonym(od)
-        seen["nested"] += any(not m.is_atomic for m in concepts[2:])
         seen["stale"] += any(c.anchor == "GONE" for c in concepts)
         seen["pinned"] += any(c.anchor in concept_ids for c in concepts)
         empty = (not a.root.members) + (not b.root.members)
         seen["one empty"] += empty == 1
         seen["both empty"] += empty == 2
-        for mode, recursive in SETTINGS:
-            expected = reference.similarity_matrix(a, b, od, mode=mode, recursive=recursive)
-            got = similarity_matrix(a, b, od, mode=mode, recursive=recursive)
+        for mode in MODES:
+            expected = reference.similarity_matrix(a, b, od, mode=mode)
+            got = similarity_matrix(a, b, od, mode=mode)
             assert got.aggregate == expected.aggregate
             assert got.verdict == expected.verdict
             assert got.cells == expected.nonzero
             for x, y in ((a.root, b.root), (rng.choice(concepts), rng.choice(concepts))):
-                want = reference._semantic(x, y, od, mode, recursive)
-                got = semantic_similarity(x, y, od, mode=mode, recursive=recursive)
-                assert got == want
+                want = reference.semantic(x, y, od, mode)
+                assert semantic_similarity(x, y, od, mode=mode) == want
     # every kind of input the engine must agree on was generated
     assert min(seen.values()) >= 20, seen
 
 
 def test_bipartite_score_equals_the_reference_matching():
-    # two composite roots, scored on their members alone in bipartite mode
+    # two roots with members, scored on their members alone in bipartite mode
     rng = random.Random(5002)
     cases = 0
     for _ in range(400):
         od, pool = random_domain(rng)
         concept_ids = [c.id for c in od.concepts]
-        a = random_nested_concept(rng, pool, concept_ids)
-        b = random_nested_concept(rng, pool, concept_ids)
+        a = random_anchored_concept(rng, pool, concept_ids)
+        b = random_anchored_concept(rng, pool, concept_ids)
         if a.is_atomic or b.is_atomic:
             continue
         cases += 1
-        for recursive in (True, False):
-            cells = [
-                [reference._semantic(x, y, od, MODE_BIPARTITE, recursive) for y in b.members]
-                for x in a.members
-            ]
-            value, _ = max_assignment(cells)
-            expected = value / max(len(a.members), len(b.members))
-            scorer = Scorer(od, mode=MODE_BIPARTITE, recursive=recursive)
-            assert scorer.score(scorer.node(a), scorer.node(b)).aggregate == expected
-    assert cases == 257
+        cells = [[reference.cell(x, y, od) for y in b.members] for x in a.members]
+        value, _ = max_assignment(cells)
+        expected = value / max(len(a.members), len(b.members))
+        scorer = Scorer(od, mode=MODE_BIPARTITE)
+        assert scorer.score(scorer.node(a), scorer.node(b)).aggregate == expected
+    assert cases == 251
 
 
 def test_integer_matching_equals_the_rational_assignment():
@@ -149,15 +138,19 @@ def test_integer_matching_equals_the_rational_assignment():
     shapes = [(0, 0), (0, 3), (3, 0)] + [
         (rng.randrange(1, 8), rng.randrange(1, 8)) for _ in range(1000)
     ]
+    with_empty_row = 0
     for n, m in shapes:
         density = rng.random()
         matrix = [[int(rng.random() < density) for _ in range(m)] for _ in range(n)]
         rows = [[j for j, hit in enumerate(row) if hit] for row in matrix]
         value, pairs = max_assignment([[Fraction(v) for v in row] for row in matrix])
         assert max_matching(rows) == value == len(pairs)
+        with_empty_row += any(not row for row in rows)
+    # max_matching skips a row without hits; of the 1003 cases
+    assert with_empty_row == 432
 
 
-def _reference_align(graphs, od, mode, recursive) -> tuple[Correspondence, ...]:
+def _reference_align(graphs, od, mode) -> tuple[Correspondence, ...]:
     # align as it was before the engine: one dense reference matrix per pair
     corrs = []
     for i in range(len(graphs)):
@@ -165,7 +158,7 @@ def _reference_align(graphs, od, mode, recursive) -> tuple[Correspondence, ...]:
             a, b = graphs[i], graphs[j]
             if a.source == b.source:
                 continue
-            matrix = reference.similarity_matrix(a, b, od, mode=mode, recursive=recursive)
+            matrix = reference.similarity_matrix(a, b, od, mode=mode)
             synonym = matrix.verdict == VERDICT_SYNONYM
             corrs.append(
                 Correspondence(
@@ -190,27 +183,25 @@ def _reference_align(graphs, od, mode, recursive) -> tuple[Correspondence, ...]:
 
 
 def _reference_links(self, concepts, owners):
-    # every pair from two owners that the reference scores exactly one
+    # every pair from two owners whose reference cell is one
     for i in range(len(concepts)):
         for j in range(i + 1, len(concepts)):
-            if owners[i] != owners[j]:
-                value = reference._semantic(concepts[i], concepts[j], self.od, self.mode, self.recursive)
-                if value == 1:
-                    yield i, j
+            if owners[i] != owners[j] and reference.cell(concepts[i], concepts[j], self.od) == 1:
+                yield i, j
 
 
-def _merged(alignment, graphs, od, mode, recursive):
-    return merge(alignment._replace(mode=mode, recursive=recursive), graphs, od)
+def _merged_like_the_reference(alignment, graphs, od, monkeypatch):
+    merged = merge(alignment, graphs, od)
+    with monkeypatch.context() as patch:
+        patch.setattr(Scorer, "links", _reference_links)
+        assert merged == merge(alignment, graphs, od)
 
 
 def _check_align_and_merge(graphs, od, monkeypatch):
-    for mode, recursive in SETTINGS:
-        alignment = align(graphs, od, mode=mode, recursive=recursive)
-        assert alignment.correspondences == _reference_align(graphs, od, mode, recursive)
-        merged = _merged(alignment, graphs, od, mode, recursive)
-        with monkeypatch.context() as patch:
-            patch.setattr(Scorer, "links", _reference_links)
-            assert merged == _merged(alignment, graphs, od, mode, recursive)
+    for mode in MODES:
+        alignment = align(graphs, od, mode=mode)
+        assert alignment.correspondences == _reference_align(graphs, od, mode)
+        _merged_like_the_reference(alignment, graphs, od, monkeypatch)
 
 
 def test_align_and_merge_equal_the_reference_on_random_sources(monkeypatch):
@@ -223,8 +214,8 @@ def test_align_and_merge_equal_the_reference_on_random_sources(monkeypatch):
 
 
 def test_recursion_changes_nothing_on_component_sets():
-    # to_ontology makes only atomic members, and recursion only reaches
-    # composite ones: the setting is recorded for a merge, and that is all
+    # concept graphs are flat: the setting is recorded in the alignment,
+    # and that is all
     rng = random.Random(5007)
     with_cells = 0
     for _ in range(300):
@@ -242,7 +233,7 @@ def test_recursion_changes_nothing_on_component_sets():
     assert with_cells >= 200, with_cells
 
 
-def test_align_and_merge_equal_the_reference_on_nested_graphs(monkeypatch):
+def test_align_and_merge_equal_the_reference_on_anchored_graphs(monkeypatch):
     rng = random.Random(5005)
     for _ in range(150):
         od, pool = random_domain(rng)
@@ -251,8 +242,10 @@ def test_align_and_merge_equal_the_reference_on_nested_graphs(monkeypatch):
         for source in ("A", "B", "C"):
             for name in rng.sample(pool, rng.randrange(1, 4)):
                 # a concept seen in another source often makes a synonym class
-                reuse = graphs and rng.random() < 0.5
-                concept = rng.choice(graphs).root if reuse else random_nested_concept(rng, pool, concept_ids)
+                if graphs and rng.random() < 0.5:
+                    concept = rng.choice(graphs).root
+                else:
+                    concept = random_anchored_concept(rng, pool, concept_ids)
                 graphs.append(ComponentOntology(source, name, concept))
         _check_align_and_merge(graphs, od, monkeypatch)
         _check_align_and_merge(graphs, EMPTY_ONTOLOGY, monkeypatch)
@@ -266,7 +259,7 @@ def test_merge_folds_members_like_the_reference_in_any_class(monkeypatch):
         od, pool = random_domain(rng)
         concept_ids = [c.id for c in od.concepts]
         graphs = [
-            ComponentOntology(source, name, random_nested_concept(rng, pool, concept_ids))
+            ComponentOntology(source, name, random_anchored_concept(rng, pool, concept_ids))
             for source in ("A", "B", "C")
             for name in rng.sample(pool, rng.randrange(1, 4))
         ]
@@ -275,12 +268,7 @@ def test_merge_folds_members_like_the_reference_in_any_class(monkeypatch):
             if a.source != b.source and rng.random() < 0.5:
                 kind = rng.choice((CLASS_SYNONYM_PAIR, CLASS_DISTINCT))
                 corrs.append(Correspondence(Endpoint(a.source, a.origin), Endpoint(b.source, b.origin), ONE, kind))
-        alignment = Alignment(tuple(corrs))
-        for mode, recursive in SETTINGS:
-            merged = _merged(alignment, graphs, od, mode, recursive)
-            with monkeypatch.context() as patch:
-                patch.setattr(Scorer, "links", _reference_links)
-                assert merged == _merged(alignment, graphs, od, mode, recursive)
+        _merged_like_the_reference(Alignment(tuple(corrs)), graphs, od, monkeypatch)
 
 
 def _widened(rng: random.Random, graph: ComponentOntology) -> ComponentOntology:
@@ -297,8 +285,8 @@ def test_the_report_renders_every_matrix_like_the_reference():
     # another path through them is counted
     rng = random.Random(5007)
     seen = dict.fromkeys(
-        ["4+ graphs a side", "score wider than its column", "memberless left", "memberless right",
-         "same name", "corner widest", "left term widest"],
+        ["4+ graphs a side", "memberless left", "memberless right", "same name", "corner widest",
+         "left term widest"],
         0,
     )
     for _ in range(100):
@@ -320,17 +308,13 @@ def test_the_report_renders_every_matrix_like_the_reference():
             seen["same name"] += a.root.term == b.root.term
             seen["corner widest"] += bool(a.root.members) and len(f"{a.path} \\ {b.path}") > widest
             seen["left term widest"] += len(f"{a.path} \\ {b.path}") < widest
-        for mode, recursive in SETTINGS:
-            alignment = align(graphs, od, mode=mode, recursive=recursive)
+        for mode in MODES:
+            alignment = align(graphs, od, mode=mode)
             pieces = pipeline_report_pieces(graphs, od, alignment, NOTHING_MERGED, ComponentSet("S", ()))
             report = "".join(pieces)
             tables = []
-            for (i, j), pair in zip(cross_pairs(graphs), alignment.scores):
-                right = graphs[j].root.members
-                seen["score wider than its column"] += any(
-                    len(str(score)) > len(right[col].term) for _, col, score in pair.cells
-                )
-                dense = reference.similarity_matrix(graphs[i], graphs[j], od, mode=mode, recursive=recursive)
+            for i, j in cross_pairs(graphs):
+                dense = reference.similarity_matrix(graphs[i], graphs[j], od, mode=mode)
                 tables.append(reference.render_matrix_text(graphs[i], graphs[j], dense))
             expected = "\n---------------\n" + "".join(f"\n{t}" for t in tables) + "\nalignment\n"
             assert expected in report
@@ -348,10 +332,10 @@ def test_sim_renders_every_pair_like_the_reference():
         b = _random_graph(rng, pool, concept_ids, "B")
         seen["an empty side"] += not (a.root.members and b.root.members)
         seen["same name"] += a.root.term == b.root.term
-        for mode, recursive in SETTINGS:
-            scorer = Scorer(od, mode=mode, recursive=recursive)
+        for mode in MODES:
+            scorer = Scorer(od, mode=mode)
             pair = scorer.score(scorer.node(a.root), scorer.node(b.root))
-            dense = reference.similarity_matrix(a, b, od, mode=mode, recursive=recursive)
+            dense = reference.similarity_matrix(a, b, od, mode=mode)
             assert render_matrix_text(a, b, pair) == reference.render_matrix_text(a, b, dense)
             data = matrix_to_json(a, b, pair)
             assert data["cells"] == [[str(cell) for cell in row] for row in dense.cells]

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cmfuse import (
+    ComponentOntology,
     KIND_OPERATION,
     MODE_BIPARTITE,
     MODE_LITERAL,
@@ -159,23 +160,27 @@ class TestSemantic:
         right = root("y", members=(atom("lire()", KIND_OPERATION),))
         assert semantic_similarity(left, right, od) == ONE
 
-    def test_recursion_disabled_drops_to_terms(self):
-        od = quick_ontology({"ACT": ["lire()", "consulter()"]})
-        left = root("x", members=(atom("consulter()", KIND_OPERATION),))
-        right = root("y", members=(atom("lire()", KIND_OPERATION),))
-        assert semantic_similarity(left, right, od, recursive=False) == ZERO
+    def _both_ways(self, left, right, od):
+        """semantic_similarity of two roots, checked equal to similarity_matrix."""
+        graphs = [ComponentOntology("S1", "L", left), ComponentOntology("S2", "R", right)]
+        score = semantic_similarity(left, right, od)
+        assert similarity_matrix(*graphs, od).aggregate == score
+        return score
 
     def test_anchored_composites_follow_the_ontology(self):
-        od = quick_ontology({"P": ["personne", "lecteur"]})
+        # as sim, align and merge score two graphs: through their members'
+        # anchors; the roots' shared anchor plays no part once both have members
+        od = quick_ontology({"P": ["personne", "lecteur"], "N": ["nom", "patronyme"]})
         left = root("Personne", members=(atom("nom"),), anchor="P")
-        right = root("Lecteur", members=(atom("âge"),), anchor="P")
-        assert semantic_similarity(left, right, od) == ONE
+        assert self._both_ways(left, root("Lecteur", (atom("patronyme"),), "P"), od) == ONE
+        assert self._both_ways(left, root("Lecteur", (atom("âge"),), "P"), od) == ZERO
 
-    def test_homonymous_composites_score_zero_despite_members(self):
+    def test_homonymous_roots_are_scored_by_their_members(self):
+        # root homonymy no longer decides two graphs: a shared member does
         od = quick_ontology({"A": ["client", "acheteur"], "B": ["client", "poste"]})
         left = root("acheteur", members=(atom("nom"),))
         right = root("poste", members=(atom("nom"),))
-        assert semantic_similarity(left, right, od) == ZERO
+        assert self._both_ways(left, right, od) == ONE
 
     def test_unrelated_composites_recurse_instead_of_zero(self):
         od = quick_ontology({"A": ["facture"], "B": ["commande"]})
@@ -228,7 +233,7 @@ class TestMatrix:
         n = len(graph.root.members)
         assert n > 1
         # the non-zero cells, row-major: exactly the diagonal, each one
-        assert matrix.cells == tuple((i, i, ONE) for i in range(n))
+        assert matrix.cells == tuple((i, i) for i in range(n))
         assert matrix.aggregate == ONE
         assert matrix.verdict == VERDICT_SYNONYM
 
@@ -239,7 +244,7 @@ class TestMatrix:
         assert [m.term for m in left.root.members] == ["nom", "âge"]
         assert [m.term for m in right.root.members] == ["nom", "prénom"]
         matrix = similarity_matrix(left, right, EMPTY_ONTOLOGY)
-        assert matrix.cells == ((0, 0, ONE),)
+        assert matrix.cells == ((0, 0),)
         assert matrix.aggregate == Fraction(1, 2)
         assert matrix.verdict == VERDICT_NOT_SYNONYM
 
@@ -304,7 +309,7 @@ class TestProperties:
             assert semantic_similarity(a, a, od, mode=MODE_BIPARTITE) == ONE
 
     def test_bipartite_aggregate_matches_assignment(self):
-        from reference_similarity import _semantic
+        from reference_similarity import cell
 
         rng = random.Random(11)
         cases = 0
@@ -315,10 +320,7 @@ class TestProperties:
             if a.is_atomic or b.is_atomic:
                 continue
             cases += 1
-            cells = [
-                [_semantic(x, y, od, MODE_BIPARTITE, True) for y in b.members]
-                for x in a.members
-            ]
+            cells = [[cell(x, y, od) for y in b.members] for x in a.members]
             value, _ = max_assignment(cells)
             assert _bipartite(a, b, od) == value / max(len(a.members), len(b.members))
         assert cases == 326

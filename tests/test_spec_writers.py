@@ -87,11 +87,7 @@ def _component_set(rng: random.Random, seen: Counter) -> ComponentSet:
     return ComponentSet("Sys", tuple(components))
 
 
-def _concept(rng: random.Random, kind: str, label: str, depth: int) -> Concept:
-    members = tuple(
-        _concept(rng, rng.choice((KIND_ATTRIBUTE, KIND_OPERATION)), m, depth - 1)
-        for m in (_names(rng, "m", 3) if depth else ())
-    )
+def _concept(rng: random.Random, kind: str, label: str, members: tuple[Concept, ...] = ()) -> Concept:
     definitions = tuple(_text(rng) for _ in range(rng.choice([0, 0, 1, 2])))
     anchor = rng.choice([None, _text(rng)])
     return Concept(normalize_term(label), label, kind, definitions, members, anchor)
@@ -102,14 +98,22 @@ def _graph(rng: random.Random, seen: Counter) -> ComponentOntology:
         # a source ends at the first "/" of a path, so it holds none
         source="S" + _text(rng).replace("/", ""),
         origin="O" + _text(rng),
-        root=_concept(rng, KIND_COMPONENT, "r" + _text(rng), rng.randrange(3)),
+        root=_concept(
+            rng,
+            KIND_COMPONENT,
+            "r" + _text(rng),
+            tuple(
+                _concept(rng, rng.choice((KIND_ATTRIBUTE, KIND_OPERATION)), m)
+                for m in _names(rng, "m", 3)
+            ),
+        ),
         kind=rng.choice(KINDS + ("", "widget")),
         provides=tuple(_names(rng, "i", 2)),
         requires=tuple(_names(rng, "j", 2)),
     )
     seen["kind entity" if graph.kind == "entity" else "other kind"] += 1
     seen["no members"] += not graph.root.members
-    seen["nested members"] += any(m.members for m in graph.root.members)
+    seen["anchored member"] += any(m.anchor for m in graph.root.members)
     return graph
 
 

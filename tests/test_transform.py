@@ -159,6 +159,13 @@ class TestConceptInvariants:
         with pytest.raises(DocumentError, match="only appear at the root"):
             root("outer", members=(inner,))
 
+    def test_a_member_with_members_is_rejected(self):
+        # concept graphs are flat, whether read from a file or built in code
+        adresse = Concept("Adresse", "Adresse", KIND_ATTRIBUTE, members=(atom("rue"),))
+        with pytest.raises(DocumentError) as err:
+            root("client", members=(atom("nom"), adresse))
+        assert err.value.diagnostics == ["member 'adresse' has members; concept graphs are flat"]
+
     def test_duplicate_member_terms_within_kind_rejected(self):
         with pytest.raises(DocumentError, match="duplicate member term 'nom'"):
             root("r", members=(atom("nom"), atom("Nom ")))
