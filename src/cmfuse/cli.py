@@ -81,12 +81,6 @@ def _add_similarity_flags(parser: argparse.ArgumentParser):
         help="member aggregation: literal sum or best one-to-one matching",
     )
     parser.add_argument(
-        "--no-recursive-semantics",
-        dest="recursive",
-        action="store_false",
-        help="record recursive: false in the alignment's settings; it changes no score",
-    )
-    parser.add_argument(
         "--fail-on-conflict",
         action="store_true",
         help="exit with status 3 when a homonym conflict is detected",
@@ -344,9 +338,7 @@ def _aligned_graphs(args) -> tuple[list[ComponentOntology], DomainOntology, Alig
         to_ontology(component, domain, diagnostics=diagnostics)
         for component in merged_set.components
     ]
-    alignment = align(
-        graphs, domain, mode=args.mode, recursive=args.recursive, diagnostics=diagnostics
-    )
+    alignment = align(graphs, domain, mode=args.mode, diagnostics=diagnostics)
     return graphs, domain, alignment
 
 

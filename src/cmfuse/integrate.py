@@ -125,9 +125,7 @@ class Correspondence(NamedTuple):
 @record
 class Alignment:
     """All pairwise correspondences plus the diagnostics that led there,
-    and the similarity settings the scores were computed under. The
-    recursion setting is only recorded: concept graphs are flat, so it
-    changes no score.
+    and the similarity mode the scores were computed under.
 
     An alignment that align made also keeps its pair table in scores:
     one PairScore per scored pair, in cross_pairs order. An alignment
@@ -137,7 +135,6 @@ class Alignment:
     correspondences: tuple[Correspondence, ...]
     diagnostics: tuple[str, ...] = ()
     mode: str = MODE_LITERAL
-    recursive: bool = True
     scores: tuple[PairScore, ...] | None = field(default=None, compare=False, repr=False)
 
     # computed once per alignment; cached outside the fields, so equality,
@@ -166,7 +163,6 @@ def align(
     od: DomainOntology,
     *,
     mode: str = MODE_LITERAL,
-    recursive: bool = True,
     diagnostics: Iterable[str] = (),
 ) -> Alignment:
     """Score and classify every cross-source pair of graphs.
@@ -174,7 +170,7 @@ def align(
     Emits one root correspondence per unordered pair from different
     sources, in input order, plus one member correspondence for every
     member cell that scores one. Each pair is scored once; the scores
-    stay on the alignment for the report, and the settings for the
+    stay on the alignment for the report, and the mode for the
     document.
     """
     scorer = Scorer(od, mode=mode)
@@ -194,7 +190,7 @@ def align(
             left, right = member_ends[i][mi], member_ends[j][mj]
             same = left.member == right.member
             corrs.append(Correspondence(left, right, ONE, classify(same, True)))
-    return Alignment(tuple(corrs), tuple(diagnostics), mode, recursive, tuple(scores))
+    return Alignment(tuple(corrs), tuple(diagnostics), mode, tuple(scores))
 
 
 def detect_naming_conflicts(alignment: Alignment) -> list[Correspondence]:
@@ -601,8 +597,14 @@ _SCORES = list_of(_score)
 
 _GRAPHS = list_of(graph_spec)
 _MODE = one_of((MODE_LITERAL, MODE_BIPARTITE), "must be literal or bipartite")
-# read into an Alignment's fields of those names, and written from them
-_SETTINGS = obj({"mode": _MODE, "recursive": BOOLEAN})
+# mode is read into the Alignment's field of that name, and written from
+# it. recursive stays in the format, written true and checked as a boolean
+# on read, then dropped: concept graphs are flat, so it changes no score
+_SETTINGS = obj(
+    {"mode": _MODE, "recursive": BOOLEAN},
+    build=lambda recursive=True, **settings: settings,
+    get={"recursive": lambda alignment: True},
+)
 _ALIGNMENT_FIELDS = {
     "settings": maybe(_SETTINGS),
     "correspondences": _CORRESPONDENCES,

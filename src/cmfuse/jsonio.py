@@ -8,7 +8,7 @@ one parsed JSON value found at ``path`` (a JSON path such as
 returns the checked value, or what its object's build made of it. A
 caller that sees new problems never uses what came back.
 
-The specs made by obj, list_of, mapping and ref also write: their
+The specs made by obj, list_of and mapping also write: their
 write attribute turns a value they read back into the JSON value they
 read it from. Every other spec writes its value as it is, a tuple as a
 list.
@@ -30,8 +30,8 @@ _ABSENT = object()
 _EMPTY = (None, [], {})
 
 
-# the JSON decoder and the spec walkers both recurse once per nesting
-# level; load_json and check report a RecursionError with this
+# the JSON decoder recurses once per nesting level; load_json reports a
+# RecursionError with this
 _TOO_DEEP = "nesting too deep to read"
 
 
@@ -134,10 +134,7 @@ def _write(obj: Any, indent: str, out: list[str]) -> None:
 def check(spec: Callable, value: Any, source: str, path: str = "") -> Any:
     """Walk value with spec; return the result or raise every diagnostic at once."""
     problems: list[str] = []
-    try:
-        result = spec(value, path, problems)
-    except RecursionError:
-        raise DocumentError(source, [_TOO_DEEP]) from None
+    result = spec(value, path, problems)
     if problems:
         raise DocumentError(source, problems)
     return result
@@ -257,17 +254,6 @@ def mapping(item: Callable) -> Callable:
 
     write_item = getattr(item, "write", _plain)
     walk.write = lambda value: {k: write_item(value[k]) for k in sorted(value)}
-    return walk
-
-
-def ref(target: Callable[[], Callable]) -> Callable:
-    """The spec that target returns, looked up at each use, so that a
-    shape can hold itself."""
-
-    def walk(value, path, problems):
-        return target()(value, path, problems)
-
-    walk.write = lambda value: target().write(value)
     return walk
 
 

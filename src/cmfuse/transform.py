@@ -17,7 +17,6 @@ from .jsonio import (
     maybe,
     obj,
     one_of,
-    ref,
 )
 from .ontology import (
     ANCHOR_AMBIGUOUS,
@@ -233,16 +232,29 @@ def _operation_name(raw_label: str) -> str:
     return name or raw_label
 
 
+def _no_members(value, path, problems):
+    # concept graphs are flat: a member's own members are not walked
+    if not isinstance(value, list):
+        problems.append(at(path, "must be a list"))
+    elif value:
+        problems.append(at(path, "must be empty; concept graphs are flat"))
+    return ()
+
+
+_CONCEPT_FIELDS = {
+    "term": TERM,
+    "raw_label": STRING,
+    "kind": one_of(CONCEPT_KINDS),
+    "anchor": maybe(NON_EMPTY),
+    "definitions": maybe(STRINGS),
+}
+_CONCEPT_REQUIRED = "term raw_label kind members"
+_MEMBER = obj(
+    {**_CONCEPT_FIELDS, "members": maybe(_no_members)}, required=_CONCEPT_REQUIRED, build=Concept
+)
 _CONCEPT = obj(
-    {
-        "term": TERM,
-        "raw_label": STRING,
-        "kind": one_of(CONCEPT_KINDS),
-        "anchor": maybe(NON_EMPTY),
-        "definitions": maybe(STRINGS),
-        "members": maybe(list_of(ref(lambda: _CONCEPT))),
-    },
-    required="term raw_label kind members",
+    {**_CONCEPT_FIELDS, "members": maybe(list_of(_MEMBER))},
+    required=_CONCEPT_REQUIRED,
     build=Concept,
 )
 _NAMES = list_of(TERM)

@@ -167,7 +167,8 @@ def alignment_to_json(alignment, graphs, od) -> dict:
         "correspondences": [correspondence_to_json(c) for c in alignment.correspondences],
         "conflicts": [correspondence_to_json(c) for c in alignment.conflicts],
         "diagnostics": list(alignment.diagnostics),
-        "settings": {"mode": alignment.mode, "recursive": alignment.recursive},
+        # recursive stays in the format, always true
+        "settings": {"mode": alignment.mode, "recursive": True},
         "ontologies": [graph_to_json(g) for g in graphs],
         "domain": domain_ontology_to_json(od),
     }

@@ -122,13 +122,12 @@ class TestValidate:
     @pytest.mark.parametrize(
         "depth,code,line",
         [
-            # concept graphs are flat: the deepest concept whose member has
-            # members is reported, at its path
+            # concept graphs are flat: the first member's members are
+            # reported, and nothing below them is walked
             pytest.param(
                 100,
                 2,
-                "error: {}: root" + ".members[0]" * 98 + ": member 'm98' has members;"
-                " concept graphs are flat",
+                "error: {}: root.members[0].members: must be empty; concept graphs are flat",
                 id="100-2-flat",
             ),
             (600, 2, "error: {}: nesting too deep to read"),
@@ -394,10 +393,13 @@ class TestSim:
 
 class TestAlign:
     def test_writes_alignment_document(self, aligned):
-        doc = parse_alignment(aligned.read_text(encoding="utf-8"))
+        text = aligned.read_text(encoding="utf-8")
+        doc = parse_alignment(text)
         assert len(doc.alignment.correspondences) == 10
         assert len(doc.graphs) == 4
-        assert doc.alignment.mode == "literal" and doc.alignment.recursive is True
+        assert doc.alignment.mode == "literal"
+        # the format keeps recursive, always written true
+        assert '  "settings": {\n    "mode": "literal",\n    "recursive": true\n  },\n' in text
 
     def test_conflict_count_on_stderr(self, tmp_path, capsys):
         main(["align", BIBLIO1, BIBLIO2, "--domain", DOMAIN, "-o", str(tmp_path)])
@@ -431,14 +433,11 @@ class TestAlign:
                 str(tmp_path),
                 "--mode",
                 "bipartite",
-                "--no-recursive-semantics",
             ]
         )
-        doc = parse_alignment(
-            (tmp_path / "alignment.json").read_text(encoding="utf-8")
-        )
-        assert doc.alignment.mode == "bipartite"
-        assert doc.alignment.recursive is False
+        text = (tmp_path / "alignment.json").read_text(encoding="utf-8")
+        assert parse_alignment(text).alignment.mode == "bipartite"
+        assert '  "settings": {\n    "mode": "bipartite",\n    "recursive": true\n  },\n' in text
 
 
 class TestMerge:
@@ -643,10 +642,6 @@ class TestPipeline:
     GOLDEN_ALIGNMENT = {
         ("--mode", "literal"): "9bb292c4c9353a325efcd847f1df24f67fc90b95a0cd1b216d270300cba8ad62",
         ("--mode", "bipartite"): "4e59ad9d7a796315295ad3535a069a2e2d43198619fe9debe90c3b947f802432",
-        ("--no-recursive-semantics",): "8b55595f716d33f1e8cf2e8c47b631ff9e3efe96c8fadc22fff421efdb63303e",
-        ("--mode", "bipartite", "--no-recursive-semantics"): (
-            "88209a89f964c4a67901005d771c638b0e83131fde1d926df8f9ef0c01d22914"
-        ),
     }
 
     @pytest.mark.parametrize("settings", list(GOLDEN_ALIGNMENT), ids=" ".join)
@@ -704,6 +699,29 @@ class TestPipeline:
             out = capsys.readouterr().out
             digests[f"report {fmt}"] = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digests == self.GOLDEN_REPLAY
+
+    def test_an_alignment_recorded_without_recursion_replays_the_same(
+        self, aligned, tmp_path, capsys
+    ):
+        # earlier versions could write "recursive": false; it still reads,
+        # and changes no byte of what merge and report write
+        text = aligned.read_text(encoding="utf-8")
+        old = tmp_path / "alignment.json"
+        old.write_text(text.replace('"recursive": true', '"recursive": false'), encoding="utf-8")
+        assert old.read_text(encoding="utf-8") != text
+        assert main(["validate", str(old)]) == 0
+        assert capsys.readouterr().out.startswith(f"ok: {old}: alignment,")
+        outputs = {}
+        for recorded, path in (("true", aligned), ("false", old)):
+            out = tmp_path / recorded
+            assert main(["merge", str(path), "-o", str(out)]) == 0
+            files = {name: (out / name).read_bytes() for name in ("ocm_r.json", "cm_r.json")}
+            for fmt in ("text", "json"):
+                capsys.readouterr()
+                assert main(["report", str(path), "--format", fmt]) == 0
+                files[f"report {fmt}"] = capsys.readouterr().out
+            outputs[recorded] = files
+        assert outputs["false"] == outputs["true"]
 
     def test_fail_on_conflict(self, tmp_path):
         code = main(
@@ -816,6 +834,21 @@ class TestExitCodes:
         assert main(["unknown-command"]) == 1
         assert main(["transform", BIBLIO1]) == 1
 
+    @pytest.mark.parametrize("command", ["sim", "align", "pipeline"])
+    def test_the_recursion_flag_is_gone(self, transformed, tmp_path, capsys, command):
+        # concept graphs are flat, so no member recursion is left to turn off
+        graph = str(sorted(transformed.glob("*.ocm.json"))[0])
+        argv = {
+            "sim": [graph, graph, "--domain", DOMAIN],
+            "align": [BIBLIO1, BIBLIO2, "--domain", DOMAIN, "-o", str(tmp_path / "out")],
+            "pipeline": [BIBLIO1, BIBLIO2, "--domain", DOMAIN, "-o", str(tmp_path / "out")],
+        }[command]
+        assert main([command, *argv, "--no-recursive-semantics"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --no-recursive-semantics\n")
+        assert not (tmp_path / "out").exists()
+
     def test_input_error_is_two(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         assert main(["transform", missing, "--domain", DOMAIN, "-o", str(tmp_path)]) == 2
@@ -892,8 +925,10 @@ class TestExitCodes:
             capsys.readouterr()
             data = json.loads((tmp_path / "ocm_r.json").read_text(encoding="utf-8"))
             graph, where = data["roots"][0], "roots[0].root"
-        member = graph["root"]["members"][0]
-        member["members"] = [{"term": "rue", "raw_label": "rue", "kind": "attribute", "members": []}]
+        # two members with members, each holding a member that breaks the
+        # spec: nothing below a member is walked
+        for member in graph["root"]["members"][:2]:
+            member["members"] = [{"term": "rue", "kind": "op", "members": 1}]
         bad = tmp_path / "nested.json"
         bad.write_text(json.dumps(data), encoding="utf-8")
         argv = {
@@ -903,12 +938,15 @@ class TestExitCodes:
             "report": [str(bad)],
         }[command]
         assert main([command, *argv]) == 2
-        message = f"{bad}: {where}: member '{member['term']}' has members; concept graphs are flat"
+        messages = [
+            f"{bad}: {where}.members[{i}].members: must be empty; concept graphs are flat"
+            for i in range(2)
+        ]
         captured = capsys.readouterr()
         if command == "validate":
-            assert captured.out == f"error: {message}\n"
+            assert captured.out == "".join(f"error: {m}\n" for m in messages)
         else:
-            assert captured.err == f"cmfuse: error: {message}\n"
+            assert captured.err == "".join(f"cmfuse: error: {m}\n" for m in messages)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "merge", "report"])

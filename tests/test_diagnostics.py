@@ -46,10 +46,16 @@ ONTOLOGY = {
 MEMBER = {"term": "nom", "raw_label": "nom", "kind": "attribute", "members": []}
 ROOT = {"term": "lecteur", "raw_label": "Lecteur", "kind": "component", "members": [MEMBER]}
 GRAPH = {"source": "A", "origin": "Lecteur", "root": ROOT}
-# concept graphs are flat: a member that has members is reported at its parent
+# concept graphs are flat: each member that has members is reported at
+# its members, and nothing below them is walked
 ADRESSE = {**MEMBER, "term": "adresse", "raw_label": "Adresse", "members": [{**MEMBER, "term": "rue"}]}
-NESTED = {**GRAPH, "root": {**ROOT, "members": [MEMBER, ADRESSE]}}
-FLAT = "member 'adresse' has members; concept graphs are flat"
+VILLE = {**MEMBER, "term": "ville", "raw_label": "Ville", "members": [{"term": " ", "kind": "op"}]}
+NESTED = {**GRAPH, "root": {**ROOT, "members": [ADRESSE, MEMBER, VILLE]}}
+
+
+def flat(root: str) -> list[str]:
+    return [f"{root}.members[{i}].members: must be empty; concept graphs are flat" for i in (0, 2)]
+
 
 ENDPOINT = {"source": "A", "origin": "Lecteur", "member": None}
 CORRESPONDENCE = {
@@ -292,9 +298,9 @@ ROWS = [
      [
          "root.members[0]: must be an object",
          "root.members[1]: missing required key 'raw_label'",
-         f"root.members[1].members[0].kind: {MUST_BE_KIND}",
+         "root.members[1].members: must be empty; concept graphs are flat",
      ]),
-    ("graph-member-with-members", "graph", NESTED, [f"root: {FLAT}"]),
+    ("graph-member-with-members", "graph", NESTED, flat("root")),
     ("graph-concept-invariants", "graph",
      root(members=[MEMBER, {**MEMBER, "raw_label": "Nom"}, {**MEMBER, "kind": "component"}]),
      [
@@ -307,7 +313,7 @@ ROWS = [
     ("alignment-top-level", "alignment", "[1]", ["top level must be an object"]),
     ("alignment-member-with-members", "alignment",
      edit(ALIGNMENT, ontologies=[GRAPH, {**NESTED, "source": "B", "origin": "Usager"}]),
-     [f"ontologies[1].root: {FLAT}"]),
+     flat("ontologies[1].root")),
     # key problems at the top level stop the parse
     ("alignment-top-keys-stop", "alignment",
      edit(ALIGNMENT, domain=DROP, extra=1, settings=[], diagnostics=3),
@@ -412,7 +418,7 @@ ROWS = [
     # ---- representations
     ("representation-member-with-members", "representation",
      edit(REPRESENTATION, roots=[{**NESTED, "merged_from": ["A/Lecteur"]}]),
-     [f"roots[0].root: {FLAT}"]),
+     flat("roots[0].root")),
 ]
 
 

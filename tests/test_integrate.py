@@ -438,7 +438,6 @@ class TestAlignmentDocument:
             library_graphs,
             library_ontology,
             mode="bipartite",
-            recursive=False,
             diagnostics=["d1"],
         )
         text = serialize_alignment(alignment, library_graphs, library_ontology)
@@ -447,12 +446,11 @@ class TestAlignmentDocument:
         assert doc.graphs == tuple(library_graphs)
         assert doc.domain == library_ontology
         assert doc.alignment.mode == "bipartite"
-        assert doc.alignment.recursive is False
 
     def test_settings_round_trip(self, library_graphs, library_ontology):
-        # the settings an alignment was scored under are read back with it,
-        # and a merge of what was read equals the merge of what was written
-        settings = [(m, r) for m in (MODE_LITERAL, MODE_BIPARTITE) for r in (True, False)]
+        # the mode an alignment was scored under is read back with it, and
+        # a merge of what was read equals the merge of what was written;
+        # recursive, always written true, reads the same when false
         rng = random.Random(7002)
         cases = [(library_graphs, library_ontology)]
         for _ in range(40):
@@ -460,17 +458,14 @@ class TestAlignmentDocument:
             set_a, set_b = random_source_pair(rng, pool)
             cases.append(([to_ontology(c, od) for c in union(set_a, set_b).components], od))
         for graphs, od in cases:
-            for mode, recursive in settings:
-                self._round_trip(align(graphs, od, mode=mode, recursive=recursive), graphs, od)
-
-    @staticmethod
-    def _round_trip(alignment, graphs, od):
-        back = parse_alignment(serialize_alignment(alignment, graphs, od)).alignment
-        assert back == alignment
-        assert (back.mode, back.recursive) == (alignment.mode, alignment.recursive)
-        merged = merge(back, graphs, od)
-        assert merged == merge(alignment, graphs, od)
-        return merged
+            for mode in (MODE_LITERAL, MODE_BIPARTITE):
+                alignment = align(graphs, od, mode=mode)
+                text = serialize_alignment(alignment, graphs, od)
+                assert text.count('"recursive": true') == 1
+                for recorded in (text, text.replace('"recursive": true', '"recursive": false')):
+                    back = parse_alignment(recorded).alignment
+                    assert back == alignment and back.mode == mode
+                    assert merge(back, graphs, od) == merge(alignment, graphs, od)
 
     def test_settings_default_when_absent(self, library_graphs, library_ontology):
         alignment = align(library_graphs, library_ontology)
@@ -481,8 +476,8 @@ class TestAlignmentDocument:
         )
         assert "settings" not in stripped
         doc = parse_alignment(stripped)
-        assert doc.alignment.mode == "literal"
-        assert doc.alignment.recursive is True
+        assert doc.alignment == alignment
+        assert serialize_alignment(doc.alignment, doc.graphs, doc.domain) == text
 
     def test_bad_score_rejected(self, library_graphs, library_ontology):
         alignment = align(library_graphs, library_ontology)

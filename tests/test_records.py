@@ -176,7 +176,6 @@ def _values(cls, rng) -> dict:
             correspondences=_some(rng, corrs),
             diagnostics=pick([(), ("odd",)]),
             mode=pick(["literal", "bipartite"]),
-            recursive=pick([True, False]),
             scores=pick([None, (PairScore(Fraction(1)),)]),
         )
     if cls is MergedRoot:

@@ -213,26 +213,6 @@ def test_align_and_merge_equal_the_reference_on_random_sources(monkeypatch):
         _check_align_and_merge(graphs, od, monkeypatch)
 
 
-def test_recursion_changes_nothing_on_component_sets():
-    # concept graphs are flat: the setting is recorded in the alignment,
-    # and that is all
-    rng = random.Random(5007)
-    with_cells = 0
-    for _ in range(300):
-        od, pool = random_domain(rng)
-        set_a, set_b = random_source_pair(rng, pool)
-        graphs = [to_ontology(c, od) for c in union(set_a, set_b).components]
-        for mode in (MODE_LITERAL, MODE_BIPARTITE):
-            flat = align(graphs, od, mode=mode, recursive=False)
-            deep = align(graphs, od, mode=mode, recursive=True)
-            assert flat.scores == deep.scores
-            assert flat.correspondences == deep.correspondences
-            assert merge(flat, graphs, od) == merge(deep, graphs, od)
-            with_cells += any(pair.cells for pair in deep.scores)
-    # of 600 cases
-    assert with_cells >= 200, with_cells
-
-
 def test_align_and_merge_equal_the_reference_on_anchored_graphs(monkeypatch):
     rng = random.Random(5005)
     for _ in range(150):

@@ -67,8 +67,8 @@ def _documents(rng: random.Random, library_graphs, library_ontology) -> list[str
     texts = [library]
     for _ in range(40):
         graphs, od = rng.choice([(library_graphs, library_ontology), ([], EMPTY_ONTOLOGY)])
-        settings = {"mode": rng.choice(["literal", "bipartite"]), "recursive": rng.random() < 0.5}
-        texts.append(serialize_alignment(_random_alignment(rng)._replace(**settings), graphs, od))
+        alignment = _random_alignment(rng)._replace(mode=rng.choice(["literal", "bipartite"]))
+        texts.append(serialize_alignment(alignment, graphs, od))
     return texts
 
 

@@ -231,7 +231,9 @@ class TestGraphSerialization:
             )
 
     def test_nesting_deeper_than_the_checker_walks_is_a_document_error(self):
-        # a parsed object nested past the interpreter's recursion limit
+        # a parsed object nested past the interpreter's recursion limit:
+        # concept graphs are flat, so the checker stops at the first
+        # member's members
         node = {"term": "leaf", "raw_label": "leaf", "kind": "attribute", "members": []}
         for depth in range(sys.getrecursionlimit()):
             node = {"term": f"m{depth}", "raw_label": "m", "kind": "attribute", "members": [node]}
@@ -242,4 +244,6 @@ class TestGraphSerialization:
         }
         with pytest.raises(DocumentError) as err:
             component_ontology_from_json(data, "", source="deep")
-        assert err.value.diagnostics == ["nesting too deep to read"]
+        assert err.value.diagnostics == [
+            "root.members[0].members: must be empty; concept graphs are flat"
+        ]
