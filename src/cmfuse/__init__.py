@@ -53,16 +53,12 @@ from .ontology import (
     DomainConcept,
     DomainOntology,
     OPERATION_MARKER,
-    RELATION_HOMONYM,
-    RELATION_SAME,
-    RELATION_UNRELATED,
     Thesaurus,
     ThesaurusEntry,
     anchor,
     load_domain_ontology,
     normalize_term,
     operation_term,
-    relation,
     serialize_domain_ontology,
     term_stem,
 )
@@ -77,7 +73,6 @@ from .similarity import (
     parse_score,
     semantic_similarity,
     similarity_matrix,
-    syntactic_similarity,
 )
 from .transform import (
     ComponentOntology,
@@ -86,7 +81,6 @@ from .transform import (
     KIND_COMPONENT,
     KIND_OPERATION,
     component_ontology_from_json,
-    component_ontology_to_json,
     parse_component_ontology,
     serialize_component_ontology,
     to_component,

@@ -22,10 +22,6 @@ ANCHOR_UNIQUE = "unique"
 ANCHOR_AMBIGUOUS = "ambiguous"
 ANCHOR_NONE = "none"
 
-RELATION_SAME = "same"
-RELATION_HOMONYM = "homonym_shared_term"
-RELATION_UNRELATED = "unrelated"
-
 
 # pure, and called again and again on the same few labels: a pipeline
 # folds each distinct term about nine times
@@ -168,7 +164,6 @@ class DomainOntology:
             tuple(ThesaurusEntry(c.id, merged[c.id]) for c in concepts)
         )
         self._by_id = by_id
-        self._terms_of = {cid: frozenset(terms) for cid, terms in merged.items()}
         by_term: dict[str, list[str]] = {}
         for c in concepts:
             for term in merged[c.id]:
@@ -186,10 +181,6 @@ class DomainOntology:
 
     def label(self, concept_id: str) -> str:
         return self.concept(concept_id).label
-
-    def terms_of(self, concept_id: str) -> frozenset[str]:
-        self.concept(concept_id)
-        return self._terms_of[concept_id]
 
     def __eq__(self, other):
         if not isinstance(other, DomainOntology):
@@ -231,17 +222,6 @@ def anchor(term: str, od: DomainOntology) -> AnchorResult:
     if len(ids) == 1:
         return AnchorResult(ANCHOR_UNIQUE, ids)
     return AnchorResult(ANCHOR_AMBIGUOUS, ids)
-
-
-def relation(a: str, b: str, od: DomainOntology) -> str:
-    """How two concepts relate: same, homonym via a shared term, or unrelated."""
-    terms_a = od.terms_of(a)
-    terms_b = od.terms_of(b)
-    if a == b:
-        return RELATION_SAME
-    if terms_a & terms_b:
-        return RELATION_HOMONYM
-    return RELATION_UNRELATED
 
 
 # a non-empty matchable term

@@ -1,13 +1,12 @@
 """Syntactic and semantic similarity between concepts, with exact scores.
 
 Concept graphs are flat: a graph's root holds atomic members, and two
-graphs are compared on those members. The syntactic layer only sees
-normalized terms: atomic concepts match when term and kind agree, and
-two roots average their pairwise member scores over the larger arity,
-clamped at one. The semantic layer asks the domain ontology first: two
-atomic concepts of one kind score one exactly when both effective
-anchors exist and are equal, or an anchor is missing and the terms are
-equal; otherwise they score zero. With no ontology the layers agree.
+graphs are compared on those members. The semantic layer asks the
+domain ontology first: two atomic concepts of one kind score one
+exactly when both effective anchors exist and are equal, or an anchor
+is missing and the terms are equal; otherwise they score zero. The
+syntactic layer is that term rule, which the engine falls back on: with
+an empty ontology no anchor counts, so kind and term decide every cell.
 
 Scores are fractions.Fraction values in [0, 1]: the synonym verdict is
 equality to exactly one, which floats cannot promise. A document holds a
@@ -128,8 +127,11 @@ class Scorer:
     def node(self, c: Concept) -> _Node:
         """The concept with its effective anchor, and its members', resolved.
 
-        An explicit anchor counts when the ontology knows it; otherwise
-        the term must anchor uniquely.
+        An explicit anchor counts when the ontology knows it; one it does
+        not know leaves the concept unanchored, with no thesaurus lookup,
+        so its term decides. Otherwise the term must anchor uniquely. (A
+        component's anchors hint that the ontology does not know is another
+        matter: to_ontology warns and looks the term up in the thesaurus.)
         """
         if c.anchor is not None:
             resolved = c.anchor if self.od.has_concept(c.anchor) else None
@@ -190,21 +192,6 @@ class Scorer:
                 joined = key[0] == _TERM and any(nodes[i].anchor is None for i in ids)
             if joined:
                 yield from zip(ids, ids[1:])
-
-
-def syntactic_similarity(c1: Concept, c2: Concept) -> Fraction:
-    """Term-level similarity; the ontology plays no part. Two concepts
-    without members match when kind and term agree; two roots with
-    members count their matching member pairs over the larger member
-    count, clamped at one; a root without members against one with
-    members scores zero."""
-    if c1.kind != c2.kind or bool(c1.members) != bool(c2.members):
-        return ZERO
-    if not c1.members:
-        return ONE if c1.term == c2.term else ZERO
-    arity = max(len(c1.members), len(c2.members))
-    hits = sum((a.kind, a.term) == (b.kind, b.term) for a in c1.members for b in c2.members)
-    return Fraction(min(hits, arity), arity)
 
 
 def semantic_similarity(

@@ -77,10 +77,6 @@ class Concept:
         if problems:
             raise DocumentError("<concept>", problems)
 
-    @property
-    def is_atomic(self) -> bool:
-        return not self.members
-
 
 @record
 class ComponentOntology:
@@ -323,10 +319,6 @@ def graph_object(extra: dict | None = None, required: str = "", build=None, get=
 
 # the schema of one concept-graph object, at the top level or nested
 graph_spec = graph_object()
-
-
-def component_ontology_to_json(graph: ComponentOntology) -> dict:
-    return graph_spec.write(graph)
 
 
 def serialize_component_ontology(graph: ComponentOntology) -> str:

@@ -16,7 +16,6 @@ from cmfuse import (
     ANCHOR_UNIQUE,
     MODE_BIPARTITE,
     MODE_LITERAL,
-    RELATION_SAME,
     VERDICT_NOT_SYNONYM,
     VERDICT_SYNONYM,
     ZERO,
@@ -25,7 +24,6 @@ from cmfuse import (
     DomainOntology,
     anchor,
     classify,
-    relation,
 )
 from cmfuse.assignment import max_assignment
 
@@ -56,13 +54,13 @@ class DenseMatrix:
 
 def cell(c1: Concept, c2: Concept, od: DomainOntology) -> Fraction:
     """Two atomic concepts: kinds must agree; two effective anchors decide
-    by their relation, and otherwise the terms do."""
+    by their equality, and otherwise the terms do."""
     if c1.kind != c2.kind:
         return _F0
     a1 = _effective_anchor(c1, od)
     a2 = _effective_anchor(c2, od)
     if a1 is not None and a2 is not None:
-        return _F1 if relation(a1, a2, od) == RELATION_SAME else _F0
+        return _F1 if a1 == a2 else _F0
     return _F1 if c1.term == c2.term else _F0
 
 

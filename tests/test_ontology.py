@@ -14,15 +14,11 @@ from cmfuse import (
     DomainConcept,
     DomainOntology,
     IntegrationError,
-    RELATION_HOMONYM,
-    RELATION_SAME,
-    RELATION_UNRELATED,
     ThesaurusEntry,
     anchor,
     load_domain_ontology,
     normalize_term,
     operation_term,
-    relation,
     serialize_domain_ontology,
     term_stem,
 )
@@ -200,24 +196,9 @@ class TestAnchor:
 
 
 class TestRelation:
-    def test_same(self, library_ontology):
-        assert relation("PERSON", "PERSON", library_ontology) == RELATION_SAME
-
-    def test_homonym_via_shared_term(self, library_ontology):
-        assert relation("PUB-PRESS", "PUB-GENERIC", library_ontology) == RELATION_HOMONYM
-
-    def test_unrelated(self, library_ontology):
-        assert relation("PERSON", "ACT-READ", library_ontology) == RELATION_UNRELATED
-
-    def test_symmetric(self, library_ontology):
-        ids = [c.id for c in library_ontology.concepts]
-        for a in ids:
-            for b in ids:
-                assert relation(a, b, library_ontology) == relation(b, a, library_ontology)
-
     def test_unknown_concept_raises(self, library_ontology):
         with pytest.raises(IntegrationError, match="unknown concept id"):
-            relation("PERSON", "GHOST", library_ontology)
+            library_ontology.concept("GHOST")
 
     def test_synonymous_terms_resolve_to_same_concept(self, library_ontology):
         a = anchor("lire()", library_ontology)
@@ -229,7 +210,7 @@ class TestQuickOntologyHelper:
     def test_builder_round_trips(self):
         od = quick_ontology({"K1": ["alpha", "beta"], "K2": ["gamma"]})
         assert anchor("beta", od).concepts == ("K1",)
-        assert relation("K1", "K2", od) == RELATION_UNRELATED
+        assert anchor("gamma", od).concepts == ("K2",)
 
     def test_programmatic_duplicate_id_rejected(self):
         with pytest.raises(DocumentError):
@@ -245,4 +226,4 @@ class TestQuickOntologyHelper:
         )
         assert anchor("x", od).concepts == ("A",)
         assert anchor("y", od).concepts == ("A",)
-        assert od.terms_of("A") == frozenset({"a", "x", "y"})
+        assert od.thesaurus.entries == (ThesaurusEntry("A", ("x", "y", "a")),)

@@ -3,13 +3,15 @@
 "Library use" runs as written, with the fixture paths put in for its
 file names, in a child process that turns a text open without an
 encoding into an error; the two `text` blocks of "Quick start" are cut
-from the report the fixture pipeline writes.
+from the report the fixture pipeline writes, and the `sh` block of "How
+scoring works" runs, ending as its two `text` blocks show.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +64,22 @@ def test_quick_start_shows_the_report_the_pipeline_writes(tmp_path):
     report = (tmp_path / "report.txt").read_text(encoding="utf-8")
     for block in blocks:
         assert block in report
+
+
+def test_syntactic_baseline_reads_as_shown(tmp_path, monkeypatch, capsys):
+    section = _section("How scoring works")
+    (script,) = _blocks(section, "sh")
+    without, with_domain = _blocks(section, "text")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CMFUSE_COLOR", raising=False)
+    for line in script.splitlines():
+        argv = shlex.split(line.replace("tests/fixtures/", shlex.quote(f"{FIXTURES}/")))
+        if argv[0] == "echo":
+            # echo '<json>' > <file>
+            Path(argv[3]).write_text(argv[1] + "\n", encoding="utf-8")
+        else:
+            assert main(argv[1:]) == 0, line
+    assert capsys.readouterr().out.endswith(without)
+    assert argv[-2:] == ["--domain", "empty.json"]
+    assert main([*argv[1:-1], str(FILES["od.json"])]) == 0
+    assert capsys.readouterr().out.endswith(with_domain)

@@ -122,7 +122,7 @@ def test_bipartite_score_equals_the_reference_matching():
         concept_ids = [c.id for c in od.concepts]
         a = random_anchored_concept(rng, pool, concept_ids)
         b = random_anchored_concept(rng, pool, concept_ids)
-        if a.is_atomic or b.is_atomic:
+        if not (a.members and b.members):
             continue
         cases += 1
         cells = [[reference.cell(x, y, od) for y in b.members] for x in a.members]

@@ -9,6 +9,7 @@ import pytest
 
 from cmfuse import (
     ComponentOntology,
+    KIND_ATTRIBUTE,
     KIND_OPERATION,
     MODE_BIPARTITE,
     MODE_LITERAL,
@@ -19,12 +20,12 @@ from cmfuse import (
     parse_score,
     semantic_similarity,
     similarity_matrix,
-    syntactic_similarity,
     to_ontology,
 )
 from cmfuse.assignment import max_assignment
 from cmfuse.similarity import Scorer
 
+import reference_similarity as reference
 from helpers import (
     EMPTY_ONTOLOGY,
     atom,
@@ -35,6 +36,11 @@ from helpers import (
     random_domain,
     root,
 )
+
+
+def _syntactic(a, b):
+    """The engine with no ontology: the syntactic layer alone."""
+    return semantic_similarity(a, b, EMPTY_ONTOLOGY)
 
 
 def _bipartite(a, b, od):
@@ -78,7 +84,6 @@ class TestScore:
         left = root("c", members=(atom("a"), atom("b")))
         right = root("c", members=(atom("a"),))
         for score in (
-            syntactic_similarity(left, right),
             semantic_similarity(left, right, EMPTY_ONTOLOGY),
             _bipartite(left, right, EMPTY_ONTOLOGY),
             parse_score("1/2"),
@@ -89,33 +94,33 @@ class TestScore:
 
 class TestSyntactic:
     def test_atomic_terms_match_exactly(self):
-        assert syntactic_similarity(atom("nom"), atom("nom")) == ONE
-        assert syntactic_similarity(atom("nom"), atom("prénom")) == ZERO
+        assert _syntactic(atom("nom"), atom("nom")) == ONE
+        assert _syntactic(atom("nom"), atom("prénom")) == ZERO
 
     def test_kind_mismatch_scores_zero(self):
         op = atom("nom()", KIND_OPERATION)
-        assert syntactic_similarity(atom("nom"), op) == ZERO
+        assert _syntactic(atom("nom"), op) == ZERO
 
     def test_shared_attribute_over_two(self):
         left = root("client", members=(atom("nom"), atom("âge")))
         right = root("client", members=(atom("nom"), atom("prénom")))
-        assert syntactic_similarity(left, right) == Fraction(1, 2)
+        assert _syntactic(left, right) == Fraction(1, 2)
 
     def test_larger_arity_divides(self):
         left = root("c", members=(atom("a"), atom("b"), atom("x")))
         right = root("c", members=(atom("a"),))
-        assert syntactic_similarity(left, right) == Fraction(1, 3)
+        assert _syntactic(left, right) == Fraction(1, 3)
 
     def test_composite_against_atomic_wraps_singleton(self):
         composite = root("c", members=(atom("a"), atom("b")))
         bare = root("c")
-        assert syntactic_similarity(composite, bare) == ZERO
+        assert _syntactic(composite, bare) == ZERO
 
     def test_duplicate_matches_clamp_at_one(self):
         # both "a" kinds on one side match the single "a" on the other
         left = root("c", members=(atom("a"), atom("a", KIND_OPERATION)))
         right = root("c", members=(atom("a"), atom("a", KIND_OPERATION)))
-        assert syntactic_similarity(left, right) == ONE
+        assert _syntactic(left, right) == ONE
 
 
 class TestSemantic:
@@ -146,13 +151,17 @@ class TestSemantic:
         od = quick_ontology({"A": ["nom"]})
         a = atom("nom", anchor="GONE")
         assert semantic_similarity(a, atom("nom"), od) == ONE
+        # the term decides; it is not looked up in the thesaurus instead
+        od = quick_ontology({"P": ["personne", "lecteur"]})
+        assert semantic_similarity(atom("lecteur", anchor="GHOST"), atom("personne"), od) == ZERO
+        assert semantic_similarity(atom("lecteur"), atom("personne"), od) == ONE
 
     def test_falls_back_to_syntactic_without_anchors(self):
         first, second = client_pair()
         left = to_ontology(first, EMPTY_ONTOLOGY)
         right = to_ontology(second, EMPTY_ONTOLOGY)
         score = semantic_similarity(left.root, right.root, EMPTY_ONTOLOGY)
-        assert score == syntactic_similarity(left.root, right.root) == Fraction(1, 2)
+        assert score == Fraction(1, 2)
 
     def test_composite_recursion_sees_member_synonyms(self):
         od = quick_ontology({"ACT": ["lire()", "consulter()"]})
@@ -274,7 +283,6 @@ class TestProperties:
             a = random_concept(rng, pool)
             b = random_concept(rng, pool)
             mode = rng.choice((MODE_LITERAL, MODE_BIPARTITE))
-            assert syntactic_similarity(a, b) == syntactic_similarity(b, a)
             assert semantic_similarity(a, b, od, mode=mode) == semantic_similarity(
                 b, a, od, mode=mode
             )
@@ -286,19 +294,24 @@ class TestProperties:
             a = random_concept(rng, pool)
             b = random_concept(rng, pool)
             for score in (
-                syntactic_similarity(a, b),
                 semantic_similarity(a, b, od),
                 semantic_similarity(a, b, od, mode=MODE_BIPARTITE),
             ):
                 assert 0 <= score <= 1
 
     def test_semantic_equals_syntactic_without_ontology(self):
+        # each draw also scores a root of attribute kind against the
+        # component root whose members it shares: roots' kinds play no part
         rng = random.Random(9)
         for _ in range(500):
             _, pool = random_domain(rng)
             a = random_concept(rng, pool)
             b = random_concept(rng, pool)
-            assert semantic_similarity(a, b, EMPTY_ONTOLOGY) == syntactic_similarity(a, b)
+            twin = a._replace(kind=KIND_ATTRIBUTE)
+            for x, y in ((a, b), (twin, a)):
+                assert _syntactic(x, y) == reference.semantic(x, y, EMPTY_ONTOLOGY)
+            if a.members:
+                assert _syntactic(twin, a) == ONE
 
     def test_reflexivity(self):
         rng = random.Random(10)
@@ -309,18 +322,16 @@ class TestProperties:
             assert semantic_similarity(a, a, od, mode=MODE_BIPARTITE) == ONE
 
     def test_bipartite_aggregate_matches_assignment(self):
-        from reference_similarity import cell
-
         rng = random.Random(11)
         cases = 0
         for _ in range(500):
             od, pool = random_domain(rng)
             a = random_concept(rng, pool)
             b = random_concept(rng, pool)
-            if a.is_atomic or b.is_atomic:
+            if not (a.members and b.members):
                 continue
             cases += 1
-            cells = [[cell(x, y, od) for y in b.members] for x in a.members]
+            cells = [[reference.cell(x, y, od) for y in b.members] for x in a.members]
             value, _ = max_assignment(cells)
             assert _bipartite(a, b, od) == value / max(len(a.members), len(b.members))
         assert cases == 326

@@ -28,7 +28,6 @@ from cmfuse import (
     Operation,
     RepresentationOntology,
     ThesaurusEntry,
-    component_ontology_to_json,
     load_domain_ontology,
     normalize_term,
     parse_component_ontology,
@@ -39,6 +38,7 @@ from cmfuse import (
     serialize_domain_ontology,
     serialize_representation,
 )
+from cmfuse.transform import graph_spec
 
 from helpers import (
     component_set_to_json,
@@ -133,7 +133,7 @@ def test_graph_writer_equals_reference():
     seen: Counter = Counter()
     for _ in range(300):
         graph = _graph(rng, seen)
-        assert component_ontology_to_json(graph) == graph_to_json(graph)
+        assert graph_spec.write(graph) == graph_to_json(graph)
         text = serialize_component_ontology(graph)
         assert text == reference_dump_json(graph_to_json(graph))
         assert parse_component_ontology(text) == graph

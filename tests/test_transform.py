@@ -15,12 +15,13 @@ from cmfuse import (
     Concept,
     DocumentError,
     component_ontology_from_json,
-    component_ontology_to_json,
     parse_component_ontology,
     serialize_component_ontology,
     to_component,
     to_ontology,
 )
+
+from cmfuse.transform import graph_spec
 
 from helpers import atom, component, quick_ontology, root
 
@@ -183,16 +184,11 @@ class TestConceptInvariants:
         with pytest.raises(DocumentError, match="term must be non-empty"):
             Concept("  ", "  ", KIND_ATTRIBUTE)
 
-    def test_atomicity(self):
-        leaf = atom("nom")
-        assert leaf.is_atomic
-        assert not root("c", members=(leaf,)).is_atomic
-
 
 class TestGraphSerialization:
     def test_json_round_trip(self, library_graphs):
         for graph in library_graphs:
-            data = component_ontology_to_json(graph)
+            data = graph_spec.write(graph)
             back = component_ontology_from_json(data, "test", source=graph.source)
             assert back == graph
 
@@ -204,11 +200,11 @@ class TestGraphSerialization:
 
     def test_metadata_omitted_when_default(self, library_ontology):
         plain = component("C", attrs=["nom"], source="S")
-        data = component_ontology_to_json(to_ontology(plain, library_ontology))
+        data = graph_spec.write(to_ontology(plain, library_ontology))
         assert "metadata" not in data
 
     def test_metadata_present_when_set(self, biblio1, library_ontology):
-        data = component_ontology_to_json(
+        data = graph_spec.write(
             to_ontology(biblio1.components[0], library_ontology)
         )
         assert data["metadata"] == {"provides": ["lire()"]}
