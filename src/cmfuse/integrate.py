@@ -10,7 +10,6 @@ a homonym conflict.
 
 from __future__ import annotations
 
-import codecs
 import json
 import re
 from collections import Counter
@@ -19,7 +18,7 @@ from functools import cache, cached_property, partial
 from itertools import combinations, count
 from json.encoder import encode_basestring
 from operator import attrgetter
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._record import field, record
 from .components import BusinessComponent
@@ -657,7 +656,7 @@ def alignment_from_json(data, *, source: str = "<alignment>") -> AlignmentDocume
     return check(_ALIGNMENT, data, source)
 
 
-_CHUNK = 1 << 16  # bytes that _stream_alignment reads, and characters _streamed takes, at a time
+_CHUNK = 1 << 16  # characters that _stream_alignment reads, and _streamed takes, at a time
 # how alignment_pieces opens the document: the head of its first field
 _HEAD = next(dump_pieces({"correspondences": None}))
 # a JSON string; its escapes are checked when the text is decoded
@@ -710,17 +709,11 @@ def _stream_alignment(path: str) -> AlignmentDocument | None:
     accepts its text, read in chunks; None otherwise. A pipe would be
     drained, and a caller that gets None reads the file again."""
     try:
-        with open(path, "rb") as file:
-            return _streamed(_chunks(file), path)
+        # newline="": a CRLF text stays as it is, which the layout rejects
+        with open(path, encoding="utf-8", newline="") as file:
+            return _streamed(iter(partial(file.read, _CHUNK), ""), path)
     except OSError:
         return None
-
-
-def _chunks(file: BinaryIO) -> Iterator[str]:
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    while data := file.read(_CHUNK):
-        yield decoder.decode(data)
-    yield decoder.decode(b"", final=True)
 
 
 def _streamed(chunks: Iterable[str], source: str) -> AlignmentDocument | None:

@@ -1,20 +1,21 @@
-"""Syntactic and semantic similarity between concepts, with exact scores.
+"""Semantic similarity between concepts, with exact scores.
 
-Concept graphs are flat: a graph's root holds atomic members, and two
-graphs are compared on those members. The semantic layer asks the
-domain ontology first: two atomic concepts of one kind score one
-exactly when both effective anchors exist and are equal, or an anchor
-is missing and the terms are equal; otherwise they score zero. The
-syntactic layer is that term rule, which the engine falls back on: with
-an empty ontology no anchor counts, so kind and term decide every cell.
+Concept graphs are flat: a graph's root holds members that have none,
+and two graphs are compared on those members. The rule is stated as index
+keys, each holding the kind. A concept is filed under its term key, and
+under its anchor key when it has an effective anchor, else its bare-term
+key; an anchored concept probes its anchor and bare-term keys, an
+unanchored one its term key. Two concepts score one exactly when a probe
+key of one is filed by the other: both anchors exist and are equal, or
+an anchor is missing and the terms are equal. With an empty ontology no
+anchor counts, so kind and term decide: that is the syntactic layer.
 
 Scores are fractions.Fraction values in [0, 1]: the synonym verdict is
 equality to exactly one, which floats cannot promise. A document holds a
 score as str() writes it, and parse_score reads back only that text.
 
-One engine, Scorer, does all the scoring. It resolves each concept's
-effective anchor once, when it first sees the concept, and files each
-member under keys, so that the hit cells of two member sets are looked
+One engine, Scorer, does all the scoring. It files a graph's members
+under their keys, so that the hit cells of two member sets are looked
 up in a keyed index. A pair's value is the count of its hit cells
 (literal mode) or an integer maximum matching over them (bipartite
 mode), with one rational per pair.
@@ -76,46 +77,43 @@ class PairScore:
 
 _ZERO_PAIR = PairScore(ZERO)
 
-# index keys: a member with an anchor is filed under it; every member is
-# filed under its term, and a member without an anchor under its bare term
 _ANCHOR, _TERM, _BARE = "anchor", "term", "bare"
+_Key = tuple[str, str, str]
+_Keys = tuple[tuple[_Key, ...], tuple[_Key, ...]]
+
+
+def _keys(kind: str, term: str, anchor: str | None) -> _Keys:
+    """The filed keys and the probe keys of a concept with this effective anchor."""
+    term_key = (_TERM, kind, term)
+    if anchor is None:
+        return (term_key, (_BARE, kind, term)), (term_key,)
+    anchor_key = (_ANCHOR, kind, anchor)
+    return (term_key, anchor_key), (anchor_key, (_BARE, kind, term))
 
 
 class _Node:
-    """A concept with its effective anchor resolved, members filed under their keys."""
+    """A graph root with its own keys, and its members' keys filed."""
 
-    __slots__ = ("kind", "term", "anchor", "members", "probes", "keys", "filed")
+    __slots__ = ("term", "own", "probes", "keys", "filed")
 
-    def __init__(self, kind: str, term: str, anchor: str | None, members: tuple[_Node, ...]):
-        self.kind = kind
+    def __init__(self, term: str, own: _Keys, members: list[_Keys]):
         self.term = term
-        self.anchor = anchor
-        self.members = members
-        self.probes = [m.probe_keys() for m in members]
+        self.own = own
+        self.probes = [probes for _, probes in members]
         self.keys = frozenset(key for probes in self.probes for key in probes)
-        self.filed: dict[tuple, list[int]] = {}
-        for j, m in enumerate(members):
-            for key in m.filed_keys():
+        self.filed: dict[_Key, list[int]] = {}
+        for j, (filed, _) in enumerate(members):
+            for key in filed:
                 self.filed.setdefault(key, []).append(j)
-
-    def filed_keys(self) -> tuple[tuple[str, str, str], ...]:
-        if self.anchor is None:
-            return (_TERM, self.kind, self.term), (_BARE, self.kind, self.term)
-        return (_TERM, self.kind, self.term), (_ANCHOR, self.kind, self.anchor)
-
-    def probe_keys(self) -> tuple[tuple[str, str, str], ...]:
-        # the filed keys of exactly the atomic concepts this one scores one with
-        if self.anchor is None:
-            return ((_TERM, self.kind, self.term),)
-        return (_ANCHOR, self.kind, self.anchor), (_BARE, self.kind, self.term)
 
 
 class Scorer:
     """The scoring engine: exact semantic similarity in one mode.
 
-    node() resolves a concept once; score() scores two graph roots,
-    cell() two atomic concepts, and links() finds the synonymous members
-    that a merge folds together.
+    keys() resolves a concept's effective anchor and gives its keys;
+    node() does so for a graph root and its members; score() scores two
+    graph roots, and links() finds the synonymous members that a merge
+    folds together.
     """
 
     def __init__(self, od: DomainOntology, *, mode: str = MODE_LITERAL):
@@ -124,8 +122,8 @@ class Scorer:
         self.od = od
         self.mode = mode
 
-    def node(self, c: Concept) -> _Node:
-        """The concept with its effective anchor, and its members', resolved.
+    def keys(self, c: Concept) -> _Keys:
+        """The filed and probe keys of the concept, its effective anchor resolved.
 
         An explicit anchor counts when the ontology knows it; one it does
         not know leaves the concept unanchored, with no thesaurus lookup,
@@ -138,23 +136,27 @@ class Scorer:
         else:
             found = anchor(c.term, self.od)
             resolved = found.concepts[0] if found.kind == ANCHOR_UNIQUE else None
-        return _Node(c.kind, c.term, resolved, tuple(self.node(m) for m in c.members))
+        return _keys(c.kind, c.term, resolved)
+
+    def node(self, root: Concept) -> _Node:
+        """A graph root with its keys and its members' resolved."""
+        return _Node(root.term, self.keys(root), [self.keys(m) for m in root.members])
 
     def score(self, left: _Node, right: _Node) -> PairScore:
         """Score the members of two graph roots and aggregate them.
 
-        Two memberless roots are judged as atomic concepts; a memberless
+        Two memberless roots are judged by their own keys; a memberless
         root against one with members scores zero.
         """
-        if not left.members and not right.members:
-            return PairScore(self.cell(left, right))
-        if not (left.members and right.members) or left.keys.isdisjoint(right.filed):
+        if not left.probes and not right.probes:
+            return PairScore(ZERO if set(left.own[1]).isdisjoint(right.own[0]) else ONE)
+        if left.keys.isdisjoint(right.filed):
             return _ZERO_PAIR
         rows = []
         for probes in left.probes:
             hits = [j for key in probes for j in right.filed.get(key, ())]
             rows.append(sorted(hits) if len(hits) > 1 else hits)
-        arity = max(len(left.members), len(right.members))
+        arity = max(len(left.probes), len(right.probes))
         if self.mode == MODE_LITERAL:
             value = min(sum(map(len, rows)), arity)
         else:
@@ -162,34 +164,27 @@ class Scorer:
         cells = tuple((i, j) for i, row in enumerate(rows) for j in row)
         return PairScore(Fraction(value, arity), cells)
 
-    def cell(self, x: _Node, y: _Node) -> Fraction:
-        """Ontology-aware similarity of two resolved atomic concepts, one
-        or zero: one exactly when a probe key of x is a filed key of y,
-        which is the rule the module states."""
-        return ZERO if set(x.probe_keys()).isdisjoint(y.filed_keys()) else ONE
-
     def links(self, concepts: Sequence[Concept], owners: Sequence[int]) -> Iterator[tuple[int, int]]:
         """Pairs of concepts from different owners that join synonyms.
 
         Joining the pairs yielded gives the same classes as joining every
-        pair of concepts from different owners whose cell is one. Concepts
+        pair of concepts from different owners that score one. Concepts
         that share a key are chained once per key. The concepts must be
-        atomic, and those of one owner must differ in (kind, term), as
+        memberless, and those of one owner must differ in (kind, term), as
         the members of one concept do.
         """
-        nodes = [self.node(c) for c in concepts]
-        buckets: dict[tuple, list[int]] = {}
-        for i, n in enumerate(nodes):
-            for key in n.filed_keys():
+        buckets: dict[_Key, list[int]] = {}
+        for i, c in enumerate(concepts):
+            for key in self.keys(c)[0]:
                 buckets.setdefault(key, []).append(i)
-        for key, ids in buckets.items():
-            if key[0] == _ANCHOR:
+        for (rule, kind, value), ids in buckets.items():
+            if rule == _ANCHOR:
                 # one anchor: every pair from two owners scores one
                 joined = len({owners[i] for i in ids}) > 1
             else:
-                # one term, one concept per owner: a bare one scores one with
-                # all; bare-term buckets only repeat part of a term bucket
-                joined = key[0] == _TERM and any(nodes[i].anchor is None for i in ids)
+                # one term, one concept per owner: an unanchored one scores one
+                # with all; bare-term buckets only repeat part of a term bucket
+                joined = rule == _TERM and (_BARE, kind, value) in buckets
             if joined:
                 yield from zip(ids, ids[1:])
 

@@ -301,6 +301,11 @@ ROWS = [
          "root.members[1].members: must be empty; concept graphs are flat",
      ]),
     ("graph-member-with-members", "graph", NESTED, flat("root")),
+    # a member's members must be a list, and null counts as absent
+    ("graph-member-members-not-a-list", "graph",
+     root(members=[{**MEMBER, "members": 5},
+                   {**MEMBER, "term": "age", "raw_label": "age", "members": None}]),
+     ["root.members[0].members: must be a list"]),
     ("graph-concept-invariants", "graph",
      root(members=[MEMBER, {**MEMBER, "raw_label": "Nom"}, {**MEMBER, "kind": "component"}]),
      [

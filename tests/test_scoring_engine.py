@@ -38,6 +38,7 @@ from cmfuse import (
     to_ontology,
     union,
 )
+from cmfuse import similarity
 from cmfuse.assignment import max_assignment, max_matching
 from cmfuse.integrate import cross_pairs
 from cmfuse.report import matrix_to_json, pipeline_report_pieces, render_matrix_text
@@ -371,3 +372,29 @@ def test_the_pipeline_report_needs_the_pair_table():
     bare = Alignment(alignment.correspondences, alignment.diagnostics)
     with pytest.raises(ValueError, match="no pair scores"):
         "".join(pipeline_report_pieces(graphs, od, bare, merged, ComponentSet("S", merged.result)))
+
+
+def test_each_stage_looks_each_anchor_up_once(monkeypatch):
+    od, graphs = _library()
+    looked_up = []
+    lookup = similarity.anchor
+
+    def counted(term, od):
+        looked_up.append(term)
+        return lookup(term, od)
+
+    monkeypatch.setattr(similarity, "anchor", counted)
+    alignment = align(graphs, od)
+    # align: once for each concept, root or member, without an explicit anchor
+    unanchored = [c.term for g in graphs for c in (g.root, *g.root.members) if c.anchor is None]
+    assert unanchored and sorted(looked_up) == sorted(unanchored)
+    looked_up.clear()
+    merged = merge(alignment, graphs, od)
+    # merge: once for each unanchored member of a class of several roots
+    by_path = {g.path: g for g in graphs}
+    folded = [
+        by_path[e.path] for r in merged.representation.roots if len(r.merged_from) > 1
+        for e in r.merged_from
+    ]
+    unanchored = [m.term for g in folded for m in g.root.members if m.anchor is None]
+    assert unanchored and sorted(looked_up) == sorted(unanchored)
