@@ -18,18 +18,14 @@ class FrozenInstanceError(AttributeError):
 
 
 class field:
-    """A field with a default factory, or one left out of repr, hash or ==."""
+    """A field with a default factory, or one left out of the hash."""
 
-    __slots__ = ("default", "default_factory", "repr", "hash", "compare")
+    __slots__ = ("default", "default_factory", "hash")
 
-    def __init__(
-        self, *, default=_MISSING, default_factory=_MISSING, repr=True, hash=None, compare=True
-    ):
+    def __init__(self, *, default=_MISSING, default_factory=_MISSING, hash=True):
         self.default = default
         self.default_factory = default_factory
-        self.repr = repr
-        self.hash = compare if hash is None else hash
-        self.compare = compare
+        self.hash = hash
 
 
 def record(cls):
@@ -60,16 +56,15 @@ def record(cls):
             sets.append(f"  _set(self, {name!r}, {name})\n")
     if hasattr(cls, "__post_init__"):
         sets.append("  self.__post_init__()\n")
-    compared = [name for name, f in fields.items() if f.compare]
     hashed = "".join(f"self.{name}," for name, f in fields.items() if f.hash)
-    shown = ", ".join(f"{name}={{self.{name}!r}}" for name, f in fields.items() if f.repr)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in fields)
     copied = "".join(f"{name!r}: self.{name}, " for name in fields)
     exec(
         f"def __init__(self, {', '.join(params)}):\n{''.join(sets)}"
         "def __eq__(self, other):\n"
         "  if other.__class__ is self.__class__:\n"
-        f"    return ({''.join(f'self.{n},' for n in compared)})"
-        f" == ({''.join(f'other.{n},' for n in compared)})\n"
+        f"    return ({''.join(f'self.{n},' for n in fields)})"
+        f" == ({''.join(f'other.{n},' for n in fields)})\n"
         "  return NotImplemented\n"
         f"def __hash__(self):\n  return hash(({hashed}))\n"
         f'def __repr__(self):\n  return f"{{self.__class__.__qualname__}}({shown})"\n'

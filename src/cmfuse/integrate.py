@@ -20,7 +20,7 @@ from json.encoder import encode_basestring
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ._record import field, record
+from ._record import record
 from .components import BusinessComponent
 from .errors import DocumentError, MergeError
 from .jsonio import (
@@ -54,7 +54,7 @@ from .ontology import (
     operation_term,
     term_stem,
 )
-from .similarity import MODE_BIPARTITE, MODE_LITERAL, ONE, PairScore, Scorer, parse_score
+from .similarity import MODE_BIPARTITE, MODE_LITERAL, ONE, Scorer, parse_score
 from .transform import (
     KIND_COMPONENT,
     KIND_OPERATION,
@@ -125,16 +125,11 @@ class Correspondence(NamedTuple):
 class Alignment:
     """All pairwise correspondences plus the diagnostics that led there,
     and the similarity mode the scores were computed under.
-
-    An alignment that align made also keeps its pair table in scores:
-    one PairScore per scored pair, in cross_pairs order. An alignment
-    read back from a document has none.
     """
 
     correspondences: tuple[Correspondence, ...]
     diagnostics: tuple[str, ...] = ()
     mode: str = MODE_LITERAL
-    scores: tuple[PairScore, ...] | None = field(default=None, compare=False, repr=False)
 
     # computed once per alignment; cached outside the fields, so equality,
     # repr and _replace ignore them
@@ -168,9 +163,9 @@ def align(
 
     Emits one root correspondence per unordered pair from different
     sources, in input order, plus one member correspondence for every
-    member cell that scores one. Each pair is scored once; the scores
-    stay on the alignment for the report, and the mode for the
-    document.
+    member cell that scores one, in the row-major order of the pair's
+    cells. Each pair is scored once; the mode stays on the alignment
+    for the document.
     """
     scorer = Scorer(od, mode=mode)
     roots = [scorer.node(g.root) for g in graphs]
@@ -179,17 +174,15 @@ def align(
     ends = [Endpoint(g.source, g.origin) for g in graphs]
     member_ends = [[Endpoint(g.source, g.origin, m.term) for m in g.root.members] for g in graphs]
     corrs: list[Correspondence] = []
-    scores: list[PairScore] = []
     for i, j in cross_pairs(graphs):
         pair = scorer.score(roots[i], roots[j])
-        scores.append(pair)
         cls = pair_class(graphs[i], graphs[j], pair.aggregate)
         corrs.append(Correspondence(ends[i], ends[j], pair.aggregate, cls))
         for mi, mj in pair.cells:
             left, right = member_ends[i][mi], member_ends[j][mj]
             same = left.member == right.member
             corrs.append(Correspondence(left, right, ONE, classify(same, True)))
-    return Alignment(tuple(corrs), tuple(diagnostics), mode, tuple(scores))
+    return Alignment(tuple(corrs), tuple(diagnostics), mode)
 
 
 def detect_naming_conflicts(alignment: Alignment) -> list[Correspondence]:
@@ -607,7 +600,7 @@ _SETTINGS = obj(
 _ALIGNMENT_FIELDS = {
     "settings": maybe(_SETTINGS),
     "correspondences": _CORRESPONDENCES,
-    "conflicts": None,  # derived from the correspondences
+    "conflicts": _CORRESPONDENCES,  # checked, then derived from the correspondences
     "diagnostics": STRINGS,
     "ontologies": _GRAPHS,
     "domain": _domain,
@@ -616,7 +609,8 @@ _REST_REQUIRED = "conflicts diagnostics ontologies domain"
 _ALIGNMENT_REQUIRED = "correspondences " + _REST_REQUIRED
 
 
-def _document(correspondences, diagnostics, ontologies, domain, settings=None) -> AlignmentDocument:
+def _document(correspondences, diagnostics, ontologies, domain, settings=None, *, conflicts):
+    # conflicts is checked as a correspondence list, and dropped: the alignment derives it
     alignment = Alignment(correspondences, tuple(diagnostics), **(settings or {}))
     return AlignmentDocument(alignment, ontologies, domain)
 

@@ -110,13 +110,7 @@ class DomainOntology:
     across threads and every query is pure.
     """
 
-    def __init__(
-        self,
-        concepts: Iterable[DomainConcept],
-        entries: Iterable[ThesaurusEntry] = (),
-        *,
-        source: str = "<ontology>",
-    ):
+    def __init__(self, concepts: Iterable[DomainConcept], entries: Iterable[ThesaurusEntry] = ()):
         concepts = tuple(concepts)
         problems: list[str] = []
         by_id: dict[str, DomainConcept] = {}
@@ -152,7 +146,7 @@ class DomainOntology:
                 else:
                     bucket.append(term)
         if problems:
-            raise DocumentError(source, problems)
+            raise DocumentError("<ontology>", problems)
 
         for c in concepts:
             label = normalize_term(c.label)

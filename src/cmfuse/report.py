@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -11,6 +12,7 @@ from .components import ComponentSet
 from .integrate import (
     Alignment,
     CLASS_HOMONYM_CONFLICT,
+    Correspondence,
     MergedComponent,
     correspondence_items,
     cross_pairs,
@@ -45,7 +47,7 @@ def render_matrix_text(
 ) -> str:
     """A member-by-member score table with the aggregate underneath."""
     classification = pair_class(left, right, pair.aggregate)
-    return _Matrices([left, right], color).text(0, 1, pair, classification)
+    return _Matrices([left, right], color).text(0, 1, pair.aggregate, pair.cells, classification)
 
 
 class _Matrices:
@@ -54,9 +56,9 @@ class _Matrices:
     column per first-column width, each right graph's columns and its
     all-zero row, and the lines under the table per aggregate and class.
 
-    A cell in pair.cells reads 1 and every other cell 0, so a pair
-    without cells is one join, and a pair with cells builds only its
-    hit rows. Each column is as wide as its term.
+    A (row, column) pair in cells reads 1 and every other cell 0, so a
+    pair without cells is one join, and a pair with cells builds only
+    its hit rows. Each column is as wide as its term.
     """
 
     def __init__(self, graphs: Sequence[ComponentOntology], color: bool):
@@ -68,7 +70,7 @@ class _Matrices:
         self.right: dict[int, tuple] = {}
         self.tails: dict[tuple, str] = {}
 
-    def text(self, i: int, j: int, pair: PairScore, classification: str) -> str:
+    def text(self, i: int, j: int, aggregate: Fraction, cells: Sequence, classification: str) -> str:
         corner = f"{self.paths[i]} \\ {self.paths[j]}"
         first = max(len(corner), self.widest[i])
         column = self.left.get((i, first))
@@ -78,14 +80,14 @@ class _Matrices:
         if right is None:
             right = self.right[j] = _columns(self.terms[j])
         header, rule, zero, zeros, ones = right
-        if pair.cells:
+        if cells:
             ends = [zero] * len(column)
             # the cells are in row-major order
-            for row, hits in groupby(pair.cells, itemgetter(0)):
-                cells = zeros.copy()
+            for row, hits in groupby(cells, itemgetter(0)):
+                texts = zeros.copy()
                 for _, col in hits:
-                    cells[col] = ones[col]
-                ends[row] = "".join(cells).rstrip()
+                    texts[col] = ones[col]
+                ends[row] = "".join(texts).rstrip()
             body = "\n".join(map(str.__add__, column, ends))
         elif not column:
             body = "(no members)"
@@ -94,12 +96,12 @@ class _Matrices:
         else:
             # no right member: each row is its term alone
             body = "\n".join(t.rstrip() for t in column)
-        key = pair.aggregate.numerator, pair.aggregate.denominator, classification
+        key = aggregate.numerator, aggregate.denominator, classification
         tail = self.tails.get(key)
         if tail is None:
             tail = self.tails[key] = (
-                f"\n\naggregate: {pair.aggregate!s}\n"
-                f"verdict:   {_verdict_text(pair.verdict, self.color)}\n"
+                f"\n\naggregate: {aggregate!s}\n"
+                f"verdict:   {_verdict_text(PairScore(aggregate).verdict, self.color)}\n"
                 f"class:     {_class_text(classification, self.color)}\n"
             )
         head = (corner.ljust(first) + header).rstrip()
@@ -218,11 +220,14 @@ def pipeline_report_pieces(
     artifacts, one pair matrix or one line of the alignment and merge
     sections at a time.
 
-    The member matrices come from the pair table that align kept on the
-    alignment of these graphs; nothing is scored again.
+    The member matrices come from the alignment of these graphs, as align
+    returns it or parse_alignment reads it back; nothing is scored again.
+    A member endpoint names its row or column by its term, so a graph that
+    repeats a member term raises ValueError, as does another count of pairs.
     """
-    if alignment.scores is None:
-        raise ValueError("the alignment carries no pair scores; pass what align returned")
+    index = [{m.term: k for k, m in enumerate(g.root.members)} for g in graphs]
+    if repeated := [g.path for g, terms in zip(graphs, index) if len(terms) < len(g.root.members)]:
+        raise ValueError(f"{repeated[0]} repeats a member term: its member endpoints are ambiguous")
     sources = Counter(g.source for g in graphs)
     yield "semantic integration report\n===========================\n\n"
     yield (
@@ -232,15 +237,28 @@ def pipeline_report_pieces(
     )
     yield f"domain: {len(od.concepts)} concepts\n\npair similarity\n---------------\n"
     matrices = _Matrices(graphs, False)
-    # align made one root correspondence per pair, in cross_pairs order
-    pairs = zip(cross_pairs(graphs), alignment.scores, alignment.roots, strict=True)
-    for (i, j), pair, root in pairs:
-        yield "\n" + matrices.text(i, j, pair, root.classification)
+    # align made one root correspondence per pair, in cross_pairs order, each
+    # followed by one member correspondence per cell, in row-major order
+    for (i, j), (root, *members) in zip(cross_pairs(graphs), _pairs(alignment), strict=True):
+        cells = members and [(index[i][c.left.member], index[j][c.right.member]) for c in members]
+        yield "\n" + matrices.text(i, j, root.score, cells, root.classification)
     yield "\nalignment\n---------\n\n"
     yield from _trimmed(_alignment_lines(alignment, False))
     yield "\nmerge\n-----\n\n"
     yield from _trimmed(_merge_lines(merged))
     yield f"\nresult set '{result.system}': {len(result.components)} components\n"
+
+
+def _pairs(alignment: Alignment) -> Iterator[list[Correspondence]]:
+    # each root correspondence with the member correspondences after it, one pair at a time
+    pair: list[Correspondence] = []
+    for c in alignment.correspondences:
+        if c.left.member is None and pair:
+            yield pair
+            pair = []
+        pair.append(c)
+    if pair:
+        yield pair
 
 
 def _trimmed(lines: Iterable[str]) -> Iterator[str]:

@@ -94,10 +94,9 @@ def _keys(kind: str, term: str, anchor: str | None) -> _Keys:
 class _Node:
     """A graph root with its own keys, and its members' keys filed."""
 
-    __slots__ = ("term", "own", "probes", "keys", "filed")
+    __slots__ = ("own", "probes", "keys", "filed")
 
-    def __init__(self, term: str, own: _Keys, members: list[_Keys]):
-        self.term = term
+    def __init__(self, own: _Keys, members: list[_Keys]):
         self.own = own
         self.probes = [probes for _, probes in members]
         self.keys = frozenset(key for probes in self.probes for key in probes)
@@ -140,7 +139,7 @@ class Scorer:
 
     def node(self, root: Concept) -> _Node:
         """A graph root with its keys and its members' resolved."""
-        return _Node(root.term, self.keys(root), [self.keys(m) for m in root.members])
+        return _Node(self.keys(root), [self.keys(m) for m in root.members])
 
     def score(self, left: _Node, right: _Node) -> PairScore:
         """Score the members of two graph roots and aggregate them.

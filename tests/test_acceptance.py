@@ -47,6 +47,7 @@ from cmfuse import (
     to_ontology,
 )
 from cmfuse.cli import main
+from cmfuse.integrate import cross_pairs
 from cmfuse.similarity import Scorer
 
 import reference_similarity as reference
@@ -254,14 +255,23 @@ class TestPropertySuite:
             ]
             for mode in (MODE_LITERAL, MODE_BIPARTITE):
                 alignment = align(graphs, od, mode=mode)
-                for pair in alignment.scores:
+                # each pair's root, then one member correspondence per cell
+                expected = []
+                for i, j in cross_pairs(graphs):
+                    a, b = graphs[i], graphs[j]
+                    pair = similarity_matrix(a, b, od, mode=mode)
                     check(pair.aggregate)
                     seen["cell"] += len(pair.cells)
+                    expected.append((a.path, b.path, pair.aggregate))
+                    terms = [m.term for m in a.root.members], [m.term for m in b.root.members]
+                    expected += [
+                        (f"{a.path}/{terms[0][row]}", f"{b.path}/{terms[1][col]}", 1)
+                        for row, col in pair.cells
+                    ]
                 for corr in alignment.correspondences:
                     check(corr.score)
-                members = [c for c in alignment.correspondences if c.left.member is not None]
-                assert len(members) == sum(len(pair.cells) for pair in alignment.scores)
-                assert all(c.score == 1 for c in members)
+                found = [(c.left.path, c.right.path, c.score) for c in alignment.correspondences]
+                assert found == expected
         # the cells, and the scores strictly between 0 and 1, are many
         assert min(seen["cell"], seen["fractional"], seen["0"], seen["1"]) >= 500, seen
         _passed("scores stay in [0, 1] and read back (500 concept pairs, 100 alignments)")

@@ -339,7 +339,8 @@ ROWS = [
     ("alignment-settings-null-values", "alignment",
      edit(ALIGNMENT, settings={"mode": None, "recursive": 1}),
      ["settings.mode: must be literal or bipartite", "settings.recursive: must be a boolean"]),
-    # the conflicts list is never read back; a missing endpoint is also not an object
+    # the conflicts list is checked as a correspondence list, after the
+    # correspondences; a missing endpoint is also not an object
     ("alignment-correspondences", "alignment",
      edit(ALIGNMENT, conflicts="ignored", correspondences=[
          5, {"left": {"source": "A", "origin": "X"}, "score": 3, "class": "same"}]),
@@ -350,6 +351,7 @@ ROWS = [
          "correspondences[1].right: must be an object",
          "correspondences[1].score: must be a string",
          f"correspondences[1].class: {MUST_BE_CLASS}",
+         "conflicts: must be a list",
      ]),
     ("alignment-endpoint-fields", "alignment",
      corr(left={"source": "", "origin": 5, "member": 3, "x": 0}, right=None, **{"class": None}),

@@ -44,7 +44,7 @@ from cmfuse import (
     Thesaurus,
     ThesaurusEntry,
 )
-from cmfuse._record import FrozenInstanceError
+from cmfuse._record import FrozenInstanceError, field
 
 RECORDS = [
     Attribute,
@@ -176,7 +176,6 @@ def _values(cls, rng) -> dict:
             correspondences=_some(rng, corrs),
             diagnostics=pick([(), ("odd",)]),
             mode=pick(["literal", "bipartite"]),
-            scores=pick([None, (PairScore(Fraction(1)),)]),
         )
     if cls is MergedRoot:
         return dict(
@@ -361,6 +360,14 @@ def test_cached_properties_live_outside_the_fields():
     alignment = Alignment((Correspondence(Endpoint("S", "C"), end, Fraction(1), "equivalent"),))
     assert alignment.roots == alignment.correspondences
     assert pickle.loads(pickle.dumps(alignment)) == alignment
+
+
+def test_an_alignment_holds_what_its_document_holds():
+    # no field is left out of == or repr, so record's field takes no option for it
+    assert Alignment._fields == ("correspondences", "diagnostics", "mode")
+    for option in ("repr", "compare"):
+        with pytest.raises(TypeError):
+            field(**{option: False})
 
 
 def test_a_record_matches_its_fields():

@@ -80,7 +80,7 @@ def _names(merged) -> list[str]:
 
 
 def _has_cells(alignment) -> bool:
-    return any(pair.cells for pair in alignment.scores)
+    return any(c.left.member is not None for c in alignment.correspondences)
 
 
 def test_listing_source_b_first_changes_no_class_and_no_name():
